@@ -248,6 +248,14 @@ def _segment_segment_distance(p1, p2, q1, q2) -> np.ndarray:
     s3 = _cross3(p1, p2, q1)
     s4 = _cross3(p1, p2, q2)
     crossing = (s1 * s2 < 0.0) & (s3 * s4 < 0.0)
+    # a proper crossing lies in both bounding boxes; requiring them to meet
+    # keeps rounding noise in the cross products of collinear disjoint
+    # segments from reading as a crossing
+    k = np.nonzero(crossing)[0]
+    if k.shape[0]:
+        a1, a2, b1, b2 = p1[k], p2[k], q1[k], q2[k]
+        meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
+        crossing[k] = meet.all(axis=1)
     return np.where(crossing, 0.0, d)
 
 
@@ -293,46 +301,69 @@ def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return d
 
 
-def _stacked_edges(polys: Sequence[ConvexPolygon]) -> np.ndarray:
-    """Edge arrays padded to a common edge count by repeating the first edge."""
-    edge_lists = [_edges(p) for p in polys]
-    emax = max(e.shape[0] for e in edge_lists)
-    out = np.empty((len(polys), emax, 2, 2))
-    for i, e in enumerate(edge_lists):
-        out[i, : e.shape[0]] = e
-        out[i, e.shape[0] :] = e[0]
-    return out
-
-
 _PAIR_CHUNK = 131072
 
 
 class PairDistanceEvaluator:
     """Batched min_distance queries over a fixed polygon set.
 
-    Edge stacks, bounding boxes, and centroids are computed once, so sweeps
-    that evaluate many index pairs against the same cells stay cheap.
+    Edge stacks, bounding boxes, and centroids are computed once, from the
+    vertex arrays stacked per vertex count, so sweeps that evaluate many
+    index pairs against the same cells stay cheap.  Edge stacks are padded
+    to a common edge count by repeating each polygon's first edge.
     """
 
     def __init__(self, polys: Sequence[ConvexPolygon]):
         self.polys = list(polys)
         if not self.polys:
             raise ValueError("need at least one polygon")
-        self.edges = _stacked_edges(self.polys)
-        bbs = np.array([p.bbox() for p in self.polys])
-        self.lo, self.hi = bbs[:, :2], bbs[:, 2:]
-        self.centroids = np.stack([p.vertices.mean(axis=0) for p in self.polys])
+        verts = [p.vertices for p in self.polys]
+        counts = np.array([v.shape[0] for v in verts])
+        sizes = sorted(set(counts.tolist()))
+        n = len(verts)
+        self.edges = np.empty((n, sizes[-1] if sizes[-1] >= 3 else 1, 2, 2))
+        self.lo, self.hi, self.centroids = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+        for size in sizes:
+            idx = np.nonzero(counts == size)[0]
+            v = np.stack([verts[i] for i in idx.tolist()])
+            if size < 3:
+                # a point is the zero-length edge (v0, v0), a segment its one edge
+                e = np.stack([v[:, 0], v[:, -1]], axis=1)[:, None]
+            else:
+                e = np.stack([v, np.roll(v, -1, axis=1)], axis=2)
+            self.edges[idx, : e.shape[1]] = e
+            self.edges[idx, e.shape[1] :] = e[:, :1]
+            self.lo[idx] = v.min(axis=1)
+            self.hi[idx] = v.max(axis=1)
+            self.centroids[idx] = v.mean(axis=1)
 
-    def bbox_gaps_from(self, i: int) -> np.ndarray:
-        """Lower bounds on min_distance from polygon i to every polygon."""
-        dx = np.maximum(np.maximum(self.lo[:, 0] - self.hi[i, 0], self.lo[i, 0] - self.hi[:, 0]), 0.0)
-        dy = np.maximum(np.maximum(self.lo[:, 1] - self.hi[i, 1], self.lo[i, 1] - self.hi[:, 1]), 0.0)
-        return np.hypot(dx, dy)
+    def box_gaps(self, ii, jj) -> np.ndarray:
+        """Bounding-box gaps of the index pairs: lower bounds on min_distance."""
+        return _box_gaps(self.lo[ii], self.hi[ii], self.lo[jj], self.hi[jj])
 
-    def centroid_distances_from(self, i: int) -> np.ndarray:
-        """Upper bounds on min_distance from polygon i to every polygon."""
-        d = self.centroids - self.centroids[i]
-        return np.hypot(d[:, 0], d[:, 1])
+    def farthest_box_gaps(self) -> np.ndarray:
+        """max_j box_gaps(i, j) for every polygon i, a lower bound on its
+        largest min_distance to any polygon of the set.
+
+        Each gap is the largest of four functions, each convex and
+        nondecreasing in one of the corner points (lo_x, lo_y), (lo_x, -hi_y),
+        (-hi_x, lo_y), (-hi_x, -hi_y) of j.  So the maximum is reached on the
+        hull vertices of the Pareto-maximal points of those sets, and only
+        these few polygons are compared against every row.
+        """
+        lo, hi = self.lo, self.hi
+        corners = [(lo[:, 0], lo[:, 1]), (lo[:, 0], -hi[:, 1]), (-hi[:, 0], lo[:, 1]), (-hi[:, 0], -hi[:, 1])]
+        n = lo.shape[0]
+        extreme = np.zeros(n, dtype=bool)
+        for u, v in corners:
+            extreme[_maximal_hull(u, v)] = True
+        far = np.nonzero(extreme)[0]
+        out = np.empty(n)
+        step = max(1, _PAIR_CHUNK // far.shape[0])
+        for a in range(0, n, step):
+            b = min(n, a + step)
+            out[a:b] = _box_gaps(lo[a:b, None], hi[a:b, None], lo[None, far], hi[None, far]).max(axis=1)
+        return out
 
     def distances(self, ii, jj) -> np.ndarray:
         """Exact min_distance for the index pairs (ii[k], jj[k])."""
@@ -363,16 +394,102 @@ class PairDistanceEvaluator:
         return out
 
 
-def pair_min_distances(pa: Sequence[ConvexPolygon], pb: Sequence[ConvexPolygon]) -> np.ndarray:
-    """Elementwise min_distance over two aligned polygon sequences."""
-    if len(pa) != len(pb):
-        raise ValueError("polygon sequences must have equal length")
-    n = len(pa)
-    if n == 0:
-        return np.empty(0)
-    ev = PairDistanceEvaluator(list(pa) + list(pb))
-    idx = np.arange(n)
-    return ev.distances(idx, idx + n)
+def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Euclidean gaps between axis-aligned boxes (broadcasting, last axis xy)."""
+    d = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _maximal_hull(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Indices of the points (u, v) that are Pareto-maximal and vertices of
+    the convex hull of the Pareto-maximal points.
+
+    A function convex and nondecreasing in u and v takes its maximum over
+    all the points at one of them.
+    """
+    order = np.lexsort((-v, -u))
+    vs = v[order]
+    keep = np.ones(vs.shape[0], dtype=bool)
+    keep[1:] = vs[1:] > np.maximum.accumulate(vs)[:-1]
+    front = order[keep]
+    us, vs = u[front].tolist(), v[front].tolist()
+    # the front runs with u falling and v rising; its hull chain turns left
+    hull: list[int] = []
+    for p in range(len(us)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (us[a] - us[o]) * (vs[p] - vs[o]) - (vs[a] - vs[o]) * (us[p] - us[o]) > 0.0:
+                break
+            hull.pop()
+        hull.append(p)
+    return front[hull]
+
+
+def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, in lexicographic order, of boxes that overlap once
+    grown by pad: min(hi_i, hi_j) - max(lo_i, lo_j) >= -pad on both axes.
+
+    Strips and sweep: the boxes are cut into strips across one axis, each a
+    little taller than the tallest box plus pad, so two overlapping boxes
+    lie in one strip or in adjacent ones.  Each box is paired with the
+    boxes of its own and the two adjacent strips whose low end along the
+    other axis comes after its own and within its reach.  For boxes of
+    similar size the cost is about the number of nearby pairs, not
+    n(n-1)/2, and it never exceeds that of a sweep along one axis.
+    """
+    n = lo.shape[0]
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    a = int(np.argmax((lo + hi).var(axis=0)))  # sweep where the boxes spread most
+    b = 1 - a
+    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+    # rounding margins, so that no pair the exact predicate accepts is missed
+    reach = pad + 16.0 * np.finfo(float).eps * (scale + pad)
+    height = max((float((hi[:, b] - lo[:, b]).max()) + reach) * (1.0 + 1e-6), 1e-6 * scale)
+    if height > 0.0:
+        strip = np.floor((lo[:, b] - lo[:, b].min()) / height).astype(np.int64)
+    else:
+        strip = np.zeros(n, dtype=np.int64)
+    # integer keys (dense strip id, rank of the low end along a) sort the
+    # boxes by strip, then along a, and turn every window into a key range
+    by_a = np.argsort(lo[:, a], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_a] = np.arange(n)
+    levels = np.sort(strip)
+    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
+    dense = np.searchsorted(levels, strip)
+    order = np.argsort(dense * n + rank)
+    keys = (dense * n + rank)[order]
+    d, r, s = dense[order], rank[order], strip[order]
+    upto = np.searchsorted(lo[by_a, a], hi[order, a] + reach, side="right")
+    starts, counts = [], []
+    for step in (-1, 0, 1):
+        near = np.clip(d + step, 0, levels.shape[0] - 1)
+        start = np.searchsorted(keys, near * n + r + 1)
+        count = np.searchsorted(keys, near * n + upto) - start
+        starts.append(start)
+        counts.append(np.where(levels[near] == s + step, np.maximum(count, 0), 0))
+    rows = np.tile(np.arange(n), 3)
+    starts, counts = np.concatenate(starts), np.concatenate(counts)
+    ends = np.cumsum(counts)
+    ii_parts, jj_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    w = 0
+    while w < rows.shape[0]:
+        # windows w..t-1 expand to at most _PAIR_CHUNK candidates (or one window)
+        done = int(ends[w - 1]) if w else 0
+        t = max(w + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        c = counts[w:t]
+        at = np.repeat(rows[w:t], c)
+        to = np.repeat(starts[w:t] - (np.cumsum(c) - c), c) + np.arange(at.shape[0])
+        i, j = order[at], order[to]
+        ok = ((np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j])) >= -pad).all(axis=1)
+        i, j = i[ok], j[ok]
+        ii_parts.append(np.minimum(i, j))
+        jj_parts.append(np.maximum(i, j))
+        w = t
+    ii, jj = np.concatenate(ii_parts), np.concatenate(jj_parts)
+    lex = np.lexsort((jj, ii))
+    return ii[lex], jj[lex]
 
 
 def min_distance_matrix(polys: Sequence[ConvexPolygon]) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import ConvexPolygon, PairDistanceEvaluator, min_distance_matrix, overlap_measure
+from .geometry import ConvexPolygon, PairDistanceEvaluator, box_overlap_pairs, overlap_measure
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
@@ -157,14 +157,16 @@ def check_adjacency(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Condit
         gaps = ev.distances(ii, jj).reshape(-1, n_comp)
         per_kept = gaps.min(axis=1)
         nearest = gaps.argmin(axis=1)
-        for r in range(per_kept.shape[0]):
-            kept_cell = cells[(r // m) * M + (r % m)]
-            comp_cell = cells[(r // m) * M + m + int(nearest[r])]
-            pair = (str(kept_cell.address), str(comp_cell.address))
-            if per_kept[r] > max_gap:
-                max_gap, max_pair = float(per_kept[r]), pair
-            if per_kept[r] > tol.geom and len(violators) < _MAX_WITNESSES:
-                violators.append(pair)
+
+        def pair(r: int) -> tuple[str, str]:
+            kept = (r // m) * M + (r % m)
+            return str(cells[kept].address), str(cells[(r // m) * M + m + int(nearest[r])].address)
+
+        r = int(np.argmax(per_kept))
+        if per_kept[r] > max_gap:
+            max_gap, max_pair = float(per_kept[r]), pair(r)
+        for r in np.nonzero(per_kept > tol.geom)[0][: _MAX_WITNESSES - len(violators)].tolist():
+            violators.append(pair(r))
     status = "fail" if max_gap > tol.geom else "pass"
     extremal = {"max_gap": max_gap}
     witnesses = tuple(violators) if violators else ((max_pair,) if max_pair else ())
@@ -176,17 +178,14 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
 
     Under the closed-cell model a point accumulating on two complement sets
     then lies on both boundaries, hence in neither open complement region.
-    Pairs are pruned by bounding boxes before exact clipping.
+    A sort-and-sweep over bounding boxes picks the candidate pairs before
+    exact clipping; the pair cap counts those candidates.
     """
     _require_depth(t, 1)
     comps = list(t.complement_cells())
     base_mu = t.scheme.base_measure()
     bb = np.array([c.polygon.bbox() for c in comps])
-    lo, hi = bb[:, :2], bb[:, 2:]
-    overlap_x = (np.minimum.outer(hi[:, 0], hi[:, 0]) - np.maximum.outer(lo[:, 0], lo[:, 0])) >= -tol.geom
-    overlap_y = (np.minimum.outer(hi[:, 1], hi[:, 1]) - np.maximum.outer(lo[:, 1], lo[:, 1])) >= -tol.geom
-    cand = np.triu(overlap_x & overlap_y, k=1)
-    ii, jj = np.nonzero(cand)
+    ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], tol.geom)
     if ii.shape[0] > caps.pairs:
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
     max_overlap = 0.0
@@ -195,11 +194,10 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     threshold = tol.area * base_mu
     for i, j in zip(ii.tolist(), jj.tolist()):
         ov = overlap_measure(comps[i].polygon, comps[j].polygon, t.scheme.measure_kind, tol.geom)
-        pair = (str(comps[i].address), str(comps[j].address))
         if ov > max_overlap:
-            max_overlap, max_pair = ov, pair
+            max_overlap, max_pair = ov, (str(comps[i].address), str(comps[j].address))
         if ov > threshold and len(violators) < _MAX_WITNESSES:
-            violators.append(pair)
+            violators.append((str(comps[i].address), str(comps[j].address)))
     status = "fail" if max_overlap > threshold else "pass"
     extremal = {"max_overlap": max_overlap, "base_measure": base_mu, "pairs_examined": int(ii.shape[0])}
     witnesses = tuple(violators) if violators else ((max_pair,) if max_pair else ())
@@ -240,58 +238,80 @@ class SeparationSweep:
     word_b: Address
 
 
-_FULL_MATRIX_LIMIT = 600
+class _PairBudget:
+    """Exact distance evaluations still allowed under the pair cap."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.left = cap
+
+    def spend(self, n: int) -> None:
+        if n > self.left:
+            raise CapExceededError(f"separation sweep exceeds the pair cap {self.cap}")
+        self.left -= n
 
 
-def _depth_pairwise(ev: PairDistanceEvaluator) -> tuple[float, int, int, int]:
-    """Exact min over distinct pairs, pruned by bbox/centroid bounds."""
-    k = len(ev.polys)
-    upper = np.inf  # min centroid distance is an upper bound on the answer
-    for i in range(k - 1):
-        upper = min(upper, float(ev.centroid_distances_from(i)[i + 1 :].min()))
-    ii_list = []
-    jj_list = []
-    for i in range(k - 1):
-        gaps = ev.bbox_gaps_from(i)[i + 1 :]
-        js = np.nonzero(gaps <= upper)[0]
-        ii_list.append(np.full(js.shape[0], i))
-        jj_list.append(js + i + 1)
-    ii = np.concatenate(ii_list)
-    jj = np.concatenate(jj_list)
-    dists = ev.distances(ii, jj)
-    best = int(np.argmin(dists))
-    return float(dists[best]), int(ii[best]), int(jj[best]), int(ii.shape[0])
+def _slack(ev: PairDistanceEvaluator) -> float:
+    # rounding allowance between the box/centroid bounds and the exact
+    # kernel, so pruning never drops a pair that would tie the answer
+    return 64.0 * np.finfo(float).eps * max(float(np.abs(ev.lo).max()), float(np.abs(ev.hi).max()))
 
 
-def _depth_forall_exists(ev: PairDistanceEvaluator) -> tuple[float, int, int, int]:
-    """Exact min over cells of the max partner distance, with pruning.
+def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[float, int, int]:
+    """Exact min over distinct pairs and its smallest pair (i, j).
 
-    Bbox gaps bound each distance from below and centroid distances from
-    above, so a row's exact maximum only needs the partners whose upper
-    bound reaches the row's best lower bound; rows whose lower bound already
-    meets the running minimum cannot lower it and are skipped.
+    The k-1 address-consecutive pairs seed an upper bound; only the pairs
+    whose bounding-box gap is within it can reach the minimum.  When the
+    bound is already 0 only the pairs ordered before the first touching
+    consecutive pair can still change the answer.
     """
     k = len(ev.polys)
-    running = np.inf
-    pick = (0, 0)
-    n_exact = 0
-    for i in range(k):
-        gaps = ev.bbox_gaps_from(i)
-        gaps[i] = 0.0
-        best_lower = float(gaps.max())
-        if best_lower >= running:
-            continue
-        cdist = ev.centroid_distances_from(i)
-        cand = np.nonzero(cdist >= best_lower)[0]
+    if k < 2:
+        return np.inf, 0, 0
+    budget.spend(k - 1)
+    ii = np.arange(k - 1)
+    jj = ii + 1
+    dists = ev.distances(ii, jj)
+    first = int(np.argmin(dists))
+    bound = float(dists[first]) + _slack(ev)
+    ci, cj = box_overlap_pairs(ev.lo, ev.hi, bound)
+    near = (cj != ci + 1) & (ev.box_gaps(ci, cj) <= bound)
+    if dists[first] == 0.0:
+        near &= ci < first
+    ci, cj = ci[near], cj[near]
+    budget.spend(ci.shape[0])
+    ii, jj = np.concatenate([ii, ci]), np.concatenate([jj, cj])
+    dists = np.concatenate([dists, ev.distances(ci, cj)])
+    at = np.nonzero(dists == dists.min())[0]
+    best = at[np.lexsort((jj[at], ii[at]))[0]]
+    return float(dists[best]), int(ii[best]), int(jj[best])
+
+
+def _depth_forall_exists(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[float, int, int]:
+    """Exact min over cells of the max partner distance, with its pair.
+
+    Each row's farthest bounding-box gap bounds its maximum from below, so
+    rows are visited in ascending order of that bound until it passes the
+    running minimum.  Centroid distances bound each distance from above, so
+    a visited row only evaluates the partners that can reach its bound.
+    """
+    slack = _slack(ev)
+    lower = ev.farthest_box_gaps()
+    running, pick = np.inf, (0, 0)
+    for i in np.argsort(lower, kind="stable").tolist():
+        if lower[i] - slack > running:
+            break
+        c = ev.centroids - ev.centroids[i]
+        cand = np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
         cand = cand[cand != i]
+        budget.spend(cand.shape[0])
         exact = ev.distances(np.full(cand.shape[0], i), cand)
-        n_exact += int(cand.shape[0])
-        jbest = int(np.argmax(exact))
-        row_max = float(exact[jbest])
-        if row_max < running:
-            running = row_max
-            pick = (i, int(cand[jbest]))
-    return running, pick[0], pick[1], n_exact
+        row_max = float(exact.max()) if cand.shape[0] else 0.0
+        if row_max < running or (row_max == running and i < pick[0]):
+            # a row of the full distance matrix holds 0 on its diagonal, so a
+            # row of zeros reports its first column
+            running, pick = row_max, (i, int(cand[np.argmax(exact)]) if row_max > 0.0 else 0)
+    return running, pick[0], pick[1]
 
 
 def separation_sweep(
@@ -303,42 +323,27 @@ def separation_sweep(
 
     pairwise: the smallest distance between distinct kept cells, minimized
     over depths.  forall_exists: per depth the worst cell's best partner
-    distance, then the best depth.  The pair cap applies to the exact
-    evaluations remaining after bounding-box pruning.  Ties break toward
-    lexicographically smaller addresses because cells arrive in address
-    order.
+    distance, then the best depth.  A depth with a single cell reads inf
+    pairwise and 0.0 forall_exists.  Ties break toward lexicographically
+    smaller addresses because cells arrive in address order.
+
+    Cost per depth of k cells: a broad phase on bounding boxes, then the
+    exact distance kernel on the pairs it keeps.  pairwise evaluates the
+    k-1 address-consecutive pairs, takes their minimum as a bound, and
+    sort-and-sweeps the boxes for the pairs whose gap is within it.
+    forall_exists bounds every row by its farthest box gap, read off the
+    Pareto-maximal box corners, and evaluates only the rows whose bound
+    does not pass the running minimum.  The pair cap counts the exact
+    evaluations over all depths, the k-1 seeding pairs included.
     """
     if mode not in ("pairwise", "forall_exists"):
         raise ValueError(f"unknown separation mode {mode!r}")
+    fn = _depth_pairwise if mode == "pairwise" else _depth_forall_exists
+    budget = _PairBudget(caps.pairs)
     per_depth: list[tuple[float, Address, Address]] = []
-    exact_budget = caps.pairs
     for cells in cells_by_depth:
-        addrs = [a for a, _ in cells]
-        polys = [p for _, p in cells]
-        k = len(polys)
-        if k <= _FULL_MATRIX_LIMIT:
-            n_exact = k * (k - 1) // 2
-            if n_exact > exact_budget:
-                raise CapExceededError(f"separation sweep exceeds the pair cap {caps.pairs}")
-            exact_budget -= n_exact
-            mat = min_distance_matrix(polys)
-            if mode == "pairwise":
-                masked = mat + np.where(np.eye(k, dtype=bool), np.inf, 0.0)
-                i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-                per_depth.append((float(masked[i, j]), addrs[min(i, j)], addrs[max(i, j)]))
-            else:
-                row_best = mat.max(axis=1)
-                i = int(np.argmin(row_best))
-                j = int(np.argmax(mat[i]))
-                per_depth.append((float(row_best[i]), addrs[i], addrs[j]))
-        else:
-            ev = PairDistanceEvaluator(polys)
-            fn = _depth_pairwise if mode == "pairwise" else _depth_forall_exists
-            value, i, j, n_exact = fn(ev)
-            if n_exact > exact_budget:
-                raise CapExceededError(f"separation sweep exceeds the pair cap {caps.pairs}")
-            exact_budget -= n_exact
-            per_depth.append((value, addrs[i], addrs[j]))
+        value, i, j = fn(PairDistanceEvaluator([p for _, p in cells]), budget)
+        per_depth.append((value, cells[i][0], cells[j][0]))
     values = [v for v, _, _ in per_depth]
     pick = int(np.argmin(values)) if mode == "pairwise" else int(np.argmax(values))
     value, a, b = per_depth[pick]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from porofractal.codespace import Address
 from porofractal.errors import SingularMapError
 from porofractal.geometry import (
     AffineMap2,
     ConvexPolygon,
+    PairDistanceEvaluator,
     area,
     apply,
+    box_overlap_pairs,
     compose,
     diameter,
     identity_map,
@@ -25,6 +29,7 @@ from porofractal.geometry import (
     point_in_polygon,
     similarity_map,
 )
+from porofractal.scheme import build_tree, builtin
 
 SQRT3 = math.sqrt(3.0)
 
@@ -201,6 +206,58 @@ def test_min_distance_matrix_matches_scalar():
         for j in range(i + 1, 8):
             assert mat[i, j] == pytest.approx(min_distance(polys[i], polys[j]), abs=1e-12)
             assert mat[i, j] == mat[j, i]
+
+
+def test_min_distance_rotated_collinear_cantor_cells():
+    # cells 1122 = [8/81, 9/81] and 1222 = [26/81, 27/81] of cantor depth 4,
+    # built in a frame rotated by 0.02 rad: rounding puts the endpoints of
+    # the collinear segments on both sides of each other's line, which must
+    # not read as a crossing
+    s = builtin("cantor")
+    g = similarity_map(1.0, 0.02)
+    g_inv = g.inverse()
+    maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
+    rotated = dataclasses.replace(s, base=apply(g, s.base), child_maps=maps)
+    t = build_tree(rotated, 4)
+    a = t.cell(Address((1, 1, 2, 2), 2, 3)).polygon
+    b = t.cell(Address((1, 2, 2, 2), 2, 3)).polygon
+    assert min_distance(a, b) == pytest.approx(17 / 81, abs=1e-12)
+    assert PairDistanceEvaluator([a, b]).distances([0, 1], [1, 0]) == pytest.approx([17 / 81] * 2, abs=1e-12)
+
+
+def test_pair_distance_evaluator_mixed_vertex_counts():
+    rng = np.random.default_rng(5)
+    polys = [POINT, SEGMENT, KOCH_BASE, UNIT_SQUARE, square(1.5, 0.2, 0.3), ConvexPolygon(np.array([[2.0, 2.0]]))]
+    polys += [_random_convex(rng) for _ in range(4)]
+    ev = PairDistanceEvaluator(polys)
+    ii, jj = np.triu_indices(len(polys), k=1)
+    got = ev.distances(ii, jj)
+    for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        assert got[k] == min_distance(polys[i], polys[j])
+    for i, p in enumerate(polys):
+        assert tuple(ev.lo[i]) + tuple(ev.hi[i]) == p.bbox()
+
+
+def test_box_overlap_pairs_matches_outer_predicate():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, pad in [(1, 0.0), (2, 0.0), (60, 0.0), (60, 1e-9), (200, 0.05)]:
+        lo = rng.uniform(-1.0, 1.0, size=(n, 2)).round(1)  # rounding makes boxes share edges
+        cases.append((lo, lo + rng.uniform(0.0, 0.3, size=(n, 2)).round(1), pad))
+    points = rng.integers(0, 4, size=(80, 2)) / 3.0
+    cases.append((points, points, 0.0))
+    sizes = rng.uniform(0.0, 1.0, size=(150, 1)) ** 4  # a few large boxes among many small
+    lo = rng.uniform(-1.0, 1.0, size=(150, 2))
+    cases.append((lo, lo + sizes, 1e-9))
+    column = np.column_stack([np.zeros(50), np.linspace(0.0, 1.0, 50)])
+    cases.append((column, column + [0.0, 1 / 49], 0.0))
+    for lo, hi, pad in cases:
+        ok = np.ones((lo.shape[0],) * 2, dtype=bool)
+        for ax in range(2):
+            ok &= (np.minimum.outer(hi[:, ax], hi[:, ax]) - np.maximum.outer(lo[:, ax], lo[:, ax])) >= -pad
+        want_i, want_j = np.nonzero(np.triu(ok, k=1))
+        got_i, got_j = box_overlap_pairs(lo, hi, pad)
+        assert got_i.tolist() == want_i.tolist() and got_j.tolist() == want_j.tolist()
 
 
 def test_point_distance():

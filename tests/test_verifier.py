@@ -1,11 +1,21 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from porofractal.codespace import Address
 from porofractal.config import Caps
 from porofractal.errors import CapExceededError, EmptyTreeError
-from porofractal.geometry import min_distance, overlap_measure
+from porofractal.geometry import (
+    ConvexPolygon,
+    apply,
+    compose,
+    min_distance,
+    min_distance_matrix,
+    overlap_measure,
+    similarity_map,
+)
 from porofractal.scheme import build_tree, builtin
 from porofractal.verifier import (
     check_accumulation,
@@ -14,6 +24,7 @@ from porofractal.verifier import (
     check_ratio,
     check_separation,
     full_verify,
+    separation_sweep,
 )
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
@@ -175,20 +186,65 @@ def test_pairwise_never_exceeds_forall_exists(name, make_tree):
     assert pw <= fe + 1e-15
 
 
-def test_separation_pruned_path_matches_full_matrix(make_tree, monkeypatch):
-    # force the bbox-pruned path onto cell sets small enough for the
-    # exhaustive matrix path, and require identical values and witnesses
-    import porofractal.verifier as verifier_mod
+def _full_matrix_sweep(cells_by_depth, mode):
+    # brute-force oracle: every pair's exact distance, ties to the first
+    # entry in row-major order of the symmetric distance matrix
+    per_depth = []
+    for cells in cells_by_depth:
+        addrs = [a for a, _ in cells]
+        mat = min_distance_matrix([p for _, p in cells])
+        if mode == "pairwise":
+            np.fill_diagonal(mat, np.inf)
+            i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
+            per_depth.append((float(mat[i, j]), addrs[i], addrs[j]))
+        else:
+            i = int(np.argmin(mat.max(axis=1)))
+            j = int(np.argmax(mat[i]))
+            per_depth.append((float(mat[i, j]), addrs[i], addrs[j]))
+    values = tuple(v for v, _, _ in per_depth)
+    pick = int(np.argmin(values)) if mode == "pairwise" else int(np.argmax(values))
+    return values, per_depth[pick][1], per_depth[pick][2]
 
-    for name, depth in [("carpet", 2), ("pascal3", 2), ("cantor", 4)]:
-        t = make_tree(name, depth)
+
+def _rotated_carpet():
+    s = builtin("carpet")
+    g = similarity_map(0.7, 0.3, (0.2, -0.1))
+    g_inv = g.inverse()
+    maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
+    return dataclasses.replace(s, name="carpet-rot", base=apply(g, s.base), child_maps=maps)
+
+
+def test_separation_pruned_path_matches_full_matrix():
+    # the pruned sweep must reproduce the exhaustive matrix exactly: values,
+    # depth-wise values and tie-broken witnesses, in both modes
+    cases = [(builtin(n), d) for n, d in [("carpet", 2), ("pascal3", 2), ("cantor", 4), ("koch", 5)]]
+    for s, depth in cases + [(_rotated_carpet(), 2)]:
+        t = build_tree(s, depth)
+        cells = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, depth + 1)]
         for mode in ("pairwise", "forall_exists"):
-            full = check_separation(t, mode)
-            monkeypatch.setattr(verifier_mod, "_FULL_MATRIX_LIMIT", 1)
-            pruned = check_separation(t, mode)
-            monkeypatch.undo()
-            assert pruned.extremal["by_depth"] == full.extremal["by_depth"], (name, mode)
-            assert pruned.witnesses == full.witnesses, (name, mode)
+            sweep = separation_sweep(cells, mode)
+            assert (sweep.by_depth, sweep.word_a, sweep.word_b) == _full_matrix_sweep(cells, mode), (s.name, mode)
+
+
+def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
+    # squares [0,1], [2,3], [1,2] on a row: the first touching consecutive
+    # pair is (2, 3), but (1, 3) also touches and comes first
+    squares = [ConvexPolygon(np.array([[x, 0.0], [x + 1, 0.0], [x + 1, 1.0], [x, 1.0]])) for x in (0.0, 2.0, 1.0)]
+    cells = [[(Address((i,), 3, 3), p) for i, p in enumerate(squares, start=1)]]
+    sweep = separation_sweep(cells, "pairwise")
+    assert (sweep.value, str(sweep.word_a), str(sweep.word_b)) == (0.0, "1", "3")
+    assert (sweep.by_depth, sweep.word_a, sweep.word_b) == _full_matrix_sweep(cells, "pairwise")
+
+
+def test_separation_single_cell_depth():
+    t = build_tree(builtin("carpet"), 1)
+    root = [(t.levels[0][0].address, t.levels[0][0].polygon)]
+    kept = [(c.address, c.polygon) for c in t.kept_cells(1)]
+    pw = separation_sweep([root], "pairwise")
+    assert pw.by_depth == (math.inf,) and pw.word_a == pw.word_b == root[0][0]
+    fe = separation_sweep([root, kept], "forall_exists")
+    assert fe.by_depth[0] == 0.0
+    assert (fe.by_depth, fe.word_a, fe.word_b) == _full_matrix_sweep([root, kept], "forall_exists")
 
 
 def test_separation_cap():
