@@ -1,7 +1,8 @@
 """Command-line entry point with CI-friendly exit codes.
 
 Exit codes: 0 success or pass, 1 verification or witness failure, 2 usage
-error, 3 malformed scheme, 4 unmet dynamics prerequisite.  File outputs are
+error, 3 malformed scheme (including a singular child map), 4 unmet
+dynamics prerequisite, 5 any other library error.  File outputs are
 written atomically (temp file, then rename) and are deterministic.
 
 Scheme files given to `verify` are loaded with structural checks only, so
@@ -25,8 +26,10 @@ from .errors import (
     CapExceededError,
     DepthOutOfRangeError,
     EmptyTreeError,
+    FractalError,
     NoSeparationError,
     ParseError,
+    SingularMapError,
     UnknownAddressError,
     ValidationError,
 )
@@ -37,6 +40,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_PREREQUISITE = 4
+EXIT_ERROR = 5
 
 
 class _UsageError(Exception):
@@ -202,12 +206,15 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, SingularMapError) as exc:
         print(f"malformed scheme: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except NoSeparationError as exc:
         print(f"separation prerequisite failed: {exc}", file=sys.stderr)
         return EXIT_PREREQUISITE
+    except FractalError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def entry() -> None:

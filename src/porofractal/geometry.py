@@ -96,10 +96,6 @@ class ConvexPolygon:
         hi = self.vertices.max(axis=0)
         return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
-    def centroid(self) -> Point2:
-        c = self.vertices.mean(axis=0)
-        return Point2(float(c[0]), float(c[1]))
-
 
 @dataclass(frozen=True, eq=False)
 class AffineMap2:
@@ -509,44 +505,88 @@ def min_distance_matrix(polys: Sequence[ConvexPolygon]) -> np.ndarray:
 # intersection / overlap
 
 
-def _clip_by_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of `subject` against convex ccw `clip`.
+def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Areas of the intersections S[k] ∩ C[k] of stacked convex polygons.
 
-    Crossings are computed parametrically on the subject edge, so every
-    emitted point lies on that edge; sign noise at shared vertices can only
-    produce degenerate slivers, never far-away intersection artifacts.
+    S is a (P, Vs, 2) stack of subject polygons and C a (P, Vc, 2) stack of
+    convex ccw clip polygons; every area is 0 when either has fewer than 3
+    vertices.  Sutherland-Hodgman runs on all pairs at once, one clip edge
+    at a time: each clipped polygon is a padded row with its own vertex
+    count.  Crossings are computed parametrically on the subject edge, so
+    every emitted point lies on that edge; sign noise at shared vertices can
+    only produce degenerate slivers, never far-away intersection artifacts.
+    Each area is the shoelace sum of its row, added in the order np.sum
+    adds a 1-D array, so it is bitwise the area of that clipped polygon.
     """
-    output = list(subject)
-    for i in range(clip.shape[0]):
-        cp1 = clip[i]
-        cp2 = clip[(i + 1) % clip.shape[0]]
-        if not output:
-            return np.empty((0, 2))
-        edge = cp2 - cp1
-        points = output
-        output = []
-        s = points[-1]
-        ds = edge[0] * (s[1] - cp1[1]) - edge[1] * (s[0] - cp1[0])
-        for e in points:
-            de = edge[0] * (e[1] - cp1[1]) - edge[1] * (e[0] - cp1[0])
-            if (de >= 0.0) != (ds >= 0.0):
-                t = ds / (ds - de)
-                output.append(s + t * (e - s))
-            if de >= 0.0:
-                output.append(e)
-            s, ds = e, de
-    return np.array(output) if output else np.empty((0, 2))
+    S = np.asarray(S, dtype=float)
+    C = np.asarray(C, dtype=float)
+    P, nc = S.shape[0], C.shape[1]
+    out = np.zeros(P)
+    if P == 0 or S.shape[1] < 3 or nc < 3:
+        return out
+    pts = S
+    count = np.full(P, S.shape[1])
+    rows = np.arange(P)[:, None]
+    for i in range(nc):
+        cp1 = C[:, i]
+        edge = C[:, (i + 1) % nc] - cp1
+        col = np.arange(pts.shape[1])[None, :]
+        valid = col < count[:, None]
+        d = edge[:, :1] * (pts[..., 1] - cp1[:, 1:]) - edge[:, 1:] * (pts[..., 0] - cp1[:, :1])
+        # each vertex e follows s, the previous vertex of its row (cyclically)
+        prev = np.where(col == 0, count[:, None] - 1, col - 1)
+        ds = d[rows, prev]
+        inside = (d >= 0.0) & valid
+        cross = ((d >= 0.0) != (ds >= 0.0)) & valid
+        # e emits the crossing on (s, e) if any, then itself if inside
+        ends = np.cumsum(cross.astype(np.intp) + inside, axis=1)
+        count = ends[:, -1]
+        width = int(count.max())
+        if width == 0:
+            return out
+        nxt = np.zeros((P, width, 2))
+        r, c = np.nonzero(cross)
+        s, e = pts[r, prev[r, c]], pts[r, c]
+        t = ds[r, c] / (ds[r, c] - d[r, c])
+        nxt[r, ends[r, c] - inside[r, c] - 1] = s + t[:, None] * (e - s)
+        r, c = np.nonzero(inside)
+        nxt[r, ends[r, c] - 1] = pts[r, c]
+        pts = nxt
+    for k in np.unique(count[count >= 3]).tolist():
+        r = np.nonzero(count == k)[0]
+        x, y = pts[r, :k, 0], pts[r, :k, 1]
+        roll = np.r_[1:k, 0]
+        out[r] = np.abs(_row_sums(x * y[:, roll] - x[:, roll] * y)) / 2.0
+    return out
+
+
+def _row_sums(T: np.ndarray) -> np.ndarray:
+    """Sum of each row of T, bitwise as np.sum adds a 1-D array: fewer than
+    8 terms one after another, up to 128 in 8 running partial sums combined
+    as a tree and then the remainder, more by halving at a multiple of 8."""
+    k = T.shape[1]
+    if k < 8:
+        acc = T[:, 0]
+        for j in range(1, k):
+            acc = acc + T[:, j]
+        return acc
+    if k > 128:
+        h = k // 2 - (k // 2) % 8
+        return _row_sums(T[:, :h]) + _row_sums(T[:, h:])
+    r = T[:, :8].copy()
+    j = 8
+    while j + 8 <= k:
+        r += T[:, j : j + 8]
+        j += 8
+    acc = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for rest in range(j, k):
+        acc = acc + T[:, rest]
+    return acc
 
 
 def intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
     """Area of the intersection of two convex polygons (0 for degenerate input)."""
-    if a.is_degenerate or b.is_degenerate:
-        return 0.0
-    clipped = _clip_by_convex(a.vertices, b.vertices)
-    if clipped.shape[0] < 3:
-        return 0.0
-    x, y = clipped[:, 0], clipped[:, 1]
-    return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
+    return float(overlap_areas(a.vertices[None], b.vertices[None])[0])
 
 
 def _segment_overlap_length(a: ConvexPolygon, b: ConvexPolygon, tol: float) -> float:
@@ -580,8 +620,19 @@ def overlap_measure(a: ConvexPolygon, b: ConvexPolygon, kind: MeasureKind, tol: 
 
 def apply(m: AffineMap2, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> ConvexPolygon:
     """Vertex-wise image of p under m, reordered ccw if m reverses orientation."""
+    _require_nonsingular(m, tol)
+    return _image(m, p)
+
+
+def _require_nonsingular(m: AffineMap2, tol: float = _CONSTRUCTION_TOL) -> None:
     if abs(m.det) <= tol:
         raise SingularMapError("map is numerically singular")
+
+
+def _image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
+    """apply without the singularity check, for compositions of maps that
+    were checked one by one (det is multiplicative, so their product is
+    nonsingular however small it gets)."""
     mapped = m.transform(p.vertices)
     if m.det < 0.0 and mapped.shape[0] >= 3:
         mapped = mapped[::-1]

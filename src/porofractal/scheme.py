@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .geometry import (
     ConvexPolygon,
     MeasureKind,
     Point2,
+    _image,
+    _require_nonsingular,
     apply,
     compose,
     identity_map,
@@ -314,7 +316,15 @@ def accumulated_map(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
 
 def address_polygon(s: Scheme, address: Address) -> ConvexPolygon:
     """The cell polygon realized by an address, without building a tree."""
-    return apply(accumulated_map(s, address.symbols), s.base)
+    _require_nonsingular_children(s, set(address.symbols))
+    return _image(accumulated_map(s, address.symbols), s.base)
+
+
+def _require_nonsingular_children(s: Scheme, symbols: Iterable[int]) -> None:
+    # det is multiplicative, so composed maps stay nonsingular however small
+    # their cells get; only the child maps themselves can be singular
+    for j in symbols:
+        _require_nonsingular(s.child_map(j))
 
 
 def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
@@ -323,6 +333,7 @@ def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
         raise ValueError("depth must be at least 1")
     if s.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {s.m**depth} exceeds the cell cap {caps.cells}")
+    _require_nonsingular_children(s, range(1, s.M + 1))
     root = Cell(Address((), s.m, s.M), s.base, "kept", identity_map())
     levels: list[tuple[Cell, ...]] = [(root,)]
     for _ in range(depth):
@@ -335,7 +346,7 @@ def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
                 next_level.append(
                     Cell(
                         parent.address.child(j),
-                        apply(acc, s.base),
+                        _image(acc, s.base),
                         "kept" if j <= s.m else "complement",
                         acc,
                     )

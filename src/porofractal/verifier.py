@@ -17,12 +17,15 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import ConvexPolygon, PairDistanceEvaluator, box_overlap_pairs, overlap_measure
+from .geometry import ConvexPolygon, PairDistanceEvaluator, box_overlap_pairs, overlap_areas, overlap_measure
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
 
 _MAX_WITNESSES = 16
+# candidate pairs clipped per overlap_areas call; bounds the kernel's padded
+# work arrays, so peak memory does not grow with the candidate count
+_CLIP_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -178,29 +181,37 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
 
     Under the closed-cell model a point accumulating on two complement sets
     then lies on both boundaries, hence in neither open complement region.
-    A sort-and-sweep over bounding boxes picks the candidate pairs before
-    exact clipping; the pair cap counts those candidates.
+    The candidate pairs come from the box sweep (`box_overlap_pairs`) over
+    the complement cells' bounding boxes; the pair cap counts those
+    candidates.  Area overlaps are clipped in batches of _CLIP_CHUNK pairs,
+    length overlaps pair by pair.
     """
     _require_depth(t, 1)
     comps = list(t.complement_cells())
     base_mu = t.scheme.base_measure()
-    bb = np.array([c.polygon.bbox() for c in comps])
-    ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], tol.geom)
+    verts = np.stack([c.polygon.vertices for c in comps])
+    ii, jj = box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), tol.geom)
     if ii.shape[0] > caps.pairs:
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
-    max_overlap = 0.0
-    max_pair: tuple[str, str] | None = None
-    violators: list[tuple[str, str]] = []
+    if t.scheme.measure_kind == "area":
+        overlaps = np.empty(ii.shape[0])
+        for a in range(0, ii.shape[0], _CLIP_CHUNK):
+            b = a + _CLIP_CHUNK
+            overlaps[a:b] = overlap_areas(verts[ii[a:b]], verts[jj[a:b]])
+    else:
+        pairs = zip(ii.tolist(), jj.tolist())
+        overlaps = np.array([overlap_measure(comps[i].polygon, comps[j].polygon, "length", tol.geom) for i, j in pairs])
+
+    def pair(k: int) -> tuple[str, str]:
+        return str(comps[int(ii[k])].address), str(comps[int(jj[k])].address)
+
     threshold = tol.area * base_mu
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        ov = overlap_measure(comps[i].polygon, comps[j].polygon, t.scheme.measure_kind, tol.geom)
-        if ov > max_overlap:
-            max_overlap, max_pair = ov, (str(comps[i].address), str(comps[j].address))
-        if ov > threshold and len(violators) < _MAX_WITNESSES:
-            violators.append((str(comps[i].address), str(comps[j].address)))
+    max_overlap = float(overlaps.max(initial=0.0))
+    violators = [pair(v) for v in np.nonzero(overlaps > threshold)[0][:_MAX_WITNESSES].tolist()]
     status = "fail" if max_overlap > threshold else "pass"
     extremal = {"max_overlap": max_overlap, "base_measure": base_mu, "pairs_examined": int(ii.shape[0])}
-    witnesses = tuple(violators) if violators else ((max_pair,) if max_pair else ())
+    # argmax takes the first of tied maxima, as a scan in candidate order does
+    witnesses = tuple(violators) if violators else ((pair(int(np.argmax(overlaps))),) if max_overlap > 0.0 else ())
     return ConditionResult("accumulation", status, extremal, witnesses)
 
 

@@ -26,6 +26,43 @@ def make_tree():
     return _make
 
 
+def clip_by_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Scalar Sutherland-Hodgman clip of `subject` against convex ccw `clip`:
+    the oracle for geometry.overlap_areas.  Crossings are computed
+    parametrically on the subject edge."""
+    output = list(subject)
+    for i in range(clip.shape[0]):
+        cp1 = clip[i]
+        cp2 = clip[(i + 1) % clip.shape[0]]
+        if not output:
+            return np.empty((0, 2))
+        edge = cp2 - cp1
+        points = output
+        output = []
+        s = points[-1]
+        ds = edge[0] * (s[1] - cp1[1]) - edge[1] * (s[0] - cp1[0])
+        for e in points:
+            de = edge[0] * (e[1] - cp1[1]) - edge[1] * (e[0] - cp1[0])
+            if (de >= 0.0) != (ds >= 0.0):
+                t = ds / (ds - de)
+                output.append(s + t * (e - s))
+            if de >= 0.0:
+                output.append(e)
+            s, ds = e, de
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def oracle_intersection_area(subject: np.ndarray, clip: np.ndarray) -> float:
+    """Shoelace area of the scalar clip, summed by np.sum (0 for degenerate input)."""
+    if subject.shape[0] < 3 or clip.shape[0] < 3:
+        return 0.0
+    clipped = clip_by_convex(subject, clip)
+    if clipped.shape[0] < 3:
+        return 0.0
+    x, y = clipped[:, 0], clipped[:, 1]
+    return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
+
+
 def shrunk_complement_carpet() -> Scheme:
     """Carpet whose center square is scaled by 0.9 about its own center.
 

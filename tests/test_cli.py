@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from porofractal.cli import main
+from porofractal.errors import OutsideAttractorError
 from porofractal.scheme import builtin, dumps, to_document
 
 from conftest import overlapping_complement_carpet
@@ -82,6 +83,27 @@ def test_verify_unparseable_scheme_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert run(["verify", "--scheme", str(bad), "--depth", "2"]) == 3
+
+
+def test_verify_singular_child_map_exits_3(tmp_path, capsys):
+    doc = to_document(builtin("carpet"))
+    doc["maps"][8]["linear"] = [[0.0, 0.0], [0.0, 0.0]]
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", "--scheme", str(bad), "--depth", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed scheme:") and "Traceback" not in err
+
+
+def test_other_library_errors_exit_5(monkeypatch, capsys):
+    import porofractal.cli as cli
+
+    def fail(*args, **kwargs):
+        raise OutsideAttractorError("no branch")
+
+    monkeypatch.setattr(cli, "build_tree", fail)
+    assert run(["verify", "--scheme", "carpet", "--depth", "2"]) == 5
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_unknown_scheme_exits_2(capsys):

@@ -24,12 +24,15 @@ from porofractal.geometry import (
     measure,
     min_distance,
     min_distance_matrix,
+    overlap_areas,
     overlap_measure,
     point_distance,
     point_in_polygon,
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
+
+from conftest import clip_by_convex, oracle_intersection_area
 
 SQRT3 = math.sqrt(3.0)
 
@@ -286,6 +289,37 @@ def test_intersection_area_degenerate_is_zero():
     assert intersection_area(SEGMENT, UNIT_SQUARE) == 0.0
 
 
+def test_overlap_areas_degenerate_and_empty():
+    sq = UNIT_SQUARE.vertices[None]
+    assert overlap_areas(SEGMENT.vertices[None], sq).tolist() == [0.0]
+    assert overlap_areas(sq, POINT.vertices[None]).tolist() == [0.0]
+    assert overlap_areas(np.empty((0, 4, 2)), np.empty((0, 3, 2))).shape == (0,)
+
+
+def test_overlap_areas_subject_missing_the_clip():
+    far = square(5.0, 5.0, 1.0).vertices
+    half = np.array([[0.5, 0.0], [1.5, 0.0], [1.5, 1.0], [0.5, 1.0]])
+    got = overlap_areas(np.stack([far, half, far]), np.stack([UNIT_SQUARE.vertices] * 3))
+    assert got.tolist() == [0.0, 0.5, 0.0]
+
+
+def test_overlap_areas_batch_matches_scalar_oracle():
+    # rows of one batch clip to different vertex counts, some to 8 or more
+    rng = np.random.default_rng(7)
+    subjects, clips = [], []
+    while len(subjects) < 300:
+        a, b = rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.0, 1.0, (6, 2))
+        ha, hb = ConvexHull(a).vertices, ConvexHull(b).vertices
+        if len(ha) == 5 and len(hb) == 4:
+            subjects.append(a[ha])
+            clips.append(b[hb])
+    got = overlap_areas(np.stack(subjects), np.stack(clips))
+    want = [oracle_intersection_area(a, b) for a, b in zip(subjects, clips)]
+    assert got.tolist() == want
+    counts = {clip_by_convex(a, b).shape[0] for a, b in zip(subjects, clips)}
+    assert 0 in counts and max(counts) >= 8
+
+
 def test_segment_overlap_measure():
     a = ConvexPolygon(np.array([[0.0, 0.0], [0.5, 0.0]]))
     b = ConvexPolygon(np.array([[0.25, 0.0], [1.0, 0.0]]))
@@ -407,6 +441,16 @@ def test_compose_is_associative(a, b, c):
 def test_intersection_bounded_by_both_areas(a, b):
     inter = intersection_area(a, b)
     assert inter <= min(area(a), area(b)) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=convex_polygons(), b=convex_polygons(), shift=st.tuples(finite_coord, finite_coord))
+def test_overlap_areas_bitwise_matches_scalar_oracle(a, b, shift):
+    # up to 9 vertices each, so clipped polygons reach numpy's pairwise
+    # summation at 8 or more terms
+    b = ConvexPolygon(b.vertices + np.array(shift) / 2.0)
+    assert intersection_area(a, b) == oracle_intersection_area(a.vertices, b.vertices)
+    assert overlap_areas(b.vertices[None], a.vertices[None]).tolist() == [oracle_intersection_area(b.vertices, a.vertices)]
 
 
 @settings(max_examples=40, deadline=None)

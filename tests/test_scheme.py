@@ -6,10 +6,11 @@ import pytest
 
 from porofractal.codespace import Address, Code, periodic_code
 from porofractal.config import Caps
-from porofractal.errors import CapExceededError, ParseError, UnknownSchemeError, ValidationError
-from porofractal.geometry import area, intersection_area, overlap_measure
+from porofractal.errors import CapExceededError, ParseError, SingularMapError, UnknownSchemeError, ValidationError
+from porofractal.geometry import AffineMap2, area, intersection_area, overlap_measure
 from porofractal.scheme import (
     BUILTIN_NAMES,
+    Scheme,
     accumulated_map,
     address_polygon,
     build_tree,
@@ -20,6 +21,7 @@ from porofractal.scheme import (
     to_document,
     validate_geometry,
 )
+from porofractal.verifier import full_verify
 
 SQRT3 = math.sqrt(3.0)
 
@@ -189,6 +191,23 @@ def test_composition_order_gives_nested_cells():
         parent = address_polygon(s, Address(w[:-1], 8, 9))
         child = address_polygon(s, Address(w, 8, 9))
         assert intersection_area(child, parent) == pytest.approx(area(child), rel=1e-9)
+
+
+def test_cantor_builds_and_verifies_past_tiny_determinants():
+    # depth-10 cells have |det| = 9**-10, far below the geometric tolerance;
+    # only the child maps are checked for singularity
+    t = build_tree(builtin("cantor"), 10)
+    assert len(t.levels[10]) == 3 * 2**9
+    assert full_verify(t, expected_ratio=2.0).overall == "pass"
+
+
+def test_singular_child_map_raises():
+    s = builtin("carpet")
+    s = Scheme(s.name, s.m, s.M, s.base, s.child_maps[:8] + (AffineMap2(np.zeros((2, 2)), np.zeros(2)),))
+    with pytest.raises(SingularMapError):
+        build_tree(s, 1)
+    with pytest.raises(SingularMapError):
+        address_polygon(s, Address((1, 9), 8, 9))
 
 
 def test_tree_cap():

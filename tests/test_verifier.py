@@ -10,6 +10,7 @@ from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
     ConvexPolygon,
     apply,
+    box_overlap_pairs,
     compose,
     min_distance,
     min_distance_matrix,
@@ -17,6 +18,7 @@ from porofractal.geometry import (
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
+from porofractal.verifier import _CLIP_CHUNK, _MAX_WITNESSES
 from porofractal.verifier import (
     check_accumulation,
     check_adjacency,
@@ -26,6 +28,8 @@ from porofractal.verifier import (
     full_verify,
     separation_sweep,
 )
+
+from conftest import oracle_intersection_area
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
 
@@ -105,6 +109,36 @@ def test_accumulation_fails_for_overlapping_complements(carpet_overlap):
     pa = t.cell(Address.parse(a, 8, 9)).polygon
     pb = t.cell(Address.parse(b, 8, 9)).polygon
     assert overlap_measure(pa, pb, "area") > 1e-12 * t.scheme.base_measure()
+
+
+def _accumulation_per_pair(t):
+    """check_accumulation's report computed pair by pair with the scalar oracle."""
+    comps = list(t.complement_cells())
+    bb = np.array([c.polygon.bbox() for c in comps])
+    ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], 1e-9)
+    threshold = 1e-12 * t.scheme.base_measure()
+    max_overlap, max_pair, violators = 0.0, None, []
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        ov = oracle_intersection_area(comps[i].polygon.vertices, comps[j].polygon.vertices)
+        if ov > max_overlap:
+            max_overlap, max_pair = ov, [str(comps[i].address), str(comps[j].address)]
+        if ov > threshold and len(violators) < _MAX_WITNESSES:
+            violators.append([str(comps[i].address), str(comps[j].address)])
+    return {
+        "condition": "accumulation",
+        "status": "fail" if max_overlap > threshold else "pass",
+        "extremal": {"max_overlap": max_overlap, "base_measure": t.scheme.base_measure(), "pairs_examined": len(ii)},
+        "witnesses": violators or ([max_pair] if max_pair else []),
+    }
+
+
+@pytest.mark.parametrize("name,depth", [("koch", 10), ("carpet", 3), ("carpet-overlap", 3)])
+def test_accumulation_batches_match_per_pair_oracle(name, depth, make_tree, carpet_overlap):
+    t = build_tree(carpet_overlap, depth) if name == "carpet-overlap" else make_tree(name, depth)
+    got = check_accumulation(t).to_dict()
+    assert got == _accumulation_per_pair(t)
+    if name == "koch":
+        assert got["extremal"]["pairs_examined"] > 4 * _CLIP_CHUNK
 
 
 def test_accumulation_pair_cap(make_tree):
