@@ -2,8 +2,10 @@
 
 Exit codes: 0 success or pass, 1 verification or witness failure, 2 usage
 error, 3 malformed scheme (including a singular child map), 4 unmet
-dynamics prerequisite, 5 any other library error.  File outputs are
-written atomically (temp file, then rename) and are deterministic.
+dynamics prerequisite, 5 any other library error, 6 the --out file could
+not be written, 7 internal error (a bug).  File outputs are written
+atomically (temp file, then rename) and are deterministic.  The tolerance
+flags are the fields of config.Tolerances, with its defaults.
 
 Scheme files given to `verify` are loaded with structural checks only, so
 geometric defects surface as named condition failures (exit 1) instead of a
@@ -17,6 +19,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from . import dynamics, render, verifier
@@ -41,19 +44,20 @@ EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_PREREQUISITE = 4
 EXIT_ERROR = 5
+EXIT_OUTPUT = 6
+EXIT_INTERNAL = 7
 
 
 class _UsageError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    pass
+
+
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        geom=args.tol_geom,
-        area=args.tol_area,
-        sep=args.tol_sep,
-        lambda_max=args.lambda_max,
-    )
+    return Tolerances(**{f.name: getattr(args, f.name) for f in fields(Tolerances)})
 
 
 def _caps(args: argparse.Namespace) -> Caps:
@@ -79,23 +83,25 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
         return
     path = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser, depth_default: int | None = None) -> None:
     p.add_argument("--scheme", required=True, help="built-in name or scheme JSON path")
     p.add_argument("--depth", type=int, default=depth_default, required=depth_default is None)
-    p.add_argument("--tol-geom", type=float, default=1e-9)
-    p.add_argument("--tol-area", type=float, default=1e-12)
-    p.add_argument("--tol-sep", type=float, default=1e-6)
-    p.add_argument("--lambda-max", type=float, default=0.999)
+    for f in fields(Tolerances):
+        flag = "--lambda-max" if f.name == "lambda_max" else f"--tol-{f.name}"
+        p.add_argument(flag, dest=f.name, type=float, default=f.default)
     p.add_argument("--force-cap", type=int, default=None, help="override all caps with this value")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
@@ -200,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
+    except (_UsageError, UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValidationError, SingularMapError) as exc:
@@ -215,6 +218,13 @@ def main(argv: list[str] | None = None) -> int:
     except FractalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
+    except Exception as exc:
+        # a bug, not a verdict: never exit 1, which means a condition failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -20,7 +20,7 @@ from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoSeparationError
 from .geometry import Point2, diameter, point_distance
 from .scheme import Scheme, address_polygon, build_tree, realize_point
-from .verifier import SeparationMode, separation_sweep
+from .verifier import SeparationMode, kept_separation
 
 DEFAULT_REALIZE_DEPTH = 12
 
@@ -60,10 +60,8 @@ def estimate_separation(
     caps: Caps = DEFAULT_CAPS,
 ) -> SeparationEstimate:
     """Best separation value over depths up to search_depth, with its pair."""
-    t = build_tree(s, search_depth, caps)
-    cells = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, search_depth + 1)]
-    sweep = separation_sweep(cells, mode, caps)
-    return SeparationEstimate(mode, search_depth, sweep.value, sweep.depth, sweep.word_a, sweep.word_b)
+    sweep, a, b = kept_separation(build_tree(s, search_depth, caps), mode, caps)
+    return SeparationEstimate(mode, search_depth, sweep.value, sweep.depth, a, b)
 
 
 # ---------------------------------------------------------------------------

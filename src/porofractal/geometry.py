@@ -84,12 +84,8 @@ class ConvexPolygon:
         return obj
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def is_degenerate(self) -> bool:
-        return self.n_vertices < 3
+        return self.vertices.shape[0] < 3
 
     def bbox(self) -> tuple[float, float, float, float]:
         lo = self.vertices.min(axis=0)
@@ -163,40 +159,43 @@ def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: 
 # measures
 
 
+def measures(verts: np.ndarray, kind: MeasureKind) -> np.ndarray:
+    """Measures of the polygons of a (N, V, 2) vertex stack: shoelace areas
+    (0 for points and segments), or lengths of points and segments."""
+    if kind == "area":
+        x, y = verts[..., 0], verts[..., 1]
+        return np.abs(np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)) / 2.0
+    if kind == "length":
+        if verts.shape[1] > 2:
+            raise ValueError("length measure is only defined for degenerate polygons")
+        d = verts[:, -1] - verts[:, 0]
+        return np.hypot(d[:, 0], d[:, 1])
+    raise ValueError(f"unknown measure kind {kind!r}")
+
+
+def measure(p: ConvexPolygon, kind: MeasureKind) -> float:
+    return float(measures(p.vertices[None], kind)[0])
+
+
 def area(p: ConvexPolygon) -> float:
     """Shoelace area; zero for degenerate polygons."""
-    if p.is_degenerate:
-        return 0.0
-    v = p.vertices
-    x, y = v[:, 0], v[:, 1]
-    return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
+    return measure(p, "area")
 
 
 def length(p: ConvexPolygon) -> float:
     """Length of a degenerate polygon: 0 for a point, |v1 - v0| for a segment."""
-    if p.n_vertices == 1:
-        return 0.0
-    if p.n_vertices == 2:
-        d = p.vertices[1] - p.vertices[0]
-        return float(np.hypot(d[0], d[1]))
-    raise ValueError("length measure is only defined for degenerate polygons")
+    return measure(p, "length")
 
 
-def measure(p: ConvexPolygon, kind: MeasureKind) -> float:
-    if kind == "area":
-        return area(p)
-    if kind == "length":
-        return length(p)
-    raise ValueError(f"unknown measure kind {kind!r}")
+def diameters(verts: np.ndarray) -> np.ndarray:
+    """Maximum pairwise vertex distance of each polygon of a (N, V, 2) vertex
+    stack (exact for convex polygons)."""
+    diff = verts[:, :, None, :] - verts[:, None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
 
 
 def diameter(p: ConvexPolygon) -> float:
-    """Maximum pairwise vertex distance (exact for convex polygons)."""
-    v = p.vertices
-    if v.shape[0] == 1:
-        return 0.0
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.hypot(diff[..., 0], diff[..., 1]).max())
+    return float(diameters(p.vertices[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,10 @@ def _segment_segment_distance(p1, p2, q1, q2) -> np.ndarray:
 
 def point_in_polygon(point, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> bool:
     """True if the point lies in the closed polygon, within distance tol."""
-    q = np.asarray(point, dtype=float).reshape(2)
-    v = p.vertices
+    return _contains(p.vertices, np.asarray(point, dtype=float).reshape(2), tol)
+
+
+def _contains(v: np.ndarray, q: np.ndarray, tol: float) -> bool:
     if v.shape[0] == 1:
         return bool(np.hypot(*(q - v[0])) <= tol)
     if v.shape[0] == 2:
@@ -303,25 +304,32 @@ _PAIR_CHUNK = 131072
 class PairDistanceEvaluator:
     """Batched min_distance queries over a fixed polygon set.
 
-    Edge stacks, bounding boxes, and centroids are computed once, from the
-    vertex arrays stacked per vertex count, so sweeps that evaluate many
-    index pairs against the same cells stay cheap.  Edge stacks are padded
-    to a common edge count by repeating each polygon's first edge.
+    The set is a level's (k, V, 2) vertex stack, or a list of polygons
+    padded into one; each vertex count is then handled as one stack.  Edge
+    stacks, bounding boxes, and centroids are computed once, so sweeps that
+    evaluate many index pairs against the same cells stay cheap.  Edge
+    stacks are padded to a common edge count by repeating each polygon's
+    first edge.
     """
 
-    def __init__(self, polys: Sequence[ConvexPolygon]):
-        self.polys = list(polys)
-        if not self.polys:
+    def __init__(self, cells: np.ndarray | Sequence[ConvexPolygon]):
+        if isinstance(cells, np.ndarray):
+            self.vertices, self.counts = cells, np.full(cells.shape[0], cells.shape[1])
+        else:
+            verts = [p.vertices for p in cells]
+            self.counts = np.array([v.shape[0] for v in verts], dtype=int)
+            self.vertices = np.zeros((len(verts), int(self.counts.max(initial=1)), 2))
+            for i, v in enumerate(verts):
+                self.vertices[i, : v.shape[0]] = v
+        n = self.counts.shape[0]
+        if not n:
             raise ValueError("need at least one polygon")
-        verts = [p.vertices for p in self.polys]
-        counts = np.array([v.shape[0] for v in verts])
-        sizes = sorted(set(counts.tolist()))
-        n = len(verts)
-        self.edges = np.empty((n, sizes[-1] if sizes[-1] >= 3 else 1, 2, 2))
+        width = self.vertices.shape[1]
+        self.edges = np.empty((n, width if width >= 3 else 1, 2, 2))
         self.lo, self.hi, self.centroids = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-        for size in sizes:
-            idx = np.nonzero(counts == size)[0]
-            v = np.stack([verts[i] for i in idx.tolist()])
+        for size in sorted(set(self.counts.tolist())):
+            idx = np.nonzero(self.counts == size)[0]
+            v = self.vertices[idx, :size]
             if size < 3:
                 # a point is the zero-length edge (v0, v0), a segment its one edge
                 e = np.stack([v[:, 0], v[:, -1]], axis=1)[:, None]
@@ -383,9 +391,10 @@ class PairDistanceEvaluator:
             li, lj = self.lo[ii[pos]], self.lo[jj[pos]]
             hi_, hj = self.hi[ii[pos]], self.hi[jj[pos]]
             nested = ((li >= lj) & (hi_ <= hj)).all(axis=1) | ((lj >= li) & (hj <= hi_)).all(axis=1)
-            for k in pos[np.nonzero(nested)[0]]:
-                a, b = self.polys[int(ii[k])], self.polys[int(jj[k])]
-                if point_in_polygon(a.vertices[0], b, tol=0.0) or point_in_polygon(b.vertices[0], a, tol=0.0):
+            for k in pos[nested].tolist():
+                i, j = int(ii[k]), int(jj[k])
+                a, b = self.vertices[i, : self.counts[i]], self.vertices[j, : self.counts[j]]
+                if _contains(b, a[0], 0.0) or _contains(a, b[0], 0.0):
                     out[k] = 0.0
         return out
 
@@ -589,18 +598,19 @@ def intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return float(overlap_areas(a.vertices[None], b.vertices[None])[0])
 
 
-def _segment_overlap_length(a: ConvexPolygon, b: ConvexPolygon, tol: float) -> float:
-    """Length of the common part of two collinear closed segments."""
-    if a.n_vertices < 2 or b.n_vertices < 2:
+def _segment_overlap_length(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Length of the common part of two collinear closed segments, given as
+    vertex arrays (0 when either is a point)."""
+    if a.shape[0] < 2 or b.shape[0] < 2:
         return 0.0
-    p0, p1 = a.vertices
+    p0, p1 = a
     d = p1 - p0
     la = float(np.hypot(d[0], d[1]))
     u = d / la
-    for q in b.vertices:
+    for q in b:
         if abs(u[0] * (q[1] - p0[1]) - u[1] * (q[0] - p0[0])) > tol:
             return 0.0
-    s = [float(np.dot(q - p0, u)) for q in b.vertices]
+    s = [float(np.dot(q - p0, u)) for q in b]
     lo, hi = min(s), max(s)
     return max(0.0, min(la, hi) - max(0.0, lo))
 
@@ -610,7 +620,7 @@ def overlap_measure(a: ConvexPolygon, b: ConvexPolygon, kind: MeasureKind, tol: 
     if kind == "area":
         return intersection_area(a, b)
     if kind == "length":
-        return _segment_overlap_length(a, b, tol)
+        return _segment_overlap_length(a.vertices, b.vertices, tol)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 

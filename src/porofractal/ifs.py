@@ -134,6 +134,5 @@ def separation_from_maps(
     for _ in range(depth):
         # extending in ascending j keeps the word list lexicographic
         words = [w + (j,) for w in words for j in range(1, sys.m + 1)]
-        level = [(Address(w, sys.m, sys.m), compose_word(sys, Address(w, sys.m, sys.m))) for w in words]
-        cells_by_depth.append(level)
+        cells_by_depth.append([compose_word(sys, Address(w, sys.m, sys.m)) for w in words])
     return separation_sweep(cells_by_depth, mode, caps).value

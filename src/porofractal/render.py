@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codespace import Address
 from .errors import DepthOutOfRangeError, UnknownAddressError
-from .scheme import Cell, CellTree
+from .scheme import CellTree
 
 _HEX_COLOR = re.compile(r"[0-9a-f]{6}")
 _STROKE = "000000"
@@ -45,10 +47,16 @@ def _fmt(v: float) -> str:
     return f"{r:.6f}"
 
 
-def _collect(t: CellTree, depth: int) -> list[Cell]:
-    cells = list(t.kept_cells(depth)) + list(t.complement_cells(depth))
-    cells.sort(key=lambda c: c.address.symbols)
-    return cells
+def _collect(t: CellTree, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices, kept flags and zero-padded address symbols of the depth-n
+    kept cells and the complement cells of orders <= n, in address order."""
+    parts = [(depth, t.kept_rows(depth))] + [(n, t.complement_rows(n)) for n in range(1, depth + 1)]
+    verts = np.concatenate([t.vertices[n][rows] for n, rows in parts])
+    symbols = np.concatenate([np.pad(t.symbols(n, rows), ((0, 0), (0, depth - n))) for n, rows in parts])
+    kept = np.arange(verts.shape[0]) < parts[0][1].shape[0]
+    # no address is a prefix of another, so zero padding keeps their order
+    order = np.lexsort(symbols.T[::-1])
+    return verts[order], kept[order], symbols[order]
 
 
 def _document(t: CellTree, depth: int, style: RenderStyle, highlight_prefix: tuple[int, ...] | None) -> str:
@@ -67,11 +75,13 @@ def _document(t: CellTree, depth: int, style: RenderStyle, highlight_prefix: tup
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
     fills = {"kept": style.kept_fill, "complement": style.complement_fill, "highlight": style.highlight_fill}
-    for cell in _collect(t, depth):
-        cls = cell.kind
-        if highlight_prefix is not None and cell.is_kept and cell.address.symbols[: len(highlight_prefix)] == highlight_prefix:
-            cls = "highlight"
-        pts = " ".join(f"{_fmt(x)},{_fmt(flip - y)}" for x, y in cell.polygon.vertices)
+    verts, kept, symbols = _collect(t, depth)
+    highlight = np.zeros_like(kept)
+    if highlight_prefix is not None:
+        highlight = kept & (symbols[:, : len(highlight_prefix)] == highlight_prefix).all(axis=1)
+    classes = np.where(highlight, "highlight", np.where(kept, "kept", "complement")).tolist()
+    for cls, v in zip(classes, verts):
+        pts = " ".join(f"{_fmt(x)},{_fmt(flip - y)}" for x, y in v)
         lines.append(
             f'<polygon class="{cls}" fill="#{fills[cls]}" stroke="#{_STROKE}" '
             f'stroke-width="{_fmt(style.stroke_width)}" points="{pts}"/>'

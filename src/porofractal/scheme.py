@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Iterator
@@ -29,6 +30,7 @@ from .geometry import (
     _require_nonsingular,
     apply,
     compose,
+    diameters,
     identity_map,
     measure,
     overlap_measure,
@@ -89,34 +91,102 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class CellTree:
-    """Per-depth cell lists; level 0 holds the base cell only."""
+    """Per-depth cell arrays; level 0 holds the base cell only.
+
+    Level n stores one row per cell: its vertices (N, V, 2) and the linear
+    part (N, 2, 2) and translation (N, 2) of its accumulated map.  Row
+    p*M + (j-1) holds child j of the p-th kept cell of level n-1, so an
+    address is the digits of its row and is never stored.  `levels`,
+    `kept_cells`, `complement_cells` and `cell` make a Cell only when one is
+    indexed, and keep it for the next access.
+    """
 
     scheme: Scheme
     depth: int
-    levels: tuple[tuple[Cell, ...], ...]
+    vertices: tuple[np.ndarray, ...]
+    linear: tuple[np.ndarray, ...]
+    translation: tuple[np.ndarray, ...]
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], Cell]:
-        return {c.address.symbols: c for level in self.levels for c in level}
+    @property
+    def levels(self) -> tuple["_CellView", ...]:
+        # not cached: views refer to the tree, and a cycle would keep every
+        # tree's arrays alive until the cyclic garbage collector runs
+        return tuple(_CellView(self, n, range(v.shape[0])) for n, v in enumerate(self.vertices))
+
+    def kept_rows(self, depth: int) -> np.ndarray:
+        """Rows of the kept cells of a level, in address order."""
+        return np.flatnonzero(np.arange(self.vertices[depth].shape[0]) % self.scheme.M < self.scheme.m)
+
+    def complement_rows(self, depth: int) -> np.ndarray:
+        """Rows of the complement cells of a level, in address order."""
+        return np.flatnonzero(np.arange(self.vertices[depth].shape[0]) % self.scheme.M >= self.scheme.m)
+
+    def _radix(self, depth: int) -> tuple[int, ...]:
+        # a row's digits: the kept-parent index in base m, then j - 1
+        return (self.scheme.m,) * (depth - 1) + (self.scheme.M,)
+
+    def symbols(self, depth: int, rows: np.ndarray) -> np.ndarray:
+        """Address symbols of the given rows of a level, one row each."""
+        if not depth:
+            return np.zeros((len(rows), 0), dtype=np.intp)
+        return np.stack(np.unravel_index(rows, self._radix(depth)), axis=1) + 1
+
+    def address(self, depth: int, row: int) -> Address:
+        if not 0 <= row < self.vertices[depth].shape[0]:
+            raise IndexError(f"row {row} outside level {depth}")
+        return Address(tuple(self.symbols(depth, [row])[0].tolist()), self.scheme.m, self.scheme.M)
+
+    def row(self, address: Address) -> int:
+        """Row of the cell with this address in level len(address)."""
+        w = address.symbols
+        if not w:
+            return 0
+        if len(w) <= self.depth and max(w[:-1], default=1) <= self.scheme.m and w[-1] <= self.scheme.M:
+            return int(np.ravel_multi_index(tuple(i - 1 for i in w), self._radix(len(w))))
+        raise UnknownAddressError(f"no cell with address {address!s}")
 
     def cell(self, address: Address) -> Cell:
-        try:
-            return self._index[address.symbols]
-        except KeyError:
-            raise UnknownAddressError(f"no cell with address {address!s}") from None
+        return self._cell(len(address), self.row(address))
 
-    def kept_cells(self, depth: int) -> tuple[Cell, ...]:
-        return tuple(c for c in self.levels[depth] if c.is_kept)
+    @cached_property
+    def _made(self) -> tuple[dict[int, Cell], ...]:
+        return tuple({} for _ in self.vertices)
+
+    def _cell(self, depth: int, row: int) -> Cell:
+        # made once per row, so repeated indexing returns the same Cell
+        made = self._made[depth]
+        if row not in made:
+            kind = "kept" if row % self.scheme.M < self.scheme.m else "complement"
+            acc = AffineMap2(self.linear[depth][row], self.translation[depth][row])
+            made[row] = Cell(self.address(depth, row), ConvexPolygon._unchecked(self.vertices[depth][row]), kind, acc)
+        return made[row]
+
+    def kept_cells(self, depth: int) -> "_CellView":
+        return _CellView(self, depth, self.kept_rows(depth))
 
     def complement_cells(self, max_order: int | None = None) -> Iterator[Cell]:
         top = self.depth if max_order is None else max_order
         for n in range(1, top + 1):
-            for c in self.levels[n]:
-                if not c.is_kept:
-                    yield c
+            for row in self.complement_rows(n).tolist():
+                yield self._cell(n, row)
 
     def cell_measure(self, cell: Cell) -> float:
         return measure(cell.polygon, self.scheme.measure_kind)
+
+
+class _CellView(Sequence):
+    """Some rows of one tree level, read as Cells made on demand."""
+
+    def __init__(self, tree: CellTree, depth: int, rows: range | np.ndarray):
+        self._tree, self._depth, self._rows = tree, depth, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._tree._cell(self._depth, int(r)) for r in self._rows[i])
+        return self._tree._cell(self._depth, int(self._rows[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +398,36 @@ def _require_nonsingular_children(s: Scheme, symbols: Iterable[int]) -> None:
 
 
 def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
-    """Subdivide to the given depth; every kept cell spawns M children."""
+    """Subdivide to the given depth; every kept cell spawns M children.
+
+    Each level comes from the kept rows of the one above by stacked matmuls
+    in the operand order of `compose` and `AffineMap2.transform`, with the
+    vertex order reversed where the map reverses orientation as `apply`
+    does, so every row is bitwise the per-cell composition's.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if s.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {s.m**depth} exceeds the cell cap {caps.cells}")
     _require_nonsingular_children(s, range(1, s.M + 1))
-    root = Cell(Address((), s.m, s.M), s.base, "kept", identity_map())
-    levels: list[tuple[Cell, ...]] = [(root,)]
+    child_linear = np.stack([w.linear for w in s.child_maps])[None]
+    child_translation = np.stack([w.translation for w in s.child_maps])[None, :, :, None]
+    base = s.base.vertices
+    lin, tr, verts = [np.eye(2)[None]], [np.zeros((1, 2))], [base[None]]
     for _ in range(depth):
-        next_level: list[Cell] = []
-        for parent in levels[-1]:
-            if not parent.is_kept:
-                continue
-            for j in range(1, s.M + 1):
-                acc = compose(parent.acc_map, s.child_map(j))
-                next_level.append(
-                    Cell(
-                        parent.address.child(j),
-                        _image(acc, s.base),
-                        "kept" if j <= s.m else "complement",
-                        acc,
-                    )
-                )
-        levels.append(tuple(next_level))
-    return CellTree(s, depth, tuple(levels))
+        keep = np.arange(lin[-1].shape[0]) % s.M < s.m
+        L, T = lin[-1][keep][:, None], tr[-1][keep][:, None]
+        lin.append((L @ child_linear).reshape(-1, 2, 2))
+        tr.append(((L @ child_translation)[..., 0] + T).reshape(-1, 2))
+        v = base[None] @ lin[-1].transpose(0, 2, 1) + tr[-1][:, None]
+        if base.shape[0] >= 3:
+            L = lin[-1]
+            flip = L[:, 0, 0] * L[:, 1, 1] - L[:, 0, 1] * L[:, 1, 0] < 0.0
+            v[flip] = v[flip, ::-1]
+        verts.append(v)
+    for a in lin + tr + verts:
+        a.setflags(write=False)
+    return CellTree(s, depth, tuple(verts), tuple(lin), tuple(tr))
 
 
 def realize_point(s: Scheme, c: Code, depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[Point2, float]:
@@ -370,12 +445,6 @@ def realize_point(s: Scheme, c: Code, depth: int, caps: Caps = DEFAULT_CAPS) -> 
     prefix = c.prefix(depth)
     if max(prefix) > s.m:
         raise ValueError("code symbols must be kept indices of the scheme")
-    acc = accumulated_map(s, prefix)
-    verts = acc.transform(s.base.vertices)
+    verts = accumulated_map(s, prefix).transform(s.base.vertices)
     centroid = verts.mean(axis=0)
-    if verts.shape[0] == 1:
-        bound = 0.0
-    else:
-        diff = verts[:, None, :] - verts[None, :, :]
-        bound = float(np.hypot(diff[..., 0], diff[..., 1]).max())
-    return Point2(float(centroid[0]), float(centroid[1])), bound
+    return Point2(float(centroid[0]), float(centroid[1])), float(diameters(verts[None])[0])

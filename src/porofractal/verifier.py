@@ -17,7 +17,8 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import ConvexPolygon, PairDistanceEvaluator, box_overlap_pairs, overlap_areas, overlap_measure
+from .geometry import ConvexPolygon, PairDistanceEvaluator, _segment_overlap_length, box_overlap_pairs
+from .geometry import diameters, measures, overlap_areas
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
@@ -76,24 +77,8 @@ class VerificationReport:
 
 
 def _require_depth(t: CellTree, depth: int) -> None:
-    if t.depth < depth or len(t.levels) <= depth or not t.levels[1]:
+    if t.depth < depth or len(t.vertices) <= depth or not len(t.vertices[1]):
         raise EmptyTreeError(f"tree of depth {t.depth} is too shallow (need {depth})")
-
-
-def _level_measures(t: CellTree, n: int) -> np.ndarray:
-    cells = t.levels[n]
-    verts = np.stack([c.polygon.vertices for c in cells])
-    if t.scheme.measure_kind == "length":
-        d = verts[:, 1, :] - verts[:, 0, :]
-        return np.hypot(d[:, 0], d[:, 1])
-    x, y = verts[..., 0], verts[..., 1]
-    return np.abs(np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)) / 2.0
-
-
-def _level_diameters(t: CellTree, n: int) -> np.ndarray:
-    verts = np.stack([c.polygon.vertices for c in t.levels[n]])
-    diff = verts[:, :, None, :] - verts[:, None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
 
 
 def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: float | None = None) -> ConditionResult:
@@ -112,24 +97,24 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
     worst = (np.inf, None)
     best = (-np.inf, None)
     for n in range(1, t.depth + 1):
-        mus = _level_measures(t, n)
+        mus = measures(t.vertices[n], s.measure_kind)
         blocks = mus.reshape(-1, M)
         kept = blocks[:, :m].sum(axis=1)
         comp = blocks[:, m:].sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(comp > 0.0, kept / np.where(comp > 0.0, comp, 1.0), np.inf)
-        parents = [c.address for c in t.levels[n - 1] if c.is_kept]
+        parents = t.kept_rows(n - 1)
         i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
         per_depth.append({"depth": n, "min": float(ratios[i_min]), "max": float(ratios[i_max])})
         if ratios[i_min] < worst[0]:
-            worst = (float(ratios[i_min]), str(parents[i_min]))
+            worst = (float(ratios[i_min]), str(t.address(n - 1, parents[i_min])))
         if ratios[i_max] > best[0]:
-            best = (float(ratios[i_max]), str(parents[i_max]))
+            best = (float(ratios[i_max]), str(t.address(n - 1, parents[i_max])))
         bad = ~np.isfinite(ratios) | (ratios <= tol.ratio)
         if expected is not None:
             bad |= np.abs(ratios - expected) > tol.ratio
-        for i in np.nonzero(bad)[0][:_MAX_WITNESSES]:
-            violators.append(str(parents[int(i)]))
+        for i in np.nonzero(bad)[0][:_MAX_WITNESSES].tolist():
+            violators.append(str(t.address(n - 1, parents[i])))
     status = "fail" if violators else "pass"
     witnesses = violators if violators else [w for _, w in (worst, best) if w is not None]
     extremal = {
@@ -151,9 +136,8 @@ def check_adjacency(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Condit
     max_pair: tuple[str, str] | None = None
     violators: list[tuple[str, str]] = []
     for n in range(1, t.depth + 1):
-        cells = t.levels[n]
-        ev = PairDistanceEvaluator([c.polygon for c in cells])
-        n_par = len(cells) // M
+        ev = PairDistanceEvaluator(t.vertices[n])
+        n_par = len(t.vertices[n]) // M
         base = np.repeat(np.arange(n_par) * M, m * n_comp)
         ii = base + np.tile(np.repeat(np.arange(m), n_comp), n_par)
         jj = base + np.tile(np.tile(np.arange(m, M), m), n_par)
@@ -162,8 +146,7 @@ def check_adjacency(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Condit
         nearest = gaps.argmin(axis=1)
 
         def pair(r: int) -> tuple[str, str]:
-            kept = (r // m) * M + (r % m)
-            return str(cells[kept].address), str(cells[(r // m) * M + m + int(nearest[r])].address)
+            return str(t.address(n, (r // m) * M + r % m)), str(t.address(n, (r // m) * M + m + int(nearest[r])))
 
         r = int(np.argmax(per_kept))
         if per_kept[r] > max_gap:
@@ -187,9 +170,12 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     length overlaps pair by pair.
     """
     _require_depth(t, 1)
-    comps = list(t.complement_cells())
+    orders = range(1, t.depth + 1)
+    rows = [t.complement_rows(n) for n in orders]
+    order = np.repeat(orders, [r.shape[0] for r in rows])
+    row = np.concatenate(rows)
+    verts = np.concatenate([t.vertices[n][r] for n, r in zip(orders, rows)])
     base_mu = t.scheme.base_measure()
-    verts = np.stack([c.polygon.vertices for c in comps])
     ii, jj = box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), tol.geom)
     if ii.shape[0] > caps.pairs:
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
@@ -200,10 +186,10 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
             overlaps[a:b] = overlap_areas(verts[ii[a:b]], verts[jj[a:b]])
     else:
         pairs = zip(ii.tolist(), jj.tolist())
-        overlaps = np.array([overlap_measure(comps[i].polygon, comps[j].polygon, "length", tol.geom) for i, j in pairs])
+        overlaps = np.array([_segment_overlap_length(verts[i], verts[j], tol.geom) for i, j in pairs])
 
     def pair(k: int) -> tuple[str, str]:
-        return str(comps[int(ii[k])].address), str(comps[int(jj[k])].address)
+        return tuple(str(t.address(int(order[c]), int(row[c]))) for c in (ii[k], jj[k]))
 
     threshold = tol.area * base_mu
     max_overlap = float(overlaps.max(initial=0.0))
@@ -221,10 +207,10 @@ def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Conditi
     maxima = []
     argmax_addr = []
     for n in range(1, t.depth + 1):
-        diams = _level_diameters(t, n)
+        diams = diameters(t.vertices[n])
         i = int(np.argmax(diams))
         maxima.append(float(diams[i]))
-        argmax_addr.append(str(t.levels[n][i].address))
+        argmax_addr.append(str(t.address(n, i)))
     factors = [maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)]
     bad = [i for i, f in enumerate(factors) if f > tol.lambda_max]
     status = "fail" if bad else "pass"
@@ -239,14 +225,14 @@ def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Conditi
 
 @dataclass(frozen=True)
 class SeparationSweep:
-    """Result of a separation sweep over kept cells by depth."""
+    """Result of a separation sweep over cells by depth; `pair` indexes the
+    cells of the depth that gives the value."""
 
     mode: str
     value: float
     depth: int
     by_depth: tuple[float, ...]
-    word_a: Address
-    word_b: Address
+    pair: tuple[int, int]
 
 
 class _PairBudget:
@@ -276,7 +262,7 @@ def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[flo
     bound is already 0 only the pairs ordered before the first touching
     consecutive pair can still change the answer.
     """
-    k = len(ev.polys)
+    k = ev.counts.shape[0]
     if k < 2:
         return np.inf, 0, 0
     budget.spend(k - 1)
@@ -326,7 +312,7 @@ def _depth_forall_exists(ev: PairDistanceEvaluator, budget: _PairBudget) -> tupl
 
 
 def separation_sweep(
-    cells_by_depth: Sequence[Sequence[tuple[Address, ConvexPolygon]]],
+    cells_by_depth: Sequence[np.ndarray | Sequence[ConvexPolygon]],
     mode: SeparationMode,
     caps: Caps = DEFAULT_CAPS,
 ) -> SeparationSweep:
@@ -334,9 +320,11 @@ def separation_sweep(
 
     pairwise: the smallest distance between distinct kept cells, minimized
     over depths.  forall_exists: per depth the worst cell's best partner
-    distance, then the best depth.  A depth with a single cell reads inf
-    pairwise and 0.0 forall_exists.  Ties break toward lexicographically
-    smaller addresses because cells arrive in address order.
+    distance, then the best depth.  Each depth is a (k, V, 2) vertex stack
+    or a list of polygons.  A depth with a single cell reads inf pairwise
+    and 0.0 forall_exists.  Ties break toward the smaller index pair, which
+    is the lexicographically smaller address pair when cells arrive in
+    address order.
 
     Cost per depth of k cells: a broad phase on bounding boxes, then the
     exact distance kernel on the pairs it keeps.  pairwise evaluates the
@@ -351,14 +339,20 @@ def separation_sweep(
         raise ValueError(f"unknown separation mode {mode!r}")
     fn = _depth_pairwise if mode == "pairwise" else _depth_forall_exists
     budget = _PairBudget(caps.pairs)
-    per_depth: list[tuple[float, Address, Address]] = []
-    for cells in cells_by_depth:
-        value, i, j = fn(PairDistanceEvaluator([p for _, p in cells]), budget)
-        per_depth.append((value, cells[i][0], cells[j][0]))
+    per_depth = [fn(PairDistanceEvaluator(cells), budget) for cells in cells_by_depth]
     values = [v for v, _, _ in per_depth]
     pick = int(np.argmin(values)) if mode == "pairwise" else int(np.argmax(values))
-    value, a, b = per_depth[pick]
-    return SeparationSweep(mode, value, pick + 1, tuple(values), a, b)
+    value, i, j = per_depth[pick]
+    return SeparationSweep(mode, value, pick + 1, tuple(values), (i, j))
+
+
+def kept_separation(t: CellTree, mode: SeparationMode, caps: Caps = DEFAULT_CAPS) -> tuple[SeparationSweep, Address, Address]:
+    """separation_sweep over the kept cells of depths 1..t.depth, with the
+    addresses of the pair that gives the value."""
+    rows = [t.kept_rows(n) for n in range(1, t.depth + 1)]
+    sweep = separation_sweep([t.vertices[n][r] for n, r in enumerate(rows, start=1)], mode, caps)
+    a, b = (t.address(sweep.depth, int(rows[sweep.depth - 1][k])) for k in sweep.pair)
+    return sweep, a, b
 
 
 def check_separation(
@@ -375,8 +369,7 @@ def check_separation(
     which the standard planar examples pass.
     """
     _require_depth(t, 1)
-    cells_by_depth = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, t.depth + 1)]
-    sweep = separation_sweep(cells_by_depth, mode, caps)
+    sweep, a, b = kept_separation(t, mode, caps)
     status = "pass" if sweep.value >= tol.sep else "fail"
     extremal = {
         "mode": mode,
@@ -384,7 +377,7 @@ def check_separation(
         "depth": sweep.depth,
         "by_depth": list(sweep.by_depth),
     }
-    return ConditionResult("separation", status, extremal, ((str(sweep.word_a), str(sweep.word_b)),))
+    return ConditionResult("separation", status, extremal, ((str(a), str(b)),))
 
 
 def full_verify(

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from porofractal.geometry import AffineMap2
+from porofractal.codespace import Address
+from porofractal.geometry import AffineMap2, _image, apply, compose, identity_map
 from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
 
 
@@ -61,6 +62,34 @@ def oracle_intersection_area(subject: np.ndarray, clip: np.ndarray) -> float:
         return 0.0
     x, y = clipped[:, 0], clipped[:, 1]
     return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
+
+
+def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray, np.ndarray]]:
+    """Per-cell construction of a cell tree: the oracle for
+    scheme.build_tree.  Each kept cell's accumulated map is composed with
+    every child map and the base is mapped through the result, one cell at
+    a time.  Per level: addresses, vertices, linear parts, translations."""
+    level = [(Address((), s.m, s.M), identity_map())]
+    levels = []
+    for n in range(depth + 1):
+        if n:
+            level = [(a.child(j), compose(acc, s.child_map(j))) for a, acc in level if a.is_kept for j in range(1, s.M + 1)]
+        levels.append(
+            (
+                [a for a, _ in level],
+                np.stack([_image(acc, s.base).vertices for _, acc in level]),
+                np.stack([acc.linear for _, acc in level]),
+                np.stack([acc.translation for _, acc in level]),
+            )
+        )
+    return levels
+
+
+def similarity_conjugate(s: Scheme, g: AffineMap2) -> Scheme:
+    """The scheme moved by the similarity g: base g(B), maps g w g^-1."""
+    g_inv = g.inverse()
+    maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
+    return dataclasses.replace(s, name=f"{s.name}-conj", base=apply(g, s.base), child_maps=maps)
 
 
 def shrunk_complement_carpet() -> Scheme:

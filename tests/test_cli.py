@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from porofractal.cli import main
+from porofractal.config import DEFAULT_TOLERANCES
 from porofractal.errors import OutsideAttractorError
 from porofractal.scheme import builtin, dumps, to_document
 
@@ -213,3 +214,40 @@ def test_verify_depth_too_shallow_exits_2(capsys):
 
 def test_render_depth_zero_exits_2(capsys):
     assert run(["render", "--scheme", "carpet", "--depth", "0"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# crashes and tolerance flags
+
+
+def test_unwritable_out_exits_6(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run(["verify", "--scheme", "carpet", "--depth", "2", "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
+
+def test_unexpected_exception_exits_7(monkeypatch, capsys):
+    import porofractal.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_tree", crash)
+    assert run(["verify", "--scheme", "carpet", "--depth", "2"]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom") and "Traceback" not in err
+
+
+def test_tolerance_flags_default_to_config():
+    from porofractal.cli import _tolerances, build_parser
+
+    for command in ("verify", "separation", "dynamics", "render"):
+        args = build_parser().parse_args([command, "--scheme", "carpet", "--depth", "2"])
+        assert _tolerances(args) == DEFAULT_TOLERANCES
+
+
+def test_tol_ratio_reaches_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--scheme", "koch", "--depth", "3", "--tol-ratio", "1e-6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"]["ratio"] == 1e-6

@@ -1,15 +1,25 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from porofractal.codespace import Address, Code, periodic_code
 from porofractal.config import Caps
-from porofractal.errors import CapExceededError, ParseError, SingularMapError, UnknownSchemeError, ValidationError
-from porofractal.geometry import AffineMap2, area, intersection_area, overlap_measure
+from porofractal.errors import (
+    CapExceededError,
+    ParseError,
+    SingularMapError,
+    UnknownAddressError,
+    UnknownSchemeError,
+    ValidationError,
+)
+from porofractal.geometry import AffineMap2, area, intersection_area, overlap_measure, similarity_map
 from porofractal.scheme import (
     BUILTIN_NAMES,
+    Cell,
     Scheme,
     accumulated_map,
     address_polygon,
@@ -22,6 +32,8 @@ from porofractal.scheme import (
     validate_geometry,
 )
 from porofractal.verifier import full_verify
+
+from conftest import build_levels_oracle, similarity_conjugate
 
 SQRT3 = math.sqrt(3.0)
 
@@ -144,6 +156,82 @@ def test_cell_counts_all_builtins():
             assert len(t.kept_cells(n)) == s.m**n
             comps = [c for c in t.levels[n] if not c.is_kept]
             assert len(comps) == s.m ** (n - 1) * (s.M - s.m)
+
+
+def test_build_tree_bitwise_matches_per_cell_oracle():
+    # every level's arrays equal the per-cell compose/_image route exactly,
+    # and the rows decode to the oracle's addresses in the same order
+    g = similarity_map(0.7, 0.4, (0.3, -0.2), reflect=True)
+    cases = [(builtin(n), d) for n, d in [("carpet", 4), ("pascal3", 4), ("koch", 10), ("cantor", 9)]]
+    cases += [(similarity_conjugate(builtin("koch"), g), 8), (similarity_conjugate(builtin("carpet"), g), 3)]
+    for s, depth in cases:
+        t = build_tree(s, depth)
+        flipped = 0
+        for n, (addresses, verts, linear, translation) in enumerate(build_levels_oracle(s, depth)):
+            assert np.array_equal(t.vertices[n], verts), (s.name, n)
+            assert np.array_equal(t.linear[n], linear), (s.name, n)
+            assert np.array_equal(t.translation[n], translation), (s.name, n)
+            assert [t.address(n, i) for i in range(len(addresses))] == addresses, (s.name, n)
+            flipped += int((np.linalg.det(linear) < 0.0).sum())
+        # koch's kept maps reverse orientation, so its rows get reordered
+        assert (flipped > 0) == s.name.startswith("koch"), s.name
+
+
+def test_address_row_round_trip():
+    for name, depth in [("carpet", 3), ("koch", 6)]:
+        s = builtin(name)
+        t = build_tree(s, depth)
+        for n in range(depth + 1):
+            rows = np.arange(len(t.levels[n]))
+            symbols = t.symbols(n, rows)
+            for i in rows.tolist():
+                a = t.address(n, i)
+                assert t.row(a) == i and a.symbols == tuple(symbols[i].tolist())
+                assert t.cell(a).address == a
+            kept = t.kept_rows(n).tolist()
+            assert [c.address for c in t.kept_cells(n)] == [t.address(n, i) for i in kept]
+            assert all(t.address(n, i).is_kept for i in kept)
+        with pytest.raises(IndexError):
+            t.address(depth, len(t.levels[depth]))
+        too_deep = Address((1,) * (depth + 1), s.m, s.M)
+        below_complement = Address((s.M, 1), s.M, s.M)
+        for a in (too_deep, below_complement):
+            with pytest.raises(UnknownAddressError):
+                t.cell(a)
+
+
+def test_verify_path_makes_no_cells(monkeypatch):
+    made = []
+    init = Cell.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cell, "__init__", counting_init)
+    for name, depth in [("carpet", 3), ("koch", 8)]:
+        full_verify(build_tree(builtin(name), depth))
+    assert made == []
+    # the counter sees cells made on demand
+    t = build_tree(builtin("koch"), 2)
+    assert t.levels[2][4] is t.cell(t.address(2, 4)) and len(made) == 1
+
+
+def test_tree_is_freed_without_the_cycle_collector():
+    # a reference cycle through the tree would keep its arrays alive until
+    # the cyclic collector runs, so a process building trees would grow
+    gc.disable()
+    try:
+        t = build_tree(builtin("koch"), 6)
+        full_verify(t)
+        list(t.levels[3])
+        list(t.kept_cells(2))
+        list(t.complement_cells())
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cantor_cell_21_interval():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +8,7 @@ from porofractal.config import Caps
 from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
     ConvexPolygon,
-    apply,
     box_overlap_pairs,
-    compose,
     min_distance,
     min_distance_matrix,
     overlap_measure,
@@ -26,10 +23,11 @@ from porofractal.verifier import (
     check_ratio,
     check_separation,
     full_verify,
+    kept_separation,
     separation_sweep,
 )
 
-from conftest import oracle_intersection_area
+from conftest import oracle_intersection_area, similarity_conjugate
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
 
@@ -240,12 +238,15 @@ def _full_matrix_sweep(cells_by_depth, mode):
     return values, per_depth[pick][1], per_depth[pick][2]
 
 
+def _sweep(cells_by_depth, mode):
+    # separation_sweep on the polygons, its pair named by the given addresses
+    sweep = separation_sweep([[p for _, p in cells] for cells in cells_by_depth], mode)
+    cells = cells_by_depth[sweep.depth - 1]
+    return sweep, cells[sweep.pair[0]][0], cells[sweep.pair[1]][0]
+
+
 def _rotated_carpet():
-    s = builtin("carpet")
-    g = similarity_map(0.7, 0.3, (0.2, -0.1))
-    g_inv = g.inverse()
-    maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
-    return dataclasses.replace(s, name="carpet-rot", base=apply(g, s.base), child_maps=maps)
+    return similarity_conjugate(builtin("carpet"), similarity_map(0.7, 0.3, (0.2, -0.1)))
 
 
 def test_separation_pruned_path_matches_full_matrix():
@@ -256,8 +257,11 @@ def test_separation_pruned_path_matches_full_matrix():
         t = build_tree(s, depth)
         cells = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, depth + 1)]
         for mode in ("pairwise", "forall_exists"):
-            sweep = separation_sweep(cells, mode)
-            assert (sweep.by_depth, sweep.word_a, sweep.word_b) == _full_matrix_sweep(cells, mode), (s.name, mode)
+            sweep, a, b = _sweep(cells, mode)
+            assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, mode), (s.name, mode)
+            # the tree's vertex stacks give the same sweep and pair
+            tree_sweep, ta, tb = kept_separation(t, mode)
+            assert (tree_sweep, ta, tb) == (sweep, a, b), (s.name, mode)
 
 
 def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
@@ -265,20 +269,20 @@ def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
     # pair is (2, 3), but (1, 3) also touches and comes first
     squares = [ConvexPolygon(np.array([[x, 0.0], [x + 1, 0.0], [x + 1, 1.0], [x, 1.0]])) for x in (0.0, 2.0, 1.0)]
     cells = [[(Address((i,), 3, 3), p) for i, p in enumerate(squares, start=1)]]
-    sweep = separation_sweep(cells, "pairwise")
-    assert (sweep.value, str(sweep.word_a), str(sweep.word_b)) == (0.0, "1", "3")
-    assert (sweep.by_depth, sweep.word_a, sweep.word_b) == _full_matrix_sweep(cells, "pairwise")
+    sweep, a, b = _sweep(cells, "pairwise")
+    assert (sweep.value, str(a), str(b)) == (0.0, "1", "3")
+    assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, "pairwise")
 
 
 def test_separation_single_cell_depth():
     t = build_tree(builtin("carpet"), 1)
     root = [(t.levels[0][0].address, t.levels[0][0].polygon)]
     kept = [(c.address, c.polygon) for c in t.kept_cells(1)]
-    pw = separation_sweep([root], "pairwise")
-    assert pw.by_depth == (math.inf,) and pw.word_a == pw.word_b == root[0][0]
-    fe = separation_sweep([root, kept], "forall_exists")
+    pw, a, b = _sweep([root], "pairwise")
+    assert pw.by_depth == (math.inf,) and a == b == root[0][0]
+    fe, a, b = _sweep([root, kept], "forall_exists")
     assert fe.by_depth[0] == 0.0
-    assert (fe.by_depth, fe.word_a, fe.word_b) == _full_matrix_sweep([root, kept], "forall_exists")
+    assert (fe.by_depth, a, b) == _full_matrix_sweep([root, kept], "forall_exists")
 
 
 def test_separation_cap():
