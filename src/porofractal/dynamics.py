@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoSeparationError
-from .geometry import Point2, diameter, point_distance
-from .scheme import Scheme, address_polygon, build_tree, realize_point
+from .geometry import ConvexPolygon, Point2, diameter, point_distance
+from .scheme import Scheme, address_vertices, build_tree, realize_points
 from .verifier import SeparationMode, kept_separation
 
 DEFAULT_REALIZE_DEPTH = 12
@@ -101,12 +101,12 @@ def periodic_density_witnesses(
     realized point lies in the cylinder's cell, so periodic orbits meet every
     cell at resolution n.
     """
+    words = enumerate_words(s.m, n, M=s.M, caps=caps)
+    codes = [periodic_code(w) for w in words]
+    points, bounds = realize_points(s, codes, max(n, realize_depth), caps)
     witnesses = []
-    depth = max(n, realize_depth)
-    for w in enumerate_words(s.m, n, M=s.M, caps=caps):
-        code = periodic_code(w)
-        point, bound = realize_point(s, code, depth, caps)
-        gap = point_distance(point.as_array(), address_polygon(s, w))
+    for w, code, point, bound, cell in zip(words, codes, points, bounds, address_vertices(s, words)):
+        gap = point_distance(point.as_array(), ConvexPolygon._unchecked(cell))
         witnesses.append(PeriodicWitness(w, code, point, bound, gap, gap <= tol.geom))
     return witnesses
 
@@ -207,19 +207,14 @@ def sensitivity_witnesses(
         raise NoSeparationError(f"separation {sep.epsilon0!r} below tolerance {tol.sep!r}")
     a, b = sep.word_a, sep.word_b
     bound = sep.epsilon0 - 2.0 * realization_bound(s, realize_depth)
-    witnesses = []
-    for w in enumerate_words(s.m, n, M=s.M, caps=caps):
-        u = Code(w.symbols, a.symbols, s.m)
-        v = Code(w.symbols, b.symbols, s.m)
-        pu, _ = realize_point(s, u, max(n, realize_depth), caps)
-        pv, _ = realize_point(s, v, max(n, realize_depth), caps)
-        su, sv = u, v
-        for _ in range(n):
-            su, sv = shift(su), shift(sv)
-        qu, _ = realize_point(s, su, realize_depth, caps)
-        qv, _ = realize_point(s, sv, realize_depth, caps)
-        witnesses.append(SensitivityWitness(w, n, u, v, pu.distance_to(pv), qu.distance_to(qv), bound))
-    return witnesses
+    words = enumerate_words(s.m, n, M=s.M, caps=caps)
+    us = [Code(w.symbols, a.symbols, s.m) for w in words]
+    vs = [Code(w.symbols, b.symbols, s.m) for w in words]
+    points, _ = realize_points(s, us + vs, max(n, realize_depth), caps)
+    # n shifts drop the cylinder word w, leaving a and b repeated for every w
+    (qu, qv), _ = realize_points(s, [Code((), a.symbols, s.m), Code((), b.symbols, s.m)], realize_depth, caps)
+    pairs = zip(words, us, vs, points, points[len(us) :])
+    return [SensitivityWitness(w, n, u, v, pu.distance_to(pv), qu.distance_to(qv), bound) for w, u, v, pu, pv in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +297,11 @@ def li_yorke_witness(
     total = horizon + realize_depth + len(a)
     u = Code((), a, s.m)
     v = finite_code(_doubling_partner(a, b, total), s.m)
-    samples = []
-    su, sv = u, v
-    for _ in range(horizon):
-        pu, _ = realize_point(s, su, realize_depth, caps)
-        pv, _ = realize_point(s, sv, realize_depth, caps)
-        samples.append(pu.distance_to(pv))
-        su, sv = shift(su), shift(sv)
+    codes = [u, v]
+    for _ in range(horizon - 1):
+        codes += [shift(codes[-2]), shift(codes[-1])]
+    points, _ = realize_points(s, codes, realize_depth, caps)
+    samples = [pu.distance_to(pv) for pu, pv in zip(points[::2], points[1::2])]
     # longest agreement run beginning at a sampled shift, capped at the
     # realization depth (deeper agreement is invisible to the realization)
     agreement = 0

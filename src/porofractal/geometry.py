@@ -10,7 +10,7 @@ parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -302,44 +302,24 @@ _PAIR_CHUNK = 131072
 
 
 class PairDistanceEvaluator:
-    """Batched min_distance queries over a fixed polygon set.
+    """Batched min_distance queries over a fixed polygon set, given as a
+    (k, V, 2) vertex stack.
 
-    The set is a level's (k, V, 2) vertex stack, or a list of polygons
-    padded into one; each vertex count is then handled as one stack.  Edge
-    stacks, bounding boxes, and centroids are computed once, so sweeps that
-    evaluate many index pairs against the same cells stay cheap.  Edge
-    stacks are padded to a common edge count by repeating each polygon's
-    first edge.
+    Edge stacks, bounding boxes, and centroids are computed once, so sweeps
+    that evaluate many index pairs against the same cells stay cheap.
     """
 
-    def __init__(self, cells: np.ndarray | Sequence[ConvexPolygon]):
-        if isinstance(cells, np.ndarray):
-            self.vertices, self.counts = cells, np.full(cells.shape[0], cells.shape[1])
-        else:
-            verts = [p.vertices for p in cells]
-            self.counts = np.array([v.shape[0] for v in verts], dtype=int)
-            self.vertices = np.zeros((len(verts), int(self.counts.max(initial=1)), 2))
-            for i, v in enumerate(verts):
-                self.vertices[i, : v.shape[0]] = v
-        n = self.counts.shape[0]
-        if not n:
+    def __init__(self, vertices: np.ndarray):
+        if not vertices.shape[0]:
             raise ValueError("need at least one polygon")
-        width = self.vertices.shape[1]
-        self.edges = np.empty((n, width if width >= 3 else 1, 2, 2))
-        self.lo, self.hi, self.centroids = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-        for size in sorted(set(self.counts.tolist())):
-            idx = np.nonzero(self.counts == size)[0]
-            v = self.vertices[idx, :size]
-            if size < 3:
-                # a point is the zero-length edge (v0, v0), a segment its one edge
-                e = np.stack([v[:, 0], v[:, -1]], axis=1)[:, None]
-            else:
-                e = np.stack([v, np.roll(v, -1, axis=1)], axis=2)
-            self.edges[idx, : e.shape[1]] = e
-            self.edges[idx, e.shape[1] :] = e[:, :1]
-            self.lo[idx] = v.min(axis=1)
-            self.hi[idx] = v.max(axis=1)
-            self.centroids[idx] = v.mean(axis=1)
+        self.vertices = vertices
+        if vertices.shape[1] < 3:
+            # a point is the zero-length edge (v0, v0), a segment its one edge
+            self.edges = np.stack([vertices[:, 0], vertices[:, -1]], axis=1)[:, None]
+        else:
+            self.edges = np.stack([vertices, np.roll(vertices, -1, axis=1)], axis=2)
+        self.lo, self.hi = vertices.min(axis=1), vertices.max(axis=1)
+        self.centroids = vertices.mean(axis=1)
 
     def box_gaps(self, ii, jj) -> np.ndarray:
         """Bounding-box gaps of the index pairs: lower bounds on min_distance."""
@@ -393,7 +373,7 @@ class PairDistanceEvaluator:
             nested = ((li >= lj) & (hi_ <= hj)).all(axis=1) | ((lj >= li) & (hj <= hi_)).all(axis=1)
             for k in pos[nested].tolist():
                 i, j = int(ii[k]), int(jj[k])
-                a, b = self.vertices[i, : self.counts[i]], self.vertices[j, : self.counts[j]]
+                a, b = self.vertices[i], self.vertices[j]
                 if _contains(b, a[0], 0.0) or _contains(a, b[0], 0.0):
                     out[k] = 0.0
         return out
@@ -497,19 +477,6 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
     return ii[lex], jj[lex]
 
 
-def min_distance_matrix(polys: Sequence[ConvexPolygon]) -> np.ndarray:
-    """Symmetric matrix of pairwise min_distance values (diagonal zero)."""
-    n = len(polys)
-    mat = np.zeros((n, n))
-    if n < 2:
-        return mat
-    ii, jj = np.triu_indices(n, k=1)
-    d = PairDistanceEvaluator(polys).distances(ii, jj)
-    mat[ii, jj] = d
-    mat[jj, ii] = d
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # intersection / overlap
 
@@ -561,7 +528,7 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
         r, c = np.nonzero(inside)
         nxt[r, ends[r, c] - 1] = pts[r, c]
         pts = nxt
-    for k in np.unique(count[count >= 3]).tolist():
+    for k in sorted(set(count[count >= 3].tolist())):
         r = np.nonzero(count == k)[0]
         x, y = pts[r, :k, 0], pts[r, :k, 1]
         roll = np.r_[1:k, 0]
@@ -615,13 +582,20 @@ def _segment_overlap_length(a: np.ndarray, b: np.ndarray, tol: float) -> float:
     return max(0.0, min(la, hi) - max(0.0, lo))
 
 
+def overlap_measures(S: np.ndarray, C: np.ndarray, kind: MeasureKind, tol: float = _CONSTRUCTION_TOL) -> np.ndarray:
+    """Measures of the intersections S[k] ∩ C[k] of stacked polygons under
+    the scheme's measure kind: `overlap_areas` for area, the common length
+    of collinear segments for length."""
+    if kind == "area":
+        return overlap_areas(S, C)
+    if kind == "length":
+        return np.array([_segment_overlap_length(a, b, tol) for a, b in zip(S, C)], dtype=float)
+    raise ValueError(f"unknown measure kind {kind!r}")
+
+
 def overlap_measure(a: ConvexPolygon, b: ConvexPolygon, kind: MeasureKind, tol: float = _CONSTRUCTION_TOL) -> float:
     """Measure of the intersection under the scheme's measure kind."""
-    if kind == "area":
-        return intersection_area(a, b)
-    if kind == "length":
-        return _segment_overlap_length(a.vertices, b.vertices, tol)
-    raise ValueError(f"unknown measure kind {kind!r}")
+    return float(overlap_measures(a.vertices[None], b.vertices[None], kind, tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError
@@ -134,5 +136,5 @@ def separation_from_maps(
     for _ in range(depth):
         # extending in ascending j keeps the word list lexicographic
         words = [w + (j,) for w in words for j in range(1, sys.m + 1)]
-        cells_by_depth.append([compose_word(sys, Address(w, sys.m, sys.m)) for w in words])
+        cells_by_depth.append(np.stack([compose_word(sys, Address(w, sys.m, sys.m)).vertices for w in words]))
     return separation_sweep(cells_by_depth, mode, caps).value

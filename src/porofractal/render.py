@@ -41,10 +41,8 @@ class RenderStyle:
 
 
 def _fmt(v: float) -> str:
-    r = round(v, 6)
-    if r == 0.0:
-        r = 0.0  # normalize -0.0
-    return f"{r:.6f}"
+    text = f"{v:.6f}"
+    return "0.000000" if text == "-0.000000" else text  # normalize -0.0
 
 
 def _collect(t: CellTree, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,8 +78,10 @@ def _document(t: CellTree, depth: int, style: RenderStyle, highlight_prefix: tup
     if highlight_prefix is not None:
         highlight = kept & (symbols[:, : len(highlight_prefix)] == highlight_prefix).all(axis=1)
     classes = np.where(highlight, "highlight", np.where(kept, "kept", "complement")).tolist()
-    for cls, v in zip(classes, verts):
-        pts = " ".join(f"{_fmt(x)},{_fmt(flip - y)}" for x, y in v)
+    # np.round rounds as round() does on each numpy coordinate (scale, rint, unscale)
+    xy = np.round(np.stack([verts[..., 0], flip - verts[..., 1]], axis=-1), 6)
+    for cls, v in zip(classes, xy):
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in v.tolist())
         lines.append(
             f'<polygon class="{cls}" fill="#{fills[cls]}" stroke="#{_STROKE}" '
             f'stroke-width="{_fmt(style.stroke_width)}" points="{pts}"/>'

@@ -13,7 +13,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,12 +26,9 @@ from .geometry import (
     ConvexPolygon,
     MeasureKind,
     Point2,
-    _image,
     _require_nonsingular,
     apply,
-    compose,
     diameters,
-    identity_map,
     measure,
     overlap_measure,
     point_in_polygon,
@@ -379,15 +376,21 @@ def accumulated_map(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
 
     The outer-first order makes every child cell a subset of its parent cell.
     """
-    if not symbols:
-        return identity_map()
-    return reduce(compose, (s.child_map(i) for i in symbols))
+    L, T = _fold(s, np.array([symbols], dtype=np.intp))
+    return AffineMap2(L[0], T[0])
 
 
 def address_polygon(s: Scheme, address: Address) -> ConvexPolygon:
     """The cell polygon realized by an address, without building a tree."""
-    _require_nonsingular_children(s, set(address.symbols))
-    return _image(accumulated_map(s, address.symbols), s.base)
+    return ConvexPolygon._unchecked(address_vertices(s, [address])[0])
+
+
+def address_vertices(s: Scheme, words: Sequence[Address]) -> np.ndarray:
+    """Vertices (W, V, 2) of the cells realized by addresses of one length,
+    without building a tree."""
+    symbols = np.array([w.symbols for w in words], dtype=np.intp)
+    _require_nonsingular_children(s, set(symbols.ravel().tolist()))
+    return _images(s.base.vertices, *_fold(s, symbols))
 
 
 def _require_nonsingular_children(s: Scheme, symbols: Iterable[int]) -> None:
@@ -397,54 +400,88 @@ def _require_nonsingular_children(s: Scheme, symbols: Iterable[int]) -> None:
         _require_nonsingular(s.child_map(j))
 
 
+def _child_arrays(s: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (M, 2, 2) and translation columns (M, 2, 1) of the child maps."""
+    return np.stack([w.linear for w in s.child_maps]), np.stack([w.translation for w in s.child_maps])[..., None]
+
+
+def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (L, T) o (lin, tr) in the operand order of `compose`, so that stacked
+    # products are bitwise the per-map ones
+    return L @ lin, (L @ tr)[..., 0] + T
+
+
+def _fold(s: Scheme, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (W, 2, 2) and translations (W, 2) of the accumulated maps
+    of the rows of `words` (W, n), first symbol outermost: build_tree's step
+    applied one symbol column at a time, starting from the identity."""
+    if words.size and (words.min() < 1 or words.max() > s.M):
+        raise ValueError(f"child indices must lie in 1..{s.M}")
+    lin, tr = _child_arrays(s)
+    L, T = np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
+    for col in words.T - 1:
+        L, T = _step(L, T, lin[col], tr[col])
+    return L, T
+
+
+def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) -> np.ndarray:
+    """The base's vertices under each map (L[k], T[k]), (N, V, 2), in the
+    operand order of `AffineMap2.transform`; with ccw, reversed where the
+    map reverses orientation, as `apply` does."""
+    v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
+    if ccw and base.shape[0] >= 3:
+        flip = L[:, 0, 0] * L[:, 1, 1] - L[:, 0, 1] * L[:, 1, 0] < 0.0
+        v[flip] = v[flip, ::-1]
+    return v
+
+
 def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
     """Subdivide to the given depth; every kept cell spawns M children.
 
-    Each level comes from the kept rows of the one above by stacked matmuls
-    in the operand order of `compose` and `AffineMap2.transform`, with the
-    vertex order reversed where the map reverses orientation as `apply`
-    does, so every row is bitwise the per-cell composition's.
+    Each level comes from the kept rows of the one above by the stacked
+    step `_step` and `_images`, so every row is bitwise the per-cell
+    composition's.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if s.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {s.m**depth} exceeds the cell cap {caps.cells}")
     _require_nonsingular_children(s, range(1, s.M + 1))
-    child_linear = np.stack([w.linear for w in s.child_maps])[None]
-    child_translation = np.stack([w.translation for w in s.child_maps])[None, :, :, None]
-    base = s.base.vertices
-    lin, tr, verts = [np.eye(2)[None]], [np.zeros((1, 2))], [base[None]]
+    child_linear, child_translation = _child_arrays(s)
+    lin, tr, verts = [np.eye(2)[None]], [np.zeros((1, 2))], [s.base.vertices[None]]
     for _ in range(depth):
         keep = np.arange(lin[-1].shape[0]) % s.M < s.m
-        L, T = lin[-1][keep][:, None], tr[-1][keep][:, None]
-        lin.append((L @ child_linear).reshape(-1, 2, 2))
-        tr.append(((L @ child_translation)[..., 0] + T).reshape(-1, 2))
-        v = base[None] @ lin[-1].transpose(0, 2, 1) + tr[-1][:, None]
-        if base.shape[0] >= 3:
-            L = lin[-1]
-            flip = L[:, 0, 0] * L[:, 1, 1] - L[:, 0, 1] * L[:, 1, 0] < 0.0
-            v[flip] = v[flip, ::-1]
-        verts.append(v)
+        L, T = _step(lin[-1][keep][:, None], tr[-1][keep][:, None], child_linear[None], child_translation[None])
+        lin.append(L.reshape(-1, 2, 2))
+        tr.append(T.reshape(-1, 2))
+        verts.append(_images(s.base.vertices, lin[-1], tr[-1]))
     for a in lin + tr + verts:
         a.setflags(write=False)
     return CellTree(s, depth, tuple(verts), tuple(lin), tuple(tr))
 
 
-def realize_point(s: Scheme, c: Code, depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[Point2, float]:
-    """Centroid of the depth-N cell addressed by the code's first N symbols.
+def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[Point2], list[float]]:
+    """Centroids of the depth-N cells addressed by the codes' first N
+    symbols, with the cell diameters as error bounds.
 
-    Returns the point together with an error bound (the cell diameter); the
-    limit point of the code lies within the bound.  Works at depths far past
-    where polygon construction would hit the vertex-distinctness tolerance,
-    because only raw vertex images are used.
+    The limit point of each code lies within its bound.  Works at depths far
+    past where polygon construction would hit the vertex-distinctness
+    tolerance, because only raw vertex images are used.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > caps.words:
         raise CapExceededError(f"realization depth {depth} exceeds the word cap {caps.words}")
-    prefix = c.prefix(depth)
-    if max(prefix) > s.m:
+    words = np.array([c.prefix(depth) for c in codes], dtype=np.intp)
+    if words.size and words.max() > s.m:
         raise ValueError("code symbols must be kept indices of the scheme")
-    verts = accumulated_map(s, prefix).transform(s.base.vertices)
-    centroid = verts.mean(axis=0)
-    return Point2(float(centroid[0]), float(centroid[1])), float(diameters(verts[None])[0])
+    # unflipped: the centroid adds the vertices in AffineMap2.transform order
+    verts = _images(s.base.vertices, *_fold(s, words), ccw=False)
+    return [Point2(x, y) for x, y in verts.mean(axis=1).tolist()], diameters(verts).tolist()
+
+
+def realize_point(s: Scheme, c: Code, depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[Point2, float]:
+    """Centroid of the depth-N cell addressed by the code's first N symbols,
+    with its error bound; see `realize_points`."""
+    points, bounds = realize_points(s, [c], depth, caps)
+    return points[0], bounds[0]

@@ -17,8 +17,7 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import ConvexPolygon, PairDistanceEvaluator, _segment_overlap_length, box_overlap_pairs
-from .geometry import diameters, measures, overlap_areas
+from .geometry import PairDistanceEvaluator, box_overlap_pairs, diameters, measures, overlap_measures
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
@@ -166,8 +165,7 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     then lies on both boundaries, hence in neither open complement region.
     The candidate pairs come from the box sweep (`box_overlap_pairs`) over
     the complement cells' bounding boxes; the pair cap counts those
-    candidates.  Area overlaps are clipped in batches of _CLIP_CHUNK pairs,
-    length overlaps pair by pair.
+    candidates, which are measured in batches of _CLIP_CHUNK pairs.
     """
     _require_depth(t, 1)
     orders = range(1, t.depth + 1)
@@ -179,14 +177,10 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     ii, jj = box_overlap_pairs(verts.min(axis=1), verts.max(axis=1), tol.geom)
     if ii.shape[0] > caps.pairs:
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
-    if t.scheme.measure_kind == "area":
-        overlaps = np.empty(ii.shape[0])
-        for a in range(0, ii.shape[0], _CLIP_CHUNK):
-            b = a + _CLIP_CHUNK
-            overlaps[a:b] = overlap_areas(verts[ii[a:b]], verts[jj[a:b]])
-    else:
-        pairs = zip(ii.tolist(), jj.tolist())
-        overlaps = np.array([_segment_overlap_length(verts[i], verts[j], tol.geom) for i, j in pairs])
+    overlaps = np.empty(ii.shape[0])
+    for a in range(0, ii.shape[0], _CLIP_CHUNK):
+        b = a + _CLIP_CHUNK
+        overlaps[a:b] = overlap_measures(verts[ii[a:b]], verts[jj[a:b]], t.scheme.measure_kind, tol.geom)
 
     def pair(k: int) -> tuple[str, str]:
         return tuple(str(t.address(int(order[c]), int(row[c]))) for c in (ii[k], jj[k]))
@@ -262,7 +256,7 @@ def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[flo
     bound is already 0 only the pairs ordered before the first touching
     consecutive pair can still change the answer.
     """
-    k = ev.counts.shape[0]
+    k = ev.vertices.shape[0]
     if k < 2:
         return np.inf, 0, 0
     budget.spend(k - 1)
@@ -312,7 +306,7 @@ def _depth_forall_exists(ev: PairDistanceEvaluator, budget: _PairBudget) -> tupl
 
 
 def separation_sweep(
-    cells_by_depth: Sequence[np.ndarray | Sequence[ConvexPolygon]],
+    cells_by_depth: Sequence[np.ndarray],
     mode: SeparationMode,
     caps: Caps = DEFAULT_CAPS,
 ) -> SeparationSweep:
@@ -320,11 +314,10 @@ def separation_sweep(
 
     pairwise: the smallest distance between distinct kept cells, minimized
     over depths.  forall_exists: per depth the worst cell's best partner
-    distance, then the best depth.  Each depth is a (k, V, 2) vertex stack
-    or a list of polygons.  A depth with a single cell reads inf pairwise
-    and 0.0 forall_exists.  Ties break toward the smaller index pair, which
-    is the lexicographically smaller address pair when cells arrive in
-    address order.
+    distance, then the best depth.  Each depth is a (k, V, 2) vertex stack.
+    A depth with a single cell reads inf pairwise and 0.0 forall_exists.
+    Ties break toward the smaller index pair, which is the lexicographically
+    smaller address pair when cells arrive in address order.
 
     Cost per depth of k cells: a broad phase on bounding boxes, then the
     exact distance kernel on the pairs it keeps.  pairwise evaluates the

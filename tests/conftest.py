@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from porofractal.codespace import Address
-from porofractal.geometry import AffineMap2, _image, apply, compose, identity_map
+from porofractal.codespace import Address, Code
+from porofractal.geometry import AffineMap2, ConvexPolygon, _image, apply, compose, diameters, identity_map
+from porofractal.geometry import min_distance
 from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
 
 
@@ -83,6 +86,37 @@ def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.n
             )
         )
     return levels
+
+
+def accumulated_map_oracle(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
+    """Per-symbol composition child_maps[i1] o ... o child_maps[in]: the
+    oracle for scheme's batched fold of words."""
+    if not symbols:
+        return identity_map()
+    return reduce(compose, (s.child_map(i) for i in symbols))
+
+
+def address_vertices_oracle(s: Scheme, address: Address) -> np.ndarray:
+    """Cell vertices of one address by per-symbol composition: the oracle
+    for scheme.address_vertices."""
+    return _image(accumulated_map_oracle(s, address.symbols), s.base).vertices
+
+
+def realize_point_oracle(s: Scheme, c: Code, depth: int) -> tuple[np.ndarray, float]:
+    """Centroid and diameter of a code's depth-N cell by per-symbol
+    composition: the oracle for scheme.realize_points."""
+    verts = accumulated_map_oracle(s, c.prefix(depth)).transform(s.base.vertices)
+    return verts.mean(axis=0), float(diameters(verts[None])[0])
+
+
+def min_distance_matrix(polys: list[ConvexPolygon]) -> np.ndarray:
+    """Symmetric matrix of pairwise scalar min_distance values (diagonal
+    zero): the brute-force oracle for the separation sweeps."""
+    n = len(polys)
+    mat = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        mat[i, j] = mat[j, i] = min_distance(polys[i], polys[j])
+    return mat
 
 
 def similarity_conjugate(s: Scheme, g: AffineMap2) -> Scheme:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,13 @@ from conftest import overlapping_complement_carpet
 
 def run(args):
     return main(args)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for
+    subprocesses."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +212,24 @@ def test_console_script_runs():
         [sys.executable, "-m", "porofractal.cli", "scheme", "list"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "carpet" in proc.stdout
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 12 ms of import; an area accumulation check must
+    # not pull it in on every CLI verify
+    code = (
+        "import sys\n"
+        "from porofractal.cli import main\n"
+        "status = main(['verify', '--scheme', 'koch', '--depth', '4'])\n"
+        "print('numpy.ma' in sys.modules, status, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "0"]
 
 
 def test_verify_depth_too_shallow_exits_2(capsys):

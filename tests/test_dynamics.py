@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from porofractal import geometry
 from porofractal.codespace import Address, Code, periodic_code, shift
 from porofractal.dynamics import (
     chaos_report,
@@ -235,3 +238,21 @@ def test_chaos_report_json_shape():
 
     doc = json.loads(chaos_report(builtin("cantor"), 3, 8).to_json())
     assert {"scheme", "n", "horizon", "epsilon0", "periodic", "transitivity", "sensitivity", "li_yorke"} <= set(doc)
+
+
+def test_chaos_report_composes_no_single_maps(monkeypatch):
+    # every witness family realizes its codes through scheme's stacked fold,
+    # never one geometry.compose per symbol
+    calls = []
+    original = geometry.compose
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("porofractal") and getattr(mod, "compose", None) is original:
+            monkeypatch.setattr(mod, "compose", counting)
+    for name, n in [("cantor", 4), ("koch", 4), ("pascal3", 2), ("carpet", 2)]:
+        chaos_report(builtin(name), n, 16)
+    assert not calls

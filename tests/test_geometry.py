@@ -23,16 +23,16 @@ from porofractal.geometry import (
     length,
     measure,
     min_distance,
-    min_distance_matrix,
     overlap_areas,
     overlap_measure,
+    overlap_measures,
     point_distance,
     point_in_polygon,
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
 
-from conftest import clip_by_convex, oracle_intersection_area
+from conftest import clip_by_convex, min_distance_matrix, oracle_intersection_area
 
 SQRT3 = math.sqrt(3.0)
 
@@ -200,10 +200,21 @@ def test_min_distance_against_sampling_oracle():
         assert oracle - exact <= step
 
 
+def _random_ngon(rng, k, scale=2.0):
+    """k points at ascending random angles on a random circle: a convex ccw
+    polygon with exactly k vertices (a point for k = 1, a chord for k = 2)."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    center, radius = rng.uniform(-scale, scale, 2), rng.uniform(0.2, 1.0)
+    return ConvexPolygon(center + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
 def test_min_distance_matrix_matches_scalar():
     rng = np.random.default_rng(3)
-    polys = [_random_convex(rng) for _ in range(8)]
+    polys = [_random_ngon(rng, 5) for _ in range(8)]
     mat = min_distance_matrix(polys)
+    ev = PairDistanceEvaluator(np.stack([p.vertices for p in polys]))
+    ii, jj = np.nonzero(~np.eye(8, dtype=bool))
+    assert (ev.distances(ii, jj) == mat[ii, jj]).all()
     for i in range(8):
         assert mat[i, i] == 0.0
         for j in range(i + 1, 8):
@@ -225,20 +236,26 @@ def test_min_distance_rotated_collinear_cantor_cells():
     a = t.cell(Address((1, 1, 2, 2), 2, 3)).polygon
     b = t.cell(Address((1, 2, 2, 2), 2, 3)).polygon
     assert min_distance(a, b) == pytest.approx(17 / 81, abs=1e-12)
-    assert PairDistanceEvaluator([a, b]).distances([0, 1], [1, 0]) == pytest.approx([17 / 81] * 2, abs=1e-12)
+    ev = PairDistanceEvaluator(np.stack([a.vertices, b.vertices]))
+    assert ev.distances([0, 1], [1, 0]) == pytest.approx([17 / 81] * 2, abs=1e-12)
 
 
 def test_pair_distance_evaluator_mixed_vertex_counts():
+    # one stack per vertex count; each also holds two half-size copies of its
+    # first polygon, one sharing its first vertex and one strictly inside it,
+    # so touching and nested pairs are exercised
     rng = np.random.default_rng(5)
-    polys = [POINT, SEGMENT, KOCH_BASE, UNIT_SQUARE, square(1.5, 0.2, 0.3), ConvexPolygon(np.array([[2.0, 2.0]]))]
-    polys += [_random_convex(rng) for _ in range(4)]
-    ev = PairDistanceEvaluator(polys)
-    ii, jj = np.triu_indices(len(polys), k=1)
-    got = ev.distances(ii, jj)
-    for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-        assert got[k] == min_distance(polys[i], polys[j])
-    for i, p in enumerate(polys):
-        assert tuple(ev.lo[i]) + tuple(ev.hi[i]) == p.bbox()
+    for k in (1, 2, 3, 4, 7):
+        polys = [_random_ngon(rng, k) for _ in range(6)]
+        v, c = polys[0].vertices, polys[0].vertices.mean(axis=0)
+        polys += [ConvexPolygon(v[0] + 0.5 * (v - v[0])), ConvexPolygon(c + 0.5 * (v - c))]
+        ev = PairDistanceEvaluator(np.stack([p.vertices for p in polys]))
+        ii, jj = np.triu_indices(len(polys), k=1)
+        got = ev.distances(ii, jj)
+        for n, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            assert got[n] == min_distance(polys[i], polys[j]), (k, i, j)
+        for i, p in enumerate(polys):
+            assert tuple(ev.lo[i]) + tuple(ev.hi[i]) == p.bbox()
 
 
 def test_box_overlap_pairs_matches_outer_predicate():
@@ -326,6 +343,11 @@ def test_segment_overlap_measure():
     c = ConvexPolygon(np.array([[0.25, 0.5], [1.0, 0.5]]))
     assert overlap_measure(a, b, "length") == pytest.approx(0.25, abs=1e-15)
     assert overlap_measure(a, c, "length") == 0.0
+    stack = np.stack([a.vertices, a.vertices, b.vertices])
+    got = overlap_measures(stack, np.stack([b.vertices, c.vertices, a.vertices]), "length")
+    assert got.tolist() == [overlap_measure(a, b, "length"), 0.0, overlap_measure(b, a, "length")]
+    with pytest.raises(ValueError):
+        overlap_measures(stack, stack, "volume")
 
 
 # ---------------------------------------------------------------------------

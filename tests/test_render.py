@@ -5,8 +5,11 @@ import pytest
 
 from porofractal.codespace import Address
 from porofractal.errors import DepthOutOfRangeError, UnknownAddressError
-from porofractal.render import RenderStyle, render_construction, render_subfractal
-from porofractal.scheme import BUILTIN_NAMES, builtin
+from porofractal.geometry import similarity_map
+from porofractal.render import RenderStyle, _collect, render_construction, render_subfractal
+from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin
+
+from conftest import similarity_conjugate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,6 +126,23 @@ def test_coordinates_use_six_decimals(make_tree):
             x, y = pair.split(",")
             assert len(x.split(".")[1]) == 6
             assert len(y.split(".")[1]) == 6
+
+
+def test_coordinates_match_round_on_each_coordinate():
+    # the carpet scaled by 0.6424955 puts 30 coordinates within an ulp of a
+    # tie in the 7th decimal, where round() on a numpy float (scale, round
+    # half to even, unscale) and correctly rounded formatting disagree; the
+    # renderer keeps round()'s digits
+    s = similarity_conjugate(builtin("carpet"), similarity_map(0.6424955, 0.0))
+    t = build_tree(s, 2)
+    _, y0, _, y1 = s.base.bbox()
+
+    def fmt(v):
+        r = round(v, 6)
+        return f"{0.0 if r == 0.0 else r:.6f}"
+
+    want = [" ".join(f"{fmt(x)},{fmt(y0 + y1 - y)}" for x, y in v) for v in _collect(t, 2)[0]]
+    assert [p.get("points") for p in polygons(render_construction(t, 2))] == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -23,17 +24,25 @@ from porofractal.scheme import (
     Scheme,
     accumulated_map,
     address_polygon,
+    address_vertices,
     build_tree,
     builtin,
     dumps,
     load,
     realize_point,
+    realize_points,
     to_document,
     validate_geometry,
 )
 from porofractal.verifier import full_verify
 
-from conftest import build_levels_oracle, similarity_conjugate
+from conftest import (
+    accumulated_map_oracle,
+    address_vertices_oracle,
+    build_levels_oracle,
+    realize_point_oracle,
+    similarity_conjugate,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -352,6 +361,43 @@ def test_accumulated_map_matches_tree_cells():
         cell = t.cell(Address(w, 2, 3))
         assert np.allclose(acc.linear, cell.acc_map.linear, rtol=0, atol=1e-15)
         assert np.allclose(acc.translation, cell.acc_map.translation, rtol=0, atol=1e-15)
+
+
+def _fold_cases():
+    # the built-ins (koch's kept maps reflect) and a reflected conjugate
+    reflected = similarity_conjugate(builtin("pascal3"), similarity_map(0.8, 0.4, (0.1, 0.2), reflect=True))
+    return [builtin(name) for name in BUILTIN_NAMES] + [reflected]
+
+
+def test_realize_points_bitwise_matches_per_symbol_oracle():
+    for s in _fold_cases():
+        words = [w for n in (1, 2) for w in itertools.product(range(1, s.m + 1), repeat=n)]
+        codes = [Code((), w, s.m) for w in words] + [Code((2, 1), (1, 2), s.m)]
+        for depth in range(1, 21):
+            points, bounds = realize_points(s, codes, depth)
+            for k, c in enumerate(codes):
+                p, bound = realize_point_oracle(s, c, depth)
+                got = np.array([points[k].x, points[k].y])
+                assert got.tobytes() == p.tobytes() and bounds[k] == bound, (s.name, c, depth)
+            assert realize_point(s, codes[-1], depth) == (points[-1], bounds[-1])
+
+
+def test_address_vertices_bitwise_matches_per_symbol_oracle():
+    for s in _fold_cases():
+        groups = [[Address((), s.m, s.M)]]
+        for n in (1, 2, 3):
+            kept = [Address(w, s.m, s.M) for w in itertools.product(range(1, s.m + 1), repeat=n)]
+            groups += [kept, [a.parent().child(j) for a in kept[:: s.m] for j in range(s.m + 1, s.M + 1)]]
+        for words in groups:
+            got = address_vertices(s, words)
+            for k, w in enumerate(words):
+                want = address_vertices_oracle(s, w)
+                assert got[k].tobytes() == want.tobytes(), (s.name, str(w))
+                assert address_polygon(s, w).vertices.tobytes() == want.tobytes()
+                # equal values; a zero entry may differ in sign, since the fold
+                # starts from the identity as build_tree does
+                acc, oracle = accumulated_map(s, w.symbols), accumulated_map_oracle(s, w.symbols)
+                assert np.array_equal(acc.linear, oracle.linear) and np.array_equal(acc.translation, oracle.translation)
 
 
 def test_scheme_document_is_valid_json():

@@ -10,7 +10,6 @@ from porofractal.geometry import (
     ConvexPolygon,
     box_overlap_pairs,
     min_distance,
-    min_distance_matrix,
     overlap_measure,
     similarity_map,
 )
@@ -27,7 +26,7 @@ from porofractal.verifier import (
     separation_sweep,
 )
 
-from conftest import oracle_intersection_area, similarity_conjugate
+from conftest import min_distance_matrix, oracle_intersection_area, similarity_conjugate
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
 
@@ -239,8 +238,9 @@ def _full_matrix_sweep(cells_by_depth, mode):
 
 
 def _sweep(cells_by_depth, mode):
-    # separation_sweep on the polygons, its pair named by the given addresses
-    sweep = separation_sweep([[p for _, p in cells] for cells in cells_by_depth], mode)
+    # separation_sweep on the polygons' vertex stacks, its pair named by the
+    # given addresses
+    sweep = separation_sweep([np.stack([p.vertices for _, p in cells]) for cells in cells_by_depth], mode)
     cells = cells_by_depth[sweep.depth - 1]
     return sweep, cells[sweep.pair[0]][0], cells[sweep.pair[1]][0]
 
