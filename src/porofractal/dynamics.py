@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoSeparationError
-from .geometry import ConvexPolygon, Point2, diameter, point_distance
+from .geometry import Point2, diameter, point_distances
 from .scheme import Scheme, address_vertices, build_tree, realize_points
 from .verifier import SeparationMode, kept_separation
 
@@ -104,11 +106,11 @@ def periodic_density_witnesses(
     words = enumerate_words(s.m, n, M=s.M, caps=caps)
     codes = [periodic_code(w) for w in words]
     points, bounds = realize_points(s, codes, max(n, realize_depth), caps)
-    witnesses = []
-    for w, code, point, bound, cell in zip(words, codes, points, bounds, address_vertices(s, words)):
-        gap = point_distance(point.as_array(), ConvexPolygon._unchecked(cell))
-        witnesses.append(PeriodicWitness(w, code, point, bound, gap, gap <= tol.geom))
-    return witnesses
+    gaps = point_distances(np.array([[p.x, p.y] for p in points]), address_vertices(s, words)).tolist()
+    return [
+        PeriodicWitness(w, code, point, bound, gap, gap <= tol.geom)
+        for w, code, point, bound, gap in zip(words, codes, points, bounds, gaps)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +151,9 @@ def transitivity_witness(s: Scheme, n: int, caps: Caps = DEFAULT_CAPS) -> Transi
     code = Code((), prefix.symbols, s.m)
     symbols = prefix.symbols
     first_visits: dict[str, int] = {}
+    sep = "." if s.M > 9 else ""  # Address's string form
     for k in range(len(symbols) - n + 1):
-        word = symbols[k : k + n]
-        key = str(Address(word, s.m, s.M))
+        key = sep.join(map(str, symbols[k : k + n]))
         if key not in first_visits:
             first_visits[key] = k
     return TransitivityWitness(code, len(symbols), s.m**n, len(first_visits), first_visits)

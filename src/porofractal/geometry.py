@@ -10,6 +10,7 @@ parallel sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -202,83 +203,90 @@ def diameter(p: ConvexPolygon) -> float:
 # distances
 
 
-def _edges(p: ConvexPolygon) -> np.ndarray:
-    """Edge list as an (E, 2, 2) array of (start, end) pairs."""
-    v = p.vertices
-    k = v.shape[0]
-    if k == 1:
-        return np.stack([v, v], axis=1)
-    if k == 2:
-        return v[None, :, :]
-    return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
+@lru_cache(maxsize=None)
+def _edge_ends(V: int) -> np.ndarray:
+    """End vertex index of each edge of a V-vertex polygon, edge i starting
+    at vertex i: a point is the zero-length edge (v0, v0) and a segment its
+    one edge (v0, v1)."""
+    t = (np.arange(V) + 1) % V if V >= 3 else np.array([V - 1])
+    t.setflags(write=False)
+    return t
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points p to segments (a, b); all arrays (N, 2)."""
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / safe, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    d = p - closest
-    return np.hypot(d[:, 0], d[:, 1])
+def _vertex_edge(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from the points p to the segments (a, b) and orientations
+    of p against them (positive on the left), over broadcast (..., 2)
+    arrays.  The closest point is clamped to the segment (Ericson, Real-Time
+    Collision Detection, 2005, 5.1.2); a zero-length one is its start.
+    Every entry takes the same float operations, whatever the shapes, so a
+    table of many vertex-edge pairs is bitwise many scalar queries."""
+    e = b - a
+    w = p - a
+    ex, ey, wx, wy = e[..., 0], e[..., 1], w[..., 0], w[..., 1]
+    denom = ex * ex + ey * ey
+    t = np.clip((wx * ex + wy * ey) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    d = np.hypot(p[..., 0] - (a[..., 0] + t * ex), p[..., 1] - (a[..., 1] + t * ey))
+    return d, ex * wy - ey * wx
 
 
-def _cross3(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
-
-
-def _segment_segment_distance(p1, p2, q1, q2) -> np.ndarray:
-    """Distances between segments (p1, p2) and (q1, q2); all arrays (N, 2)."""
-    d = np.minimum.reduce(
-        [
-            _point_segment_distance(p1, q1, q2),
-            _point_segment_distance(p2, q1, q2),
-            _point_segment_distance(q1, p1, p2),
-            _point_segment_distance(q2, p1, p2),
-        ]
-    )
-    s1 = _cross3(q1, q2, p1)
-    s2 = _cross3(q1, q2, p2)
-    s3 = _cross3(p1, p2, q1)
-    s4 = _cross3(p1, p2, q2)
-    crossing = (s1 * s2 < 0.0) & (s3 * s4 < 0.0)
-    # a proper crossing lies in both bounding boxes; requiring them to meet
-    # keeps rounding noise in the cross products of collinear disjoint
-    # segments from reading as a crossing
-    k = np.nonzero(crossing)[0]
-    if k.shape[0]:
-        a1, a2, b1, b2 = p1[k], p2[k], q1[k], q2[k]
-        meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
-        crossing[k] = meet.all(axis=1)
-    return np.where(crossing, 0.0, d)
+def _inside(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
+    """Whether points[k] lies in the closed polygon cells[k] of a (P, V, 2)
+    stack within distance tol: on the inner side of every edge line, or
+    near a point or segment."""
+    t = _edge_ends(cells.shape[1])
+    if cells.shape[1] < 3:
+        return _vertex_edge(points[:, None], cells[:, :1], cells[:, t])[0][:, 0] <= tol
+    e = cells[:, t] - cells
+    w = points[:, None] - cells
+    cross = e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
+    return (cross / np.hypot(e[..., 0], e[..., 1]) >= -tol).all(axis=1)
 
 
 def point_in_polygon(point, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> bool:
     """True if the point lies in the closed polygon, within distance tol."""
-    return _contains(p.vertices, np.asarray(point, dtype=float).reshape(2), tol)
+    return bool(_inside(np.asarray(point, dtype=float).reshape(1, 2), p.vertices[None], tol)[0])
 
 
-def _contains(v: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    if v.shape[0] == 1:
-        return bool(np.hypot(*(q - v[0])) <= tol)
-    if v.shape[0] == 2:
-        return bool(_point_segment_distance(q[None, :], v[0][None, :], v[1][None, :])[0] <= tol)
-    e = np.roll(v, -1, axis=0) - v
-    w = q[None, :] - v
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    norms = np.hypot(e[:, 0], e[:, 1])
-    return bool((cross / norms >= -tol).all())
+def point_distances(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Distances from the points (P, 2) to the closed convex polygons of a
+    (P, V, 2) stack, row by row (0 inside): the least distance to an edge,
+    one vertex-edge table of one direction."""
+    t = _edge_ends(cells.shape[1])
+    d = _vertex_edge(points[:, None], cells[:, : t.shape[0]], cells[:, t])[0].min(axis=1)
+    return np.where(_inside(points, cells, 0.0), 0.0, d)
 
 
 def point_distance(point, p: ConvexPolygon) -> float:
     """Distance from a point to a closed convex polygon (0 inside)."""
-    q = np.asarray(point, dtype=float).reshape(2)
-    if point_in_polygon(q, p, tol=0.0):
-        return 0.0
-    e = _edges(p)
-    qs = np.broadcast_to(q, (e.shape[0], 2))
-    return float(_point_segment_distance(qs, e[:, 0], e[:, 1]).min())
+    return float(point_distances(np.asarray(point, dtype=float).reshape(1, 2), p.vertices[None])[0])
+
+
+def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances between the boundaries of A[k] and B[k], for stacks
+    (P, Va, 2) and (P, Vb, 2): 0 where they meet.
+
+    Two edges are apart by the least distance from an end of one to the
+    other, unless they cross.  Each such term belongs to one vertex and one
+    edge, so it is computed once: a (P, Va, Eb) table of A's vertices
+    against B's edges, a (P, Vb, Ea) table of B's against A's, each with
+    the orientations.  Edges cross when the ends of each lie strictly on
+    both sides of the other's line: two sign products of table entries."""
+    ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
+    Ea, Eb = ta.shape[0], tb.shape[0]
+    da, oa = _vertex_edge(A[:, :, None], B[:, None, :Eb], B[:, None, tb])
+    db, ob = _vertex_edge(B[:, :, None], A[:, None, :Ea], A[:, None, ta])
+    P = A.shape[0]
+    d = np.minimum(da.reshape(P, -1).min(axis=1), db.reshape(P, -1).min(axis=1))
+    crossing = (oa[:, :Ea] * oa[:, ta] < 0.0) & (ob[:, :Eb] * ob[:, tb] < 0.0).transpose(0, 2, 1)
+    k, i, j = np.nonzero(crossing)
+    if k.shape[0]:
+        # a proper crossing lies in both bounding boxes; requiring them to
+        # meet keeps rounding noise in the orientations of collinear
+        # disjoint segments from reading as a crossing
+        a1, a2, b1, b2 = A[k, i], A[k, ta[i]], B[k, j], B[k, tb[j]]
+        meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
+        d[k[meet.all(axis=1)]] = 0.0
+    return d
 
 
 def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -286,11 +294,7 @@ def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
 
     Zero when they touch, overlap, or one contains the other.
     """
-    ea, eb = _edges(a), _edges(b)
-    na, nb = ea.shape[0], eb.shape[0]
-    A = np.repeat(ea, nb, axis=0)
-    B = np.tile(eb, (na, 1, 1))
-    d = float(_segment_segment_distance(A[:, 0], A[:, 1], B[:, 0], B[:, 1]).min())
+    d = float(_pair_distances(a.vertices[None], b.vertices[None])[0])
     if d > 0.0:
         # boundaries apart: distance is zero only if one polygon contains the other
         if point_in_polygon(a.vertices[0], b, tol=0.0) or point_in_polygon(b.vertices[0], a, tol=0.0):
@@ -305,19 +309,16 @@ class PairDistanceEvaluator:
     """Batched min_distance queries over a fixed polygon set, given as a
     (k, V, 2) vertex stack.
 
-    Edge stacks, bounding boxes, and centroids are computed once, so sweeps
-    that evaluate many index pairs against the same cells stay cheap.
+    Bounding boxes and centroids are computed once, so sweeps that evaluate
+    many index pairs against the same cells stay cheap.  Each chunk of index
+    pairs gathers its two vertex stacks and takes the V·E vertex-edge terms
+    of each direction, not the four terms of each of the E² edge pairs.
     """
 
     def __init__(self, vertices: np.ndarray):
         if not vertices.shape[0]:
             raise ValueError("need at least one polygon")
         self.vertices = vertices
-        if vertices.shape[1] < 3:
-            # a point is the zero-length edge (v0, v0), a segment its one edge
-            self.edges = np.stack([vertices[:, 0], vertices[:, -1]], axis=1)[:, None]
-        else:
-            self.edges = np.stack([vertices, np.roll(vertices, -1, axis=1)], axis=2)
         self.lo, self.hi = vertices.min(axis=1), vertices.max(axis=1)
         self.centroids = vertices.mean(axis=1)
 
@@ -357,25 +358,19 @@ class PairDistanceEvaluator:
         out = np.empty(n)
         if n == 0:
             return out
-        E = self.edges.shape[1]
-        step = max(1, _PAIR_CHUNK // (E * E))
+        V = self.vertices.shape[1]
+        step = max(1, _PAIR_CHUNK // (V * _edge_ends(V).shape[0]))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            A = np.repeat(self.edges[ii[lo:hi]], E, axis=1).reshape(-1, 2, 2)
-            B = np.tile(self.edges[jj[lo:hi]], (1, E, 1, 1)).reshape(-1, 2, 2)
-            d = _segment_segment_distance(A[:, 0], A[:, 1], B[:, 0], B[:, 1])
-            out[lo:hi] = d.reshape(hi - lo, E * E).min(axis=1)
+            out[lo:hi] = _pair_distances(self.vertices[ii[lo:hi]], self.vertices[jj[lo:hi]])
         # boundaries apart but one polygon nested in the other still means 0
         pos = np.nonzero(out > 0.0)[0]
-        if pos.shape[0]:
-            li, lj = self.lo[ii[pos]], self.lo[jj[pos]]
-            hi_, hj = self.hi[ii[pos]], self.hi[jj[pos]]
-            nested = ((li >= lj) & (hi_ <= hj)).all(axis=1) | ((lj >= li) & (hj <= hi_)).all(axis=1)
-            for k in pos[nested].tolist():
-                i, j = int(ii[k]), int(jj[k])
-                a, b = self.vertices[i], self.vertices[j]
-                if _contains(b, a[0], 0.0) or _contains(a, b[0], 0.0):
-                    out[k] = 0.0
+        li, lj = self.lo[ii[pos]], self.lo[jj[pos]]
+        hi_, hj = self.hi[ii[pos]], self.hi[jj[pos]]
+        k = pos[((li >= lj) & (hi_ <= hj)).all(axis=1) | ((lj >= li) & (hj <= hi_)).all(axis=1)]
+        if k.shape[0]:
+            a, b = self.vertices[ii[k]], self.vertices[jj[k]]
+            out[k[_inside(a[:, 0], b, 0.0) | _inside(b[:, 0], a, 0.0)]] = 0.0
         return out
 
 

@@ -109,6 +109,89 @@ def realize_point_oracle(s: Scheme, c: Code, depth: int) -> tuple[np.ndarray, fl
     return verts.mean(axis=0), float(diameters(verts[None])[0])
 
 
+def _edges_oracle(v: np.ndarray) -> np.ndarray:
+    """Edge list (E, 2, 2) of (start, end) pairs: a point is the zero-length
+    edge (v0, v0), a segment its one edge."""
+    if v.shape[0] == 1:
+        return np.stack([v, v], axis=1)
+    if v.shape[0] == 2:
+        return v[None, :, :]
+    return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
+
+
+def _point_segment_oracle(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points p to segments (a, b); all arrays (N, 2)."""
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / safe, 0.0, 1.0)
+    d = p - (a + t[:, None] * ab)
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _cross_oracle(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+
+
+def contains_oracle(v: np.ndarray, q: np.ndarray, tol: float) -> bool:
+    """Closed-polygon membership of the point q within distance tol."""
+    if v.shape[0] == 1:
+        return bool(np.hypot(*(q - v[0])) <= tol)
+    if v.shape[0] == 2:
+        return bool(_point_segment_oracle(q[None, :], v[0][None, :], v[1][None, :])[0] <= tol)
+    e = np.roll(v, -1, axis=0) - v
+    w = q[None, :] - v
+    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
+    return bool((cross / np.hypot(e[:, 0], e[:, 1]) >= -tol).all())
+
+
+def point_distance_oracle(q: np.ndarray, v: np.ndarray) -> float:
+    """Distance from the point q to the closed polygon v: 0 inside, else the
+    least point-segment distance to an edge."""
+    if contains_oracle(v, q, 0.0):
+        return 0.0
+    e = _edges_oracle(v)
+    return float(_point_segment_oracle(np.broadcast_to(q, (e.shape[0], 2)), e[:, 0], e[:, 1]).min())
+
+
+def min_distance_oracle(a: np.ndarray, b: np.ndarray, boxed: bool = False) -> float:
+    """Edge-pair route to the distance of two closed convex polygons: the
+    oracle for geometry.min_distance, and with boxed=True for
+    PairDistanceEvaluator.
+
+    Every edge of a meets every edge of b; a pair is apart by the least of
+    its four end-to-segment distances, or 0 when the edges properly cross
+    (orientation signs differ both ways and the bounding boxes meet).  When
+    the boundaries are apart, one polygon holding a vertex of the other
+    means 0; boxed only asks this when one bounding box holds the other.
+    """
+    ea, eb = _edges_oracle(a), _edges_oracle(b)
+    A = np.repeat(ea, eb.shape[0], axis=0)
+    B = np.tile(eb, (ea.shape[0], 1, 1))
+    p1, p2, q1, q2 = A[:, 0], A[:, 1], B[:, 0], B[:, 1]
+    d = np.minimum.reduce(
+        [
+            _point_segment_oracle(p1, q1, q2),
+            _point_segment_oracle(p2, q1, q2),
+            _point_segment_oracle(q1, p1, p2),
+            _point_segment_oracle(q2, p1, p2),
+        ]
+    )
+    crossing = (_cross_oracle(q1, q2, p1) * _cross_oracle(q1, q2, p2) < 0.0) & (
+        _cross_oracle(p1, p2, q1) * _cross_oracle(p1, p2, q2) < 0.0
+    )
+    meet = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2)) >= np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
+    meet = meet.all(axis=1)
+    dist = float(np.where(crossing & meet, 0.0, d).min())
+    if dist > 0.0 and boxed:
+        la, ha, lb, hb = a.min(axis=0), a.max(axis=0), b.min(axis=0), b.max(axis=0)
+        if not (((la >= lb) & (ha <= hb)).all() or ((lb >= la) & (hb <= ha)).all()):
+            return dist
+    if dist > 0.0 and (contains_oracle(b, a[0], 0.0) or contains_oracle(a, b[0], 0.0)):
+        return 0.0
+    return dist
+
+
 def min_distance_matrix(polys: list[ConvexPolygon]) -> np.ndarray:
     """Symmetric matrix of pairwise scalar min_distance values (diagonal
     zero): the brute-force oracle for the separation sweeps."""

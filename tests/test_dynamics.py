@@ -15,8 +15,10 @@ from porofractal.dynamics import (
     transitivity_witness,
 )
 from porofractal.errors import NoSeparationError
-from porofractal.geometry import point_in_polygon
-from porofractal.scheme import address_polygon, builtin, realize_point
+from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
+from porofractal.scheme import Scheme, address_polygon, builtin, realize_point
+
+from conftest import point_distance_oracle
 
 
 def code_from_dict(d, m):
@@ -72,6 +74,15 @@ def test_periodic_witness_replay_carpet_18():
     assert point_in_polygon(p.as_array(), cell, tol=1e-9)
 
 
+def test_periodic_witness_gaps_match_scalar_oracle():
+    # one batched point_distances call is bitwise the per-word scalar route
+    for name, n in [("cantor", 4), ("koch", 4), ("pascal3", 2), ("carpet", 2)]:
+        s = builtin(name)
+        for w in periodic_density_witnesses(s, n):
+            cell = address_polygon(s, w.cylinder).vertices
+            assert w.gap == point_distance_oracle(w.point.as_array(), cell), (name, str(w.cylinder))
+
+
 # ---------------------------------------------------------------------------
 # transitivity
 
@@ -88,6 +99,26 @@ def test_transitivity_first_m_shifts_cover_depth_one():
         wit = transitivity_witness(s, 1)
         assert wit.complete
         assert sorted(wit.first_visits.values()) == list(range(s.m))
+
+
+def test_transitivity_keys_are_address_strings():
+    # eleven strips of a segment, ten kept: two-digit symbols need the dotted form
+    strips = Scheme(
+        "strips11",
+        10,
+        11,
+        ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]])),
+        tuple(AffineMap2(np.eye(2) / 11.0, np.array([k / 11.0, 0.0])) for k in range(11)),
+        "length",
+    )
+    for s, n in [(builtin("cantor"), 3), (builtin("carpet"), 2), (strips, 2)]:
+        wit = transitivity_witness(s, n)
+        symbols = wit.code.period
+        want: dict[str, int] = {}
+        for k in range(len(symbols) - n + 1):
+            want.setdefault(str(Address(symbols[k : k + n], s.m, s.M)), k)
+        assert list(wit.first_visits.items()) == list(want.items())
+    assert "10.10" in transitivity_witness(strips, 2).first_visits
 
 
 def test_transitivity_koch_n8():

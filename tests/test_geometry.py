@@ -27,12 +27,20 @@ from porofractal.geometry import (
     overlap_measure,
     overlap_measures,
     point_distance,
+    point_distances,
     point_in_polygon,
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
 
-from conftest import clip_by_convex, min_distance_matrix, oracle_intersection_area
+from conftest import (
+    clip_by_convex,
+    contains_oracle,
+    min_distance_matrix,
+    min_distance_oracle,
+    oracle_intersection_area,
+    point_distance_oracle,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -285,6 +293,72 @@ def test_point_distance():
     assert point_distance((2.0, 0.5), UNIT_SQUARE) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
+    rng = np.random.default_rng(17)
+    cases = []
+    for ka, kb in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 4), (3, 7), (4, 4), (5, 6)]:
+        a, b = _random_ngon(rng, ka).vertices, _random_ngon(rng, kb).vertices
+        cases.append((a, b))  # apart or crossing
+        cases.append((a, b - b[-1] + a[0]))  # sharing a vertex
+        cases.append((a, b - b[0] + (a[0] + a[-1]) / 2.0))  # a vertex on an edge
+        cases.append((a, a.mean(axis=0) + 0.01 * (b - b.mean(axis=0))))  # nested, other vertex count
+    # collinear segments and points on one tilted line, apart and overlapping
+    u = np.array([math.cos(0.3), math.sin(0.3)])
+    on_line = [np.outer(t, u) for t in ([0.1], [0.1, 0.4], [0.5, 0.9], [0.3, 0.7], [0.4, 0.8])]
+    cases += [(p, q) for p in on_line for q in on_line]
+    # cantor depth-4 cells 1122 and 1222 in a frame rotated by 0.02 rad
+    s = builtin("cantor")
+    g = similarity_map(1.0, 0.02)
+    g_inv = g.inverse()
+    maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
+    t = build_tree(dataclasses.replace(s, base=apply(g, s.base), child_maps=maps), 4)
+    cases.append(tuple(t.cell(Address(w, 2, 3)).polygon.vertices for w in [(1, 1, 2, 2), (1, 2, 2, 2)]))
+    for a, b in cases:
+        pa, pb = ConvexPolygon._unchecked(a), ConvexPolygon._unchecked(b)
+        assert min_distance(pa, pb) == min_distance_oracle(a, b)
+        assert min_distance(pb, pa) == min_distance_oracle(b, a)
+        if a.shape == b.shape:
+            got = PairDistanceEvaluator(np.stack([a, b])).distances([0, 1], [1, 0])
+            assert got.tolist() == [min_distance_oracle(a, b, True), min_distance_oracle(b, a, True)]
+
+
+def test_pair_distance_evaluator_bitwise_matches_oracle_on_levels():
+    # sibling pairs touch along shared edges; random pairs are mostly apart
+    rng = np.random.default_rng(23)
+    for name, depth in [("carpet", 2), ("pascal3", 2), ("koch", 5), ("cantor", 4)]:
+        V = build_tree(builtin(name), depth).vertices[depth]
+        k = V.shape[0]
+        ii = np.concatenate([np.arange(k - 1), rng.integers(0, k, 150)])
+        jj = np.concatenate([np.arange(1, k), rng.integers(0, k, 150)])
+        got = PairDistanceEvaluator(V).distances(ii, jj)
+        assert got.tolist() == [min_distance_oracle(V[i], V[j], True) for i, j in zip(ii, jj)], name
+
+
+def test_point_distances_bitwise_match_scalar_oracle():
+    rng = np.random.default_rng(29)
+    for k in (1, 2, 3, 4, 7):
+        cells, points = [], []
+        for _ in range(8):
+            v = _random_ngon(rng, k).vertices
+            nxt = np.roll(v, -1, axis=0)
+            e = nxt - v
+            out = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)[:, None]
+            mid = (v + nxt) / 2.0
+            # inside, at the vertices, on the edges, just outside them (within
+            # and beyond the 1e-9 tolerance), and away
+            near = [v.mean(axis=0), *v, *mid, *(mid + 5e-10 * out), *(mid + 3e-9 * out)]
+            near += list(v + rng.uniform(-2.0, 2.0, v.shape))
+            cells += [v] * len(near)
+            points += near
+        cells, points = np.stack(cells), np.array(points)
+        want = [point_distance_oracle(q, v) for q, v in zip(points, cells)]
+        assert point_distances(points, cells).tolist() == want, k
+        assert [point_distance(q, ConvexPolygon._unchecked(v)) for q, v in zip(points, cells)] == want, k
+        for tol in (0.0, 1e-9):
+            got = [point_in_polygon(q, ConvexPolygon._unchecked(v), tol) for q, v in zip(points, cells)]
+            assert got == [contains_oracle(v, q, tol) for q, v in zip(points, cells)], (k, tol)
+
+
 # ---------------------------------------------------------------------------
 # intersection / overlap
 
@@ -484,3 +558,43 @@ def test_min_distance_zero_iff_touching(a, b):
         assert d == 0.0
     if d > 1e-9:
         assert inter <= 1e-12
+
+
+@st.composite
+def ngons(draw):
+    """A convex ccw polygon of 1 to 7 vertices on a random circle."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    angles = draw(st.lists(st.floats(min_value=0.0, max_value=6.28), min_size=k, max_size=k, unique=True))
+    center = np.array([draw(finite_coord), draw(finite_coord)])
+    radius = draw(st.floats(min_value=0.05, max_value=2.0))
+    angles = np.sort(np.array(angles))
+    try:
+        return ConvexPolygon(center + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=ngons(),
+    b=ngons(),
+    place=st.sampled_from(["free", "vertex", "edge", "nested"]),
+    at=st.integers(min_value=0, max_value=6),
+)
+def test_min_distance_bitwise_matches_edge_pair_oracle(a, b, place, at):
+    # mixed vertex counts on the two sides; b is left where it was drawn,
+    # moved to touch a at a vertex or inside an edge, or shrunk into a
+    va, vb = a.vertices, b.vertices
+    i, j = at % va.shape[0], at % vb.shape[0]
+    if place == "vertex":
+        vb = vb - vb[j] + va[i]
+    elif place == "edge":
+        vb = vb - vb[j] + (va[i] + va[(i + 1) % va.shape[0]]) / 2.0
+    elif place == "nested":
+        vb = va.mean(axis=0) + 1e-3 * (vb - vb.mean(axis=0))
+    pa, pb = ConvexPolygon._unchecked(va), ConvexPolygon._unchecked(vb)
+    assert min_distance(pa, pb) == min_distance_oracle(va, vb)
+    assert min_distance(pb, pa) == min_distance_oracle(vb, va)
+    if va.shape == vb.shape:
+        got = PairDistanceEvaluator(np.stack([va, vb])).distances([0, 1], [1, 0])
+        assert got.tolist() == [min_distance_oracle(va, vb, True), min_distance_oracle(vb, va, True)]
