@@ -34,9 +34,7 @@ class Address:
                 raise ValueError("only the last symbol may be a complement index")
 
     def __str__(self) -> str:
-        if self.M > 9:
-            return ".".join(str(s) for s in self.symbols)
-        return "".join(str(s) for s in self.symbols)
+        return ("." if self.M > 9 else "").join(map(str, self.symbols))
 
     @classmethod
     def parse(cls, text: str, m: int, M: int) -> "Address":
@@ -112,7 +110,9 @@ class Code:
     def prefix(self, n: int) -> tuple[int, ...]:
         if self.is_finite and n > len(self.preperiod):
             raise IndexError(f"prefix of length {n} beyond the declared horizon")
-        return tuple(self.symbol_at(i) for i in range(n))
+        # enough whole periods to reach n symbols: none when the preperiod does
+        k = -(-(n - len(self.preperiod)) // len(self.period)) if self.period else 0
+        return (self.preperiod + self.period * k)[: max(n, 0)]
 
     def to_dict(self) -> dict:
         if self.is_finite:

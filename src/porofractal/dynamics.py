@@ -306,25 +306,12 @@ def li_yorke_witness(
     samples = [pu.distance_to(pv) for pu, pv in zip(points[::2], points[1::2])]
     # longest agreement run beginning at a sampled shift, capped at the
     # realization depth (deeper agreement is invisible to the realization)
-    agreement = 0
-    for k in range(horizon):
-        run = 0
-        while run < realize_depth and u.symbol_at(k + run) == v.symbol_at(k + run):
-            run += 1
-        agreement = max(agreement, run)
+    span = horizon - 1 + realize_depth
+    same = np.lib.stride_tricks.sliding_window_view(np.equal(u.prefix(span), v.prefix(span)), realize_depth)
+    agreement = int(np.where(same.all(axis=1), realize_depth, same.argmin(axis=1)).max())
     min_bound = realization_bound(s, agreement) if agreement else 0.0
     max_bound = sep.epsilon0 - 2.0 * realization_bound(s, realize_depth)
-    return LiYorkeWitness(
-        u,
-        v,
-        horizon,
-        tuple(samples),
-        min(samples),
-        max(samples),
-        agreement,
-        min_bound,
-        max_bound,
-    )
+    return LiYorkeWitness(u, v, horizon, tuple(samples), min(samples), max(samples), agreement, min_bound, max_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ MeasureKind = Literal["area", "length"]
 _CONSTRUCTION_TOL = DEFAULT_TOLERANCES.geom
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only C-ordered float copy."""
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point of the plane with finite coordinates."""
@@ -53,7 +60,7 @@ class ConvexPolygon:
     vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
+        v = _frozen(self.vertices)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
         if not np.isfinite(v).all():
@@ -70,8 +77,6 @@ class ConvexPolygon:
             cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
             if (cross < -_CONSTRUCTION_TOL).any():
                 raise ValueError("vertices must be convex in counterclockwise order")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
     @classmethod
@@ -79,9 +84,7 @@ class ConvexPolygon:
         # fast path for polygons that are valid by construction (affine
         # images of validated polygons); skips the invariant checks
         obj = object.__new__(cls)
-        v = np.asarray(vertices, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(obj, "vertices", v)
+        object.__setattr__(obj, "vertices", _frozen(vertices))
         return obj
 
     @property
@@ -102,18 +105,22 @@ class AffineMap2:
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        lin = np.asarray(self.linear, dtype=float)
-        tr = np.asarray(self.translation, dtype=float)
+        lin, tr = _frozen(self.linear), _frozen(self.translation)
         if lin.shape != (2, 2) or tr.shape != (2,):
             raise ValueError("linear must be 2x2 and translation length 2")
         if not (np.isfinite(lin).all() and np.isfinite(tr).all()):
             raise ValueError("map entries must be finite")
-        lin = lin.copy()
-        tr = tr.copy()
-        lin.setflags(write=False)
-        tr.setflags(write=False)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "translation", tr)
+
+    @classmethod
+    def _unchecked(cls, linear: np.ndarray, translation: np.ndarray) -> "AffineMap2":
+        # fast path for maps that are valid by construction (rows of a built
+        # tree); skips the shape and finiteness checks
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "linear", _frozen(linear))
+        object.__setattr__(obj, "translation", _frozen(translation))
+        return obj
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.linear.T + self.translation

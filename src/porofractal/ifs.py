@@ -10,7 +10,7 @@ shift geometrically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -22,12 +22,11 @@ from .geometry import (
     ConvexPolygon,
     MeasureKind,
     Point2,
+    _inside,
     apply,
-    compose,
     measure,
-    point_in_polygon,
 )
-from .scheme import Scheme
+from .scheme import Scheme, _fold, _images, _stack_maps
 from .verifier import SeparationMode, separation_sweep
 
 
@@ -49,6 +48,15 @@ class IteratedSystem:
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    @cached_property
+    def _children(self) -> tuple[np.ndarray, np.ndarray]:
+        return _stack_maps(self.maps)
+
+    @cached_property
+    def _branches(self) -> np.ndarray:
+        # the base's images (m, V, 2) under the maps, as `apply` makes them
+        return _images(self.base.vertices, self._children[0], self._children[1][..., 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +98,14 @@ def compose_word(sys: IteratedSystem, w: Address) -> ConvexPolygon:
 
     Identical to the scheme cell polygon for kept addresses, which is the
     composition order under which the inverse branch map drops the first
-    symbol.
+    symbol.  A one-row call into the scheme's fold: words of any length
+    compose, as only the maps themselves are checked for singularity.
     """
     if len(w) < 1:
         raise ValueError("composed words must be nonempty")
     if not w.is_kept or w.m > sys.m:
         raise ValueError("composed words must use kept indices of the system")
-    acc = reduce(compose, (sys.maps[i - 1] for i in w.symbols))
-    return apply(acc, sys.base)
+    return ConvexPolygon._unchecked(_images(sys.base.vertices, *_fold(sys._children, np.array([w.symbols])))[0])
 
 
 def inverse_shift(sys: IteratedSystem, p: Point2, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Point2, int]:
@@ -107,8 +115,8 @@ def inverse_shift(sys: IteratedSystem, p: Point2, tol: Tolerances = DEFAULT_TOLE
     first-level images touch or overlap near p the branch is not determined
     and AmbiguousBranchError is raised instead of choosing.
     """
-    q = p.as_array()
-    hits = [n for n in range(1, sys.m + 1) if point_in_polygon(q, apply(sys.maps[n - 1], sys.base), tol.geom)]
+    inside = _inside(np.broadcast_to(p.as_array(), (sys.m, 2)), sys._branches, tol.geom)
+    hits = (np.flatnonzero(inside) + 1).tolist()
     if not hits:
         raise OutsideAttractorError(f"point ({p.x}, {p.y}) lies in no branch image")
     if len(hits) > 1:
@@ -125,16 +133,16 @@ def separation_from_maps(
 ) -> float:
     """Separation estimate computed from composed-image polygons.
 
-    Same semantics as the verifier's separation check, but the cells come
-    from map composition rather than a built tree; agreement between the two
-    routes cross-validates the composition order.
+    Same semantics as the verifier's separation check, but the cells of
+    each depth k come from one fold of all m**k words in lexicographic order
+    rather than from a built tree: bitwise the tree's kept cells, at any
+    depth the cell cap allows.
     """
     if sys.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {sys.m ** depth} exceeds the cell cap {caps.cells}")
     cells_by_depth = []
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(depth):
-        # extending in ascending j keeps the word list lexicographic
-        words = [w + (j,) for w in words for j in range(1, sys.m + 1)]
-        cells_by_depth.append(np.stack([compose_word(sys, Address(w, sys.m, sys.m)).vertices for w in words]))
+    for k in range(1, depth + 1):
+        # C-order indices run the last symbol fastest: lexicographic words
+        words = np.indices((sys.m,) * k).reshape(k, -1).T + 1
+        cells_by_depth.append(_images(sys.base.vertices, *_fold(sys._children, words)))
     return separation_sweep(cells_by_depth, mode, caps).value

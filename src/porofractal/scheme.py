@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class Scheme:
         """Largest operator norm among the kept child maps."""
         return max(self.child_maps[j].operator_norm for j in range(self.m))
 
+    @cached_property
+    def _children(self) -> tuple[np.ndarray, np.ndarray]:
+        return _stack_maps(self.child_maps)
+
 
 @dataclass(frozen=True, eq=False)
 class Cell:
@@ -108,7 +112,7 @@ class CellTree:
     def levels(self) -> tuple["_CellView", ...]:
         # not cached: views refer to the tree, and a cycle would keep every
         # tree's arrays alive until the cyclic garbage collector runs
-        return tuple(_CellView(self, n, range(v.shape[0])) for n, v in enumerate(self.vertices))
+        return tuple(_CellView(self, n, np.arange(v.shape[0])) for n, v in enumerate(self.vertices))
 
     def kept_rows(self, depth: int) -> np.ndarray:
         """Rows of the kept cells of a level, in address order."""
@@ -143,20 +147,22 @@ class CellTree:
         raise UnknownAddressError(f"no cell with address {address!s}")
 
     def cell(self, address: Address) -> Cell:
-        return self._cell(len(address), self.row(address))
+        return self._cells(len(address), [self.row(address)])[0]
 
     @cached_property
     def _made(self) -> tuple[dict[int, Cell], ...]:
         return tuple({} for _ in self.vertices)
 
-    def _cell(self, depth: int, row: int) -> Cell:
-        # made once per row, so repeated indexing returns the same Cell
-        made = self._made[depth]
-        if row not in made:
-            kind = "kept" if row % self.scheme.M < self.scheme.m else "complement"
-            acc = AffineMap2(self.linear[depth][row], self.translation[depth][row])
-            made[row] = Cell(self.address(depth, row), ConvexPolygon._unchecked(self.vertices[depth][row]), kind, acc)
-        return made[row]
+    def _cells(self, depth: int, rows: Sequence[int]) -> list[Cell]:
+        # made once per row, so repeated indexing returns the same Cell; the
+        # rows not yet made are decoded in one `symbols` call
+        made, (m, M) = self._made[depth], (self.scheme.m, self.scheme.M)
+        new = [r for r in rows if r not in made]
+        for r, w in zip(new, self.symbols(depth, np.array(new, dtype=np.intp)).tolist()):
+            kind = "kept" if r % M < m else "complement"
+            acc = AffineMap2._unchecked(self.linear[depth][r], self.translation[depth][r])
+            made[r] = Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind, acc)
+        return [made[r] for r in rows]
 
     def kept_cells(self, depth: int) -> "_CellView":
         return _CellView(self, depth, self.kept_rows(depth))
@@ -164,8 +170,7 @@ class CellTree:
     def complement_cells(self, max_order: int | None = None) -> Iterator[Cell]:
         top = self.depth if max_order is None else max_order
         for n in range(1, top + 1):
-            for row in self.complement_rows(n).tolist():
-                yield self._cell(n, row)
+            yield from self._cells(n, self.complement_rows(n).tolist())
 
     def cell_measure(self, cell: Cell) -> float:
         return measure(cell.polygon, self.scheme.measure_kind)
@@ -174,7 +179,7 @@ class CellTree:
 class _CellView(Sequence):
     """Some rows of one tree level, read as Cells made on demand."""
 
-    def __init__(self, tree: CellTree, depth: int, rows: range | np.ndarray):
+    def __init__(self, tree: CellTree, depth: int, rows: np.ndarray):
         self._tree, self._depth, self._rows = tree, depth, rows
 
     def __len__(self) -> int:
@@ -182,8 +187,11 @@ class _CellView(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._tree._cell(self._depth, int(r)) for r in self._rows[i])
-        return self._tree._cell(self._depth, int(self._rows[i]))
+            return tuple(self._tree._cells(self._depth, self._rows[i].tolist()))
+        return self._tree._cells(self._depth, [int(self._rows[i])])[0]
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self._tree._cells(self._depth, self._rows.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +384,9 @@ def accumulated_map(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
 
     The outer-first order makes every child cell a subset of its parent cell.
     """
-    L, T = _fold(s, np.array([symbols], dtype=np.intp))
+    if not all(1 <= j <= s.M for j in symbols):
+        raise ValueError(f"child indices must lie in 1..{s.M}")
+    L, T = _fold(s._children, np.array([symbols], dtype=np.intp))
     return AffineMap2(L[0], T[0])
 
 
@@ -389,20 +399,20 @@ def address_vertices(s: Scheme, words: Sequence[Address]) -> np.ndarray:
     """Vertices (W, V, 2) of the cells realized by addresses of one length,
     without building a tree."""
     symbols = np.array([w.symbols for w in words], dtype=np.intp)
-    _require_nonsingular_children(s, set(symbols.ravel().tolist()))
-    return _images(s.base.vertices, *_fold(s, symbols))
+    return _images(s.base.vertices, *_fold(s._children, symbols))
 
 
-def _require_nonsingular_children(s: Scheme, symbols: Iterable[int]) -> None:
-    # det is multiplicative, so composed maps stay nonsingular however small
-    # their cells get; only the child maps themselves can be singular
-    for j in symbols:
-        _require_nonsingular(s.child_map(j))
+def _stack_maps(maps: Sequence[AffineMap2]) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (M, 2, 2) and translation columns (M, 2, 1) of some maps.
 
-
-def _child_arrays(s: Scheme) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (M, 2, 2) and translation columns (M, 2, 1) of the child maps."""
-    return np.stack([w.linear for w in s.child_maps]), np.stack([w.translation for w in s.child_maps])[..., None]
+    Raises SingularMapError if one map is singular, on every call, as the
+    `_children` caches store no exception.  det is multiplicative, so every
+    composition of the maps is nonsingular however small its cell gets, and
+    needs no check of its own.
+    """
+    for w in maps:
+        _require_nonsingular(w)
+    return np.stack([w.linear for w in maps]), np.stack([w.translation for w in maps])[..., None]
 
 
 def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,16 +421,18 @@ def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tupl
     return L @ lin, (L @ tr)[..., 0] + T
 
 
-def _fold(s: Scheme, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear parts (W, 2, 2) and translations (W, 2) of the accumulated maps
-    of the rows of `words` (W, n), first symbol outermost: build_tree's step
-    applied one symbol column at a time, starting from the identity."""
-    if words.size and (words.min() < 1 or words.max() > s.M):
-        raise ValueError(f"child indices must lie in 1..{s.M}")
-    lin, tr = _child_arrays(s)
-    L, T = np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
-    for col in words.T - 1:
-        L, T = _step(L, T, lin[col], tr[col])
+    of the rows of `words` (W, n) over `_stack_maps` arrays, first symbol
+    outermost: the first column's maps, then build_tree's step per column,
+    as `reduce(compose, ...)` goes, so each row is bitwise that composition.
+    A call costs n stacked steps whatever W is; the caller checks symbols."""
+    if not words.size:
+        return np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
+    lins, trs = children[0][words.T - 1], children[1][words.T - 1]
+    L, T = lins[0], trs[0, ..., 0]
+    for lin, tr in zip(lins[1:], trs[1:]):
+        L, T = _step(L, T, lin, tr)
     return L, T
 
 
@@ -446,8 +458,7 @@ def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
         raise ValueError("depth must be at least 1")
     if s.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {s.m**depth} exceeds the cell cap {caps.cells}")
-    _require_nonsingular_children(s, range(1, s.M + 1))
-    child_linear, child_translation = _child_arrays(s)
+    child_linear, child_translation = s._children
     lin, tr, verts = [np.eye(2)[None]], [np.zeros((1, 2))], [s.base.vertices[None]]
     for _ in range(depth):
         keep = np.arange(lin[-1].shape[0]) % s.M < s.m
@@ -476,7 +487,7 @@ def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DE
     if words.size and words.max() > s.m:
         raise ValueError("code symbols must be kept indices of the scheme")
     # unflipped: the centroid adds the vertices in AffineMap2.transform order
-    verts = _images(s.base.vertices, *_fold(s, words), ccw=False)
+    verts = _images(s.base.vertices, *_fold(s._children, words), ccw=False)
     return [Point2(x, y) for x, y in verts.mean(axis=1).tolist()], diameters(verts).tolist()
 
 

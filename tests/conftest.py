@@ -7,7 +7,7 @@ import pytest
 
 from porofractal.codespace import Address, Code
 from porofractal.geometry import AffineMap2, ConvexPolygon, _image, apply, compose, diameters, identity_map
-from porofractal.geometry import min_distance
+from porofractal.geometry import min_distance, similarity_map
 from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
 
 
@@ -207,6 +207,13 @@ def similarity_conjugate(s: Scheme, g: AffineMap2) -> Scheme:
     g_inv = g.inverse()
     maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
     return dataclasses.replace(s, name=f"{s.name}-conj", base=apply(g, s.base), child_maps=maps)
+
+
+def fold_cases() -> list[Scheme]:
+    """The built-ins (koch's kept maps reflect) and a reflected conjugate:
+    the schemes the batched fold routes are compared with their oracles on."""
+    reflected = similarity_conjugate(builtin("pascal3"), similarity_map(0.8, 0.4, (0.1, 0.2), reflect=True))
+    return [builtin(name) for name in BUILTIN_NAMES] + [reflected]
 
 
 def shrunk_complement_carpet() -> Scheme:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from porofractal.codespace import (
@@ -194,3 +194,23 @@ def test_shifted_codes_stay_eventually_periodic(pre, per, k):
         rotated = tuple(per[(expected_rotation + i) % len(per)] for i in range(len(per)))
         assert out == Code((), rotated, 3)
         assert len(out.period) == len(per)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pre=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=7),
+    per=st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=7),
+    extra=st.integers(min_value=0, max_value=40),
+)
+def test_code_prefix_matches_symbol_at(pre, per, extra):
+    # prefix slices whole periods; symbol_at is the per-symbol definition
+    assume(pre or per)
+    c = Code(tuple(pre), tuple(per), 4)
+    for n in range(len(pre) + len(per) + extra + 1):
+        if c.is_finite and n > len(pre):
+            with pytest.raises(IndexError):
+                c.prefix(n)
+            with pytest.raises(IndexError):
+                c.symbol_at(n - 1)
+        else:
+            assert c.prefix(n) == tuple(c.symbol_at(i) for i in range(n))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from porofractal import geometry
-from porofractal.codespace import Address, Code, periodic_code, shift
+from porofractal.codespace import Address, Code, finite_code, periodic_code, shift
 from porofractal.dynamics import (
     chaos_report,
     estimate_separation,
@@ -16,7 +16,8 @@ from porofractal.dynamics import (
 )
 from porofractal.errors import NoSeparationError
 from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
-from porofractal.scheme import Scheme, address_polygon, builtin, realize_point
+from porofractal.ifs import compose_word, from_scheme, separation_from_maps
+from porofractal.scheme import BUILTIN_NAMES, Scheme, address_polygon, builtin, realize_point, realize_points
 
 from conftest import point_distance_oracle
 
@@ -211,6 +212,24 @@ def test_li_yorke_replay():
         u, v = shift(u), shift(v)
 
 
+def test_li_yorke_agreement_matches_per_symbol_runs():
+    # the longest run of agreeing symbols from a sampled shift, capped at
+    # the realization depth, counted one symbol at a time
+    for name in BUILTIN_NAMES:
+        s = builtin(name)
+        sep = estimate_separation(s, 2)
+        for horizon, realize_depth in [(4, 1), (5, 3), (16, 12), (33, 7), (64, 12), (64, 20)]:
+            wit = li_yorke_witness(s, horizon, sep, realize_depth)
+            u, v = wit.code_u, wit.code_v
+            runs = []
+            for k in range(horizon):
+                run = 0
+                while run < realize_depth and u.symbol_at(k + run) == v.symbol_at(k + run):
+                    run += 1
+                runs.append(run)
+            assert wit.agreement_depth == max(runs), (name, horizon, realize_depth)
+
+
 def test_li_yorke_rejects_tiny_horizon():
     s = builtin("cantor")
     sep = estimate_separation(s, 1)
@@ -273,17 +292,33 @@ def test_chaos_report_json_shape():
 
 def test_chaos_report_composes_no_single_maps(monkeypatch):
     # every witness family realizes its codes through scheme's stacked fold,
-    # never one geometry.compose per symbol
-    calls = []
-    original = geometry.compose
+    # never one geometry.compose per symbol; the IFS words go through the
+    # same fold with no compose or apply, and a code's prefix is sliced,
+    # not read one symbol_at per symbol
+    counts = {"compose": [], "apply": [], "symbol_at": []}
+    calls = counts["compose"]
+    originals = {key: getattr(geometry, key) for key in ("compose", "apply")}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counter(key, fn):
+        def counted(*args, **kwargs):
+            counts[key].append(args)
+            return fn(*args, **kwargs)
+
+        return counted
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("porofractal") and getattr(mod, "compose", None) is original:
-            monkeypatch.setattr(mod, "compose", counting)
+        for key, fn in originals.items():
+            if name.startswith("porofractal") and getattr(mod, key, None) is fn:
+                monkeypatch.setattr(mod, key, counter(key, fn))
     for name, n in [("cantor", 4), ("koch", 4), ("pascal3", 2), ("carpet", 2)]:
         chaos_report(builtin(name), n, 16)
     assert not calls
+    monkeypatch.setattr(Code, "symbol_at", counter("symbol_at", Code.symbol_at))
+    for name in BUILTIN_NAMES:
+        s = builtin(name)
+        system = from_scheme(s)
+        compose_word(system, Address((1, 2) * 6, s.m, s.m))
+        separation_from_maps(system, 2, "pairwise")
+        codes = [periodic_code(Address((2, 1), s.m, s.M)), Code((1,), (2, 1, 1), s.m), finite_code((2,) * 20, s.m)]
+        realize_points(s, codes, 20)
+    assert not calls and not counts["apply"] and not counts["symbol_at"]

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from porofractal import ifs
 from porofractal.codespace import Address, Code
-from porofractal.config import Caps
+from porofractal.config import Caps, Tolerances
 from porofractal.errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError
-from porofractal.geometry import Point2
+from porofractal.geometry import Point2, apply
 from porofractal.ifs import (
     IteratedSystem,
     SetApproximation,
@@ -17,9 +19,11 @@ from porofractal.ifs import (
     separation_from_maps,
     total_measure,
 )
-from porofractal.scheme import BUILTIN_NAMES, builtin, realize_point
-from porofractal.verifier import check_separation
+from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, realize_point
+from porofractal.verifier import check_separation, kept_separation
 from porofractal.codespace import shift
+
+from conftest import address_vertices_oracle, contains_oracle, fold_cases
 
 
 def kept_words(m, n):
@@ -232,3 +236,99 @@ def test_separation_from_maps_cap():
     sys_ = from_scheme(builtin("carpet"))
     with pytest.raises(CapExceededError):
         separation_from_maps(sys_, 8, caps=Caps(cells=1000))
+
+
+# ---------------------------------------------------------------------------
+# the stacked fold against the per-symbol oracle
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_compose_word_composes_past_nine_symbols(name):
+    # the composed map of twenty symbols has |det| far below the geometric
+    # tolerance; only the maps themselves are checked for singularity
+    s = builtin(name)
+    w = Address((1,) * 20, s.m, s.m)
+    want = address_vertices_oracle(s, Address(w.symbols, s.m, s.M))
+    assert compose_word(from_scheme(s), w).vertices.tobytes() == want.tobytes()
+
+
+def test_separation_from_maps_past_nine_symbols():
+    s = builtin("cantor")
+    via_tree = kept_separation(build_tree(s, 10), "pairwise")[0].value
+    assert separation_from_maps(from_scheme(s), 10, "pairwise") == via_tree == 1.69350878084229e-05
+
+
+def test_compose_word_bitwise_matches_per_symbol_oracle():
+    rng = np.random.default_rng(7)
+    for s in fold_cases():
+        sys_ = from_scheme(s)
+        for n in range(1, 13):
+            for row in rng.integers(1, s.m + 1, size=(12, n)):
+                w = tuple(row.tolist())
+                want = address_vertices_oracle(s, Address(w, s.m, s.M))
+                assert compose_word(sys_, Address(w, s.m, s.m)).vertices.tobytes() == want.tobytes(), (s.name, w)
+
+
+def test_separation_from_maps_depth_stacks_bitwise_match_oracle(monkeypatch):
+    stacks = []
+    real_sweep = ifs.separation_sweep
+
+    def capturing(cells_by_depth, mode, caps):
+        stacks.append(cells_by_depth)
+        return real_sweep(cells_by_depth, mode, caps)
+
+    monkeypatch.setattr(ifs, "separation_sweep", capturing)
+    for s in fold_cases():
+        depth = 10 if s.m == 2 else 3
+        separation_from_maps(from_scheme(s), depth, "pairwise")
+        cells_by_depth = stacks.pop()
+        assert len(cells_by_depth) == depth
+        for n, cells in enumerate(cells_by_depth, start=1):
+            words = list(itertools.product(range(1, s.m + 1), repeat=n))
+            assert cells.shape[0] == len(words)
+            for k, w in enumerate(words):
+                want = address_vertices_oracle(s, Address(w, s.m, s.M))
+                assert cells[k].tobytes() == want.tobytes(), (s.name, w)
+
+
+def _inverse_shift_oracle(sys_, p, tol):
+    # every branch image made by `apply` and tested on its own
+    q = p.as_array()
+    hits = [n for n in range(1, sys_.m + 1) if contains_oracle(apply(sys_.maps[n - 1], sys_.base).vertices, q, tol.geom)]
+    if not hits:
+        raise OutsideAttractorError
+    if len(hits) > 1:
+        raise AmbiguousBranchError
+    return sys_.maps[hits[0] - 1].inverse(tol.geom).transform_point(p), hits[0]
+
+
+def _outcome(f, *args):
+    try:
+        q, branch = f(*args)
+    except (OutsideAttractorError, AmbiguousBranchError) as exc:
+        return type(exc)
+    return np.array([q.x, q.y]).tobytes(), branch
+
+
+def test_inverse_shift_matches_per_branch_oracle():
+    rng = np.random.default_rng(11)
+    for s in fold_cases():
+        sys_ = from_scheme(s)
+        images = [apply(w, s.base).vertices for w in sys_.maps]
+        lo, hi = s.base.vertices.min(axis=0), s.base.vertices.max(axis=0)
+        points = list(rng.uniform(lo - 0.1, hi + 0.1, size=(150, 2)))
+        points += [v for img in images for v in img]  # branch corners: boundary points
+        points += [(img + np.roll(img, -1, axis=0)) / 2 for img in images]  # edge midpoints
+        points = np.vstack([np.reshape(p, (-1, 2)) for p in points])
+        # just off, off by more than one tolerance and less than the other, far outside
+        points = np.vstack([points, points + 5e-10, points - 1e-7, [[5.0, 5.0]]])
+        for tol in (Tolerances(), Tolerances(geom=1e-6)):
+            seen = set()
+            for x, y in points.tolist():
+                p = Point2(x, y)
+                want = _outcome(_inverse_shift_oracle, sys_, p, tol)
+                assert _outcome(inverse_shift, sys_, p, tol) == want, (s.name, x, y, tol.geom)
+                seen.add(want if isinstance(want, type) else "hit")
+            assert "hit" in seen and OutsideAttractorError in seen, s.name
+            if s.name != "cantor":
+                assert AmbiguousBranchError in seen, s.name

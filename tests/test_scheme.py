@@ -40,6 +40,7 @@ from conftest import (
     accumulated_map_oracle,
     address_vertices_oracle,
     build_levels_oracle,
+    fold_cases,
     realize_point_oracle,
     similarity_conjugate,
 )
@@ -363,14 +364,8 @@ def test_accumulated_map_matches_tree_cells():
         assert np.allclose(acc.translation, cell.acc_map.translation, rtol=0, atol=1e-15)
 
 
-def _fold_cases():
-    # the built-ins (koch's kept maps reflect) and a reflected conjugate
-    reflected = similarity_conjugate(builtin("pascal3"), similarity_map(0.8, 0.4, (0.1, 0.2), reflect=True))
-    return [builtin(name) for name in BUILTIN_NAMES] + [reflected]
-
-
 def test_realize_points_bitwise_matches_per_symbol_oracle():
-    for s in _fold_cases():
+    for s in fold_cases():
         words = [w for n in (1, 2) for w in itertools.product(range(1, s.m + 1), repeat=n)]
         codes = [Code((), w, s.m) for w in words] + [Code((2, 1), (1, 2), s.m)]
         for depth in range(1, 21):
@@ -383,7 +378,7 @@ def test_realize_points_bitwise_matches_per_symbol_oracle():
 
 
 def test_address_vertices_bitwise_matches_per_symbol_oracle():
-    for s in _fold_cases():
+    for s in fold_cases():
         groups = [[Address((), s.m, s.M)]]
         for n in (1, 2, 3):
             kept = [Address(w, s.m, s.M) for w in itertools.product(range(1, s.m + 1), repeat=n)]
@@ -394,12 +389,66 @@ def test_address_vertices_bitwise_matches_per_symbol_oracle():
                 want = address_vertices_oracle(s, w)
                 assert got[k].tobytes() == want.tobytes(), (s.name, str(w))
                 assert address_polygon(s, w).vertices.tobytes() == want.tobytes()
-                # equal values; a zero entry may differ in sign, since the fold
-                # starts from the identity as build_tree does
+                # equal values; test_accumulated_map_bitwise_matches_per_symbol_oracle
+                # checks the bits
                 acc, oracle = accumulated_map(s, w.symbols), accumulated_map_oracle(s, w.symbols)
                 assert np.array_equal(acc.linear, oracle.linear) and np.array_equal(acc.translation, oracle.translation)
+
+
+def test_accumulated_map_bitwise_matches_per_symbol_oracle():
+    # the fold starts from the first symbol's map, as reduce(compose) does,
+    # so even the sign of a zero entry agrees
+    rng = np.random.default_rng(5)
+    for s in fold_cases():
+        for n in (1, 2, 3, 5, 12, 20):
+            for row in rng.integers(1, s.M + 1, size=(20, n)):
+                w = tuple(row.tolist())
+                acc, oracle = accumulated_map(s, w), accumulated_map_oracle(s, w)
+                assert acc.linear.tobytes() == oracle.linear.tobytes(), (s.name, w)
+                assert acc.translation.tobytes() == oracle.translation.tobytes(), (s.name, w)
+    assert accumulated_map(builtin("koch"), ()).linear.tobytes() == np.eye(2).tobytes()
+    with pytest.raises(ValueError):
+        accumulated_map(builtin("koch"), (1, 4))
+    with pytest.raises(ValueError):
+        accumulated_map(builtin("koch"), (0,))
 
 
 def test_scheme_document_is_valid_json():
     doc = json.loads(dumps(builtin("koch")))
     assert doc["m"] == 2 and doc["M"] == 3 and len(doc["maps"]) == 3
+
+
+@pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 6)])
+def test_cell_views_match_per_row_route(name, depth):
+    # every way of reading a Cell gives the address, map and polygon of
+    # its row, and the same object for the same row
+    t = build_tree(builtin(name), depth)
+    m, M = t.scheme.m, t.scheme.M
+
+    def check(cell, n, row):
+        assert cell.address == Address(tuple(t.symbols(n, np.array([row]))[0].tolist()), m, M)
+        assert cell.address == t.address(n, row) and t.row(cell.address) == row
+        assert cell.acc_map.linear.tobytes() == t.linear[n][row].tobytes()
+        assert cell.acc_map.translation.tobytes() == t.translation[n][row].tobytes()
+        assert cell.polygon.vertices.tobytes() == t.vertices[n][row].tobytes()
+        assert cell.kind == ("kept" if row % M < m else "complement")
+        assert t.cell(cell.address) is cell
+
+    for n in range(depth + 1):
+        rows = np.arange(t.vertices[n].shape[0])
+        kept = t.kept_rows(n) if n else rows
+        for view, view_rows in ((t.levels[n], rows), (t.kept_cells(n), kept)):
+            assert len(view) == len(view_rows)
+            for i in (0, len(view) // 2, -1):
+                check(view[i], n, int(view_rows[i]))
+            for sl in (slice(None), slice(1, None, 3), slice(None, None, -2), slice(5, 2)):
+                cells = view[sl]
+                assert isinstance(cells, tuple) and len(cells) == len(view_rows[sl])
+                for cell, row in zip(cells, view_rows[sl].tolist()):
+                    check(cell, n, row)
+            assert list(view) == list(view[:])
+    comps = list(t.complement_cells())
+    rows = [(n, r) for n in range(1, depth + 1) for r in t.complement_rows(n).tolist()]
+    assert len(comps) == len(rows)
+    for cell, (n, row) in zip(comps, rows):
+        check(cell, n, row)
