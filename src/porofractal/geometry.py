@@ -9,6 +9,7 @@ parallel sweeps.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -161,6 +162,75 @@ def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: 
     if reflect:
         rot = rot @ np.diag([1.0, -1.0])
     return AffineMap2(scale * rot, np.asarray(translation, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# map application: one map, or stacks of maps and words over them
+
+
+def apply(m: AffineMap2, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> ConvexPolygon:
+    """Vertex-wise image of p under m, reordered ccw if m reverses orientation."""
+    _require_nonsingular(m, tol)
+    # a nonsingular affine image of a convex ccw polygon is convex ccw
+    return ConvexPolygon._unchecked(_images(p.vertices, m.linear[None], m.translation[None])[0])
+
+
+def _require_nonsingular(m: AffineMap2, tol: float = _CONSTRUCTION_TOL) -> None:
+    if abs(m.det) <= tol:
+        raise SingularMapError("map is numerically singular")
+
+
+def compose(outer: AffineMap2, inner: AffineMap2) -> AffineMap2:
+    """The map x -> outer(inner(x))."""
+    return AffineMap2(outer.linear @ inner.linear, outer.linear @ inner.translation + outer.translation)
+
+
+def _stack_maps(maps: Sequence[AffineMap2]) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (M, 2, 2) and translation columns (M, 2, 1) of some maps.
+
+    Raises SingularMapError if one map is singular, on every call, as the
+    `_children` caches store no exception.  det is multiplicative, so every
+    composition of the maps is nonsingular however small its cell gets, and
+    needs no check of its own.
+    """
+    for w in maps:
+        _require_nonsingular(w)
+    return np.stack([w.linear for w in maps]), np.stack([w.translation for w in maps])[..., None]
+
+
+def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (L, T) o (lin, tr) in the operand order of `compose`, so that stacked
+    # products are bitwise the per-map ones
+    return L @ lin, (L @ tr)[..., 0] + T
+
+
+def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (W, 2, 2) and translations (W, 2) of the accumulated maps
+    of the rows of `words` (W, n) over `_stack_maps` arrays, first symbol
+    outermost: the first column's maps, then build_tree's step per column,
+    as `reduce(compose, ...)` goes, so each row is bitwise that composition.
+    A call costs n stacked steps whatever W is; the caller checks symbols."""
+    if not words.size:
+        return np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
+    lins, trs = children[0][words.T - 1], children[1][words.T - 1]
+    L, T = lins[0], trs[0, ..., 0]
+    for lin, tr in zip(lins[1:], trs[1:]):
+        L, T = _step(L, T, lin, tr)
+    return L, T
+
+
+def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) -> np.ndarray:
+    """The base's vertices under each map (L[k], T[k]), (N, V, 2), in the
+    operand order of `AffineMap2.transform`; with ccw, reversed where the
+    map reverses orientation."""
+    v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
+    if ccw and base.shape[0] >= 3:
+        # det < 0, compared without the subtraction: a difference of two
+        # floats is negative exactly when the first is the smaller
+        flip = L[:, 0, 0] * L[:, 1, 1] < L[:, 0, 1] * L[:, 1, 0]
+        if flip.any():
+            v[flip] = v[flip, ::-1]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +563,9 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     count.  Crossings are computed parametrically on the subject edge, so
     every emitted point lies on that edge; sign noise at shared vertices can
     only produce degenerate slivers, never far-away intersection artifacts.
-    Each area is the shoelace sum of its row, added in the order np.sum
-    adds a 1-D array, so it is bitwise the area of that clipped polygon.
+    Each area is the shoelace sum of its row, which numpy adds pairwise
+    along the row as it adds a 1-D array, so it is bitwise the area of that
+    clipped polygon.
     """
     S = np.asarray(S, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -534,32 +605,8 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
         r = np.nonzero(count == k)[0]
         x, y = pts[r, :k, 0], pts[r, :k, 1]
         roll = np.r_[1:k, 0]
-        out[r] = np.abs(_row_sums(x * y[:, roll] - x[:, roll] * y)) / 2.0
+        out[r] = np.abs((x * y[:, roll] - x[:, roll] * y).sum(axis=1)) / 2.0
     return out
-
-
-def _row_sums(T: np.ndarray) -> np.ndarray:
-    """Sum of each row of T, bitwise as np.sum adds a 1-D array: fewer than
-    8 terms one after another, up to 128 in 8 running partial sums combined
-    as a tree and then the remainder, more by halving at a multiple of 8."""
-    k = T.shape[1]
-    if k < 8:
-        acc = T[:, 0]
-        for j in range(1, k):
-            acc = acc + T[:, j]
-        return acc
-    if k > 128:
-        h = k // 2 - (k // 2) % 8
-        return _row_sums(T[:, :h]) + _row_sums(T[:, h:])
-    r = T[:, :8].copy()
-    j = 8
-    while j + 8 <= k:
-        r += T[:, j : j + 8]
-        j += 8
-    acc = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for rest in range(j, k):
-        acc = acc + T[:, rest]
-    return acc
 
 
 def intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -567,21 +614,24 @@ def intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return float(overlap_areas(a.vertices[None], b.vertices[None])[0])
 
 
-def _segment_overlap_length(a: np.ndarray, b: np.ndarray, tol: float) -> float:
-    """Length of the common part of two collinear closed segments, given as
-    vertex arrays (0 when either is a point)."""
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        return 0.0
-    p0, p1 = a
-    d = p1 - p0
-    la = float(np.hypot(d[0], d[1]))
-    u = d / la
-    for q in b:
-        if abs(u[0] * (q[1] - p0[1]) - u[1] * (q[0] - p0[0])) > tol:
-            return 0.0
-    s = [float(np.dot(q - p0, u)) for q in b]
-    lo, hi = min(s), max(s)
-    return max(0.0, min(la, hi) - max(0.0, lo))
+def _overlap_lengths(S: np.ndarray, C: np.ndarray, tol: float) -> np.ndarray:
+    """Lengths of the common parts of the segments S[k] and the collinear
+    closed polygons C[k], for stacks (P, 2, 2) and (P, Vc, 2): 0 where
+    either is a point or a vertex of C[k] lies off the line of S[k] by more
+    than tol.  Each vertex is projected onto the segment's direction by its
+    own (1, 2) @ (2, 1) product, which rounds as `np.dot` of two vectors."""
+    if S.shape[1] > 2:
+        raise ValueError("length overlaps are only defined for segments")
+    if S.shape[1] < 2 or C.shape[1] < 2:
+        return np.zeros(S.shape[0])
+    p0, d = S[:, 0], S[:, 1] - S[:, 0]
+    la = np.hypot(d[:, 0], d[:, 1])
+    u = d / la[:, None]
+    w = C - p0[:, None]
+    off = (np.abs(u[:, None, 0] * w[..., 1] - u[:, None, 1] * w[..., 0]) > tol).any(axis=1)
+    s = (w[..., None, :] @ u[:, None, :, None])[..., 0, 0]
+    common = np.maximum(0.0, np.minimum(la, s.max(axis=1)) - np.maximum(0.0, s.min(axis=1)))
+    return np.where(off, 0.0, common)
 
 
 def overlap_measures(S: np.ndarray, C: np.ndarray, kind: MeasureKind, tol: float = _CONSTRUCTION_TOL) -> np.ndarray:
@@ -591,41 +641,10 @@ def overlap_measures(S: np.ndarray, C: np.ndarray, kind: MeasureKind, tol: float
     if kind == "area":
         return overlap_areas(S, C)
     if kind == "length":
-        return np.array([_segment_overlap_length(a, b, tol) for a, b in zip(S, C)], dtype=float)
+        return _overlap_lengths(np.asarray(S, dtype=float), np.asarray(C, dtype=float), tol)
     raise ValueError(f"unknown measure kind {kind!r}")
 
 
 def overlap_measure(a: ConvexPolygon, b: ConvexPolygon, kind: MeasureKind, tol: float = _CONSTRUCTION_TOL) -> float:
     """Measure of the intersection under the scheme's measure kind."""
     return float(overlap_measures(a.vertices[None], b.vertices[None], kind, tol)[0])
-
-
-# ---------------------------------------------------------------------------
-# map application
-
-
-def apply(m: AffineMap2, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> ConvexPolygon:
-    """Vertex-wise image of p under m, reordered ccw if m reverses orientation."""
-    _require_nonsingular(m, tol)
-    return _image(m, p)
-
-
-def _require_nonsingular(m: AffineMap2, tol: float = _CONSTRUCTION_TOL) -> None:
-    if abs(m.det) <= tol:
-        raise SingularMapError("map is numerically singular")
-
-
-def _image(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
-    """apply without the singularity check, for compositions of maps that
-    were checked one by one (det is multiplicative, so their product is
-    nonsingular however small it gets)."""
-    mapped = m.transform(p.vertices)
-    if m.det < 0.0 and mapped.shape[0] >= 3:
-        mapped = mapped[::-1]
-    # a nonsingular affine image of a convex ccw polygon is convex ccw
-    return ConvexPolygon._unchecked(mapped)
-
-
-def compose(outer: AffineMap2, inner: AffineMap2) -> AffineMap2:
-    """The map x -> outer(inner(x))."""
-    return AffineMap2(outer.linear @ inner.linear, outer.linear @ inner.translation + outer.translation)

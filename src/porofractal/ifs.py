@@ -17,16 +17,9 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError
-from .geometry import (
-    AffineMap2,
-    ConvexPolygon,
-    MeasureKind,
-    Point2,
-    _inside,
-    apply,
-    measure,
-)
-from .scheme import Scheme, _fold, _images, _stack_maps
+from .geometry import AffineMap2, ConvexPolygon, MeasureKind, Point2, apply, measure
+from .geometry import _fold, _images, _inside, _require_nonsingular, _stack_maps
+from .scheme import Scheme
 from .verifier import SeparationMode, separation_sweep
 
 
@@ -57,6 +50,13 @@ class IteratedSystem:
     def _branches(self) -> np.ndarray:
         # the base's images (m, V, 2) under the maps, as `apply` makes them
         return _images(self.base.vertices, self._children[0], self._children[1][..., 0])
+
+    @cached_property
+    def _inverses(self) -> tuple[np.ndarray, np.ndarray]:
+        # the maps' inverses (m, 2, 2) and (m, 2), as `AffineMap2.inverse`
+        # makes them; its tolerance check stays with each call
+        inv = np.linalg.inv(self._children[0])
+        return inv, (-inv @ self._children[1])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,10 @@ def inverse_shift(sys: IteratedSystem, p: Point2, tol: Tolerances = DEFAULT_TOLE
     if len(hits) > 1:
         raise AmbiguousBranchError(f"point ({p.x}, {p.y}) lies in branch images {hits}")
     branch = hits[0]
-    return sys.maps[branch - 1].inverse(tol.geom).transform_point(p), branch
+    _require_nonsingular(sys.maps[branch - 1], tol.geom)
+    inv, tr = sys._inverses
+    x, y = (p.as_array()[None, :] @ inv[branch - 1].T + tr[branch - 1])[0].tolist()
+    return Point2(x, y), branch
 
 
 def separation_from_maps(

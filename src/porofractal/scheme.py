@@ -26,12 +26,15 @@ from .geometry import (
     ConvexPolygon,
     MeasureKind,
     Point2,
-    _require_nonsingular,
-    apply,
+    _fold,
+    _images,
+    _inside,
+    _stack_maps,
+    _step,
     diameters,
     measure,
-    overlap_measure,
-    point_in_polygon,
+    measures,
+    overlap_measures,
 )
 
 BUILTIN_NAMES = ("carpet", "pascal3", "koch", "cantor")
@@ -264,33 +267,33 @@ def validate_geometry(s: Scheme, tol: Tolerances = DEFAULT_TOLERANCES) -> list[s
     are leaves, so only the kept maps drive convergence.
     """
     violations: list[str] = []
-    children: dict[int, ConvexPolygon] = {}
-    for j in range(1, s.M + 1):
-        cm = s.child_map(j)
+    nonsingular = []
+    for j, cm in enumerate(s.child_maps, 1):
         if abs(cm.det) <= tol.geom:
             violations.append(f"child map {j} is singular")
             continue
         if j <= s.m and not cm.is_contraction(tol.geom):
             violations.append(f"kept child map {j} is not contractive (norm {cm.operator_norm:.6g})")
-        children[j] = apply(cm, s.base, tol.geom)
-    for j, child in children.items():
-        if not all(point_in_polygon(v, s.base, tol.geom) for v in child.vertices):
-            violations.append(f"child {j} image is not contained in the base")
+        nonsingular.append(j)
+    js = np.array(nonsingular, dtype=np.intp)
+    lin = np.stack([cm.linear for cm in s.child_maps])
+    tr = np.stack([cm.translation for cm in s.child_maps])
+    children = _images(s.base.vertices, lin[js - 1], tr[js - 1])
+    n, V = children.shape[:2]
+    inside = _inside(children.reshape(-1, 2), np.broadcast_to(s.base.vertices, (n * V, V, 2)), tol.geom)
+    for j in js[~inside.reshape(n, V).all(axis=1)].tolist():
+        violations.append(f"child {j} image is not contained in the base")
     base_mu = s.base_measure()
-    items = sorted(children.items())
-    overlap_total = 0.0
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            ja, pa = items[a]
-            jb, pb = items[b]
-            ov = overlap_measure(pa, pb, s.measure_kind, tol.geom)
-            overlap_total += ov
-            if ov > tol.area * base_mu:
-                violations.append(f"children {ja} and {jb} overlap (measure {ov:.6g})")
+    a, b = np.triu_indices(n, 1)
+    overlaps = overlap_measures(children[a], children[b], s.measure_kind, tol.geom).tolist()
+    for ja, jb, ov in zip(js[a].tolist(), js[b].tolist(), overlaps):
+        if ov > tol.area * base_mu:
+            violations.append(f"children {ja} and {jb} overlap (measure {ov:.6g})")
     # inclusion-exclusion truncated at pairs: exact unless children overlap
-    # three deep, which the pairwise check reports anyway
-    covered = sum(measure(p, s.measure_kind) for p in children.values()) - overlap_total
-    if len(children) == s.M and abs(covered - base_mu) > tol.area * max(base_mu, 1.0):
+    # three deep, which the pairwise check reports anyway; both sums run in
+    # child order, one term at a time
+    covered = sum(measures(children, s.measure_kind).tolist()) - sum(overlaps)
+    if n == s.M and abs(covered - base_mu) > tol.area * max(base_mu, 1.0):
         violations.append(f"children do not partition the base (covered measure {covered!r} vs {base_mu!r})")
     return violations
 
@@ -400,51 +403,6 @@ def address_vertices(s: Scheme, words: Sequence[Address]) -> np.ndarray:
     without building a tree."""
     symbols = np.array([w.symbols for w in words], dtype=np.intp)
     return _images(s.base.vertices, *_fold(s._children, symbols))
-
-
-def _stack_maps(maps: Sequence[AffineMap2]) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (M, 2, 2) and translation columns (M, 2, 1) of some maps.
-
-    Raises SingularMapError if one map is singular, on every call, as the
-    `_children` caches store no exception.  det is multiplicative, so every
-    composition of the maps is nonsingular however small its cell gets, and
-    needs no check of its own.
-    """
-    for w in maps:
-        _require_nonsingular(w)
-    return np.stack([w.linear for w in maps]), np.stack([w.translation for w in maps])[..., None]
-
-
-def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (L, T) o (lin, tr) in the operand order of `compose`, so that stacked
-    # products are bitwise the per-map ones
-    return L @ lin, (L @ tr)[..., 0] + T
-
-
-def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (W, 2, 2) and translations (W, 2) of the accumulated maps
-    of the rows of `words` (W, n) over `_stack_maps` arrays, first symbol
-    outermost: the first column's maps, then build_tree's step per column,
-    as `reduce(compose, ...)` goes, so each row is bitwise that composition.
-    A call costs n stacked steps whatever W is; the caller checks symbols."""
-    if not words.size:
-        return np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
-    lins, trs = children[0][words.T - 1], children[1][words.T - 1]
-    L, T = lins[0], trs[0, ..., 0]
-    for lin, tr in zip(lins[1:], trs[1:]):
-        L, T = _step(L, T, lin, tr)
-    return L, T
-
-
-def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) -> np.ndarray:
-    """The base's vertices under each map (L[k], T[k]), (N, V, 2), in the
-    operand order of `AffineMap2.transform`; with ccw, reversed where the
-    map reverses orientation, as `apply` does."""
-    v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
-    if ccw and base.shape[0] >= 3:
-        flip = L[:, 0, 0] * L[:, 1, 1] - L[:, 0, 1] * L[:, 1, 0] < 0.0
-        v[flip] = v[flip, ::-1]
-    return v
 
 
 def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from porofractal.codespace import Address, Code
-from porofractal.geometry import AffineMap2, ConvexPolygon, _image, apply, compose, diameters, identity_map
+from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters, identity_map
 from porofractal.geometry import min_distance, similarity_map
 from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
 
@@ -67,6 +67,35 @@ def oracle_intersection_area(subject: np.ndarray, clip: np.ndarray) -> float:
     return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
 
 
+def image_oracle(m: AffineMap2, v: np.ndarray) -> np.ndarray:
+    """Vertices of the image of the polygon v under m, one map at a time and
+    without the singularity check: the oracle for geometry.apply and the
+    stacked images.  Reversed when m reverses orientation, so that a
+    polygon stays counterclockwise."""
+    mapped = m.transform(v)
+    if m.det < 0.0 and mapped.shape[0] >= 3:
+        mapped = mapped[::-1]
+    return mapped
+
+
+def segment_overlap_length_oracle(a: np.ndarray, b: np.ndarray, tol: float) -> float:
+    """Length of the common part of two collinear closed segments, given as
+    vertex arrays (0 when either is a point), one vertex at a time: the
+    oracle for geometry.overlap_measures on length schemes."""
+    if a.shape[0] < 2 or b.shape[0] < 2:
+        return 0.0
+    p0, p1 = a
+    d = p1 - p0
+    la = float(np.hypot(d[0], d[1]))
+    u = d / la
+    for q in b:
+        if abs(u[0] * (q[1] - p0[1]) - u[1] * (q[0] - p0[0])) > tol:
+            return 0.0
+    s = [float(np.dot(q - p0, u)) for q in b]
+    lo, hi = min(s), max(s)
+    return max(0.0, min(la, hi) - max(0.0, lo))
+
+
 def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray, np.ndarray]]:
     """Per-cell construction of a cell tree: the oracle for
     scheme.build_tree.  Each kept cell's accumulated map is composed with
@@ -80,7 +109,7 @@ def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.n
         levels.append(
             (
                 [a for a, _ in level],
-                np.stack([_image(acc, s.base).vertices for _, acc in level]),
+                np.stack([image_oracle(acc, s.base.vertices) for _, acc in level]),
                 np.stack([acc.linear for _, acc in level]),
                 np.stack([acc.translation for _, acc in level]),
             )
@@ -99,7 +128,7 @@ def accumulated_map_oracle(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
 def address_vertices_oracle(s: Scheme, address: Address) -> np.ndarray:
     """Cell vertices of one address by per-symbol composition: the oracle
     for scheme.address_vertices."""
-    return _image(accumulated_map_oracle(s, address.symbols), s.base).vertices
+    return image_oracle(accumulated_map_oracle(s, address.symbols), s.base.vertices)
 
 
 def realize_point_oracle(s: Scheme, c: Code, depth: int) -> tuple[np.ndarray, float]:
@@ -237,6 +266,16 @@ def overlapping_complement_carpet() -> Scheme:
     s = builtin("carpet")
     moved = AffineMap2(np.eye(2) / 3.0, np.zeros(2))
     return dataclasses.replace(s, name="carpet-overlap", child_maps=s.child_maps[:8] + (moved,))
+
+
+def overlapping_complement_cantor() -> Scheme:
+    """Cantor whose complement map equals kept map 1, as the carpet's does.
+
+    The order-1 complement [0, 1/3] then contains every order-2 complement
+    of child 1, so complement cells of different orders share length.
+    """
+    s = builtin("cantor")
+    return dataclasses.replace(s, name="cantor-overlap", child_maps=s.child_maps[:2] + s.child_maps[:1])
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +38,12 @@ from porofractal.scheme import build_tree, builtin
 from conftest import (
     clip_by_convex,
     contains_oracle,
+    image_oracle,
     min_distance_matrix,
     min_distance_oracle,
     oracle_intersection_area,
     point_distance_oracle,
+    segment_overlap_length_oracle,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -424,8 +428,42 @@ def test_segment_overlap_measure():
         overlap_measures(stack, stack, "volume")
 
 
+def test_overlap_lengths_bitwise_match_scalar_oracle():
+    # collinear pairs at random scales, reversed, reduced to points, and
+    # with one vertex moved off the line by less and by more than tol
+    rng = np.random.default_rng(17)
+    P, tol = 4000, 1e-9
+    angle = rng.uniform(-np.pi, np.pi, P)
+    u = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    scale = 10.0 ** rng.uniform(-4, 1, P)
+    start = rng.uniform(-3.0, 3.0, (P, 1, 2))
+    S = start + scale[:, None, None] * rng.uniform(-1.0, 1.0, (P, 2, 1)) * u[:, None]
+    C = start + scale[:, None, None] * rng.uniform(-1.0, 1.0, (P, 2, 1)) * u[:, None]
+    off = np.zeros((P, 2))
+    off[np.arange(P), rng.integers(0, 2, P)] = rng.choice([0.0, 0.3, 0.9, 1.1, 3.0, 1e3], P) * tol
+    C_off = C + off[..., None] * np.stack([-u[:, 1], u[:, 0]], axis=1)[:, None]
+    cases = [(S, C), (S[:, ::-1], C), (S, C[:, ::-1]), (S, C_off), (C_off, S), (S[:, :1], C), (S, C[:, :1])]
+    for a, b in cases:
+        got = overlap_measures(a, b, "length", tol)
+        assert got.tolist() == [segment_overlap_length_oracle(x, y, tol) for x, y in zip(a, b)]
+    got = overlap_measures(S, C_off, "length", tol)
+    assert (got[off.max(axis=1) > 2 * tol] == 0.0).all() and (got > 0.0).sum() > P // 4
+    with pytest.raises(ValueError):
+        overlap_measures(UNIT_SQUARE.vertices[None], SEGMENT.vertices[None], "length")
+
+
 # ---------------------------------------------------------------------------
 # apply / compose
+
+
+def test_apply_bitwise_matches_per_map_oracle():
+    rng = np.random.default_rng(13)
+    for V in (1, 2, 3, 4, 6):
+        for _ in range(300):
+            m = AffineMap2(rng.uniform(-2.0, 2.0, (2, 2)), rng.uniform(-3.0, 3.0, 2))
+            v = rng.uniform(-5.0, 5.0, (V, 2))
+            if abs(m.det) > 1e-9:
+                assert apply(m, ConvexPolygon._unchecked(v)).vertices.tobytes() == image_oracle(m, v).tobytes()
 
 
 def test_apply_identity():
@@ -598,3 +636,25 @@ def test_min_distance_bitwise_matches_edge_pair_oracle(a, b, place, at):
     if va.shape == vb.shape:
         got = PairDistanceEvaluator(np.stack([va, vb])).distances([0, 1], [1, 0])
         assert got.tolist() == [min_distance_oracle(va, vb, True), min_distance_oracle(vb, va, True)]
+
+
+# ---------------------------------------------------------------------------
+# module structure
+
+
+def test_private_names_cross_modules_only_from_geometry():
+    # geometry holds the shared array kernels; every other module keeps its
+    # underscore names to itself
+    src = Path(__file__).resolve().parents[1] / "src" / "porofractal"
+    crossing = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("porofractal"):
+                continue
+            if module.rsplit(".", 1)[-1] == "geometry":
+                continue
+            crossing += [f"{path.name}: {module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert crossing == []

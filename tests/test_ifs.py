@@ -7,8 +7,8 @@ import pytest
 from porofractal import ifs
 from porofractal.codespace import Address, Code
 from porofractal.config import Caps, Tolerances
-from porofractal.errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError
-from porofractal.geometry import Point2, apply
+from porofractal.errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError, SingularMapError
+from porofractal.geometry import AffineMap2, Point2, apply
 from porofractal.ifs import (
     IteratedSystem,
     SetApproximation,
@@ -189,6 +189,18 @@ def test_inverse_shift_boundary_point_single_branch():
     q, branch = inverse_shift(sys_, Point2(1 / 3, 0.0))
     assert branch == 1
     assert q.x == pytest.approx(1.0, abs=1e-12)
+
+
+def test_inverse_shift_checks_singularity_at_the_call_tolerance():
+    # |det| = 1e-8 passes the maps' own check (1e-9) and is cached, but is
+    # singular at geom = 1e-6, which only the call knows
+    tiny = AffineMap2(np.eye(2) * 1e-4, np.zeros(2))
+    sys_ = IteratedSystem((tiny, AffineMap2(np.eye(2) / 2.0, np.array([0.5, 0.5]))), builtin("carpet").base)
+    q, branch = inverse_shift(sys_, Point2(5e-5, 5e-5))
+    assert branch == 1 and q.x == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(SingularMapError):
+        inverse_shift(sys_, Point2(5e-5, 5e-5), Tolerances(geom=1e-6))
+    assert inverse_shift(sys_, Point2(0.75, 0.75), Tolerances(geom=1e-6))[1] == 2
 
 
 def _random_codes(rng, count, m=2):

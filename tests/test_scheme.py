@@ -140,6 +140,56 @@ def test_load_reports_overlap_and_partition_for_perturbed_translation():
     assert "partition" in text
 
 
+_Z = [[0.0, 0.0], [0.0, 0.0]]
+_OVERLAP = "children {} and {} overlap (measure {})"
+_PARTITION = "children do not partition the base (covered measure {} vs 1.0)"
+
+
+@pytest.mark.parametrize(
+    "name,edits,want",
+    [
+        ("carpet", [(2, "linear", _Z)], ["child map 2 is singular"]),
+        (
+            "carpet",
+            [(1, "linear", [[1.0, 0.0], [0.0, 1 / 3]])],
+            ["kept child map 1 is not contractive (norm 1)", _OVERLAP.format(1, 2, 0.111111), _OVERLAP.format(1, 3, 0.111111)],
+        ),
+        ("carpet", [(9, "translation", [2.0, 1 / 3])], ["child 9 image is not contained in the base"]),
+        ("carpet", [(9, "translation", [0.0, 0.0])], [_OVERLAP.format(1, 9, 0.111111), _PARTITION.format("0.8888888888888891")]),
+        ("carpet", [(9, "linear", [[0.3, 0.0], [0.0, 0.3]]), (9, "translation", [0.35, 0.35])], [_PARTITION.format("0.978888888888889")]),
+        ("carpet", [(1, "linear", _Z), (9, "translation", [1 / 3, 0.0])], ["child map 1 is singular", _OVERLAP.format(2, 9, 0.111111)]),
+        ("carpet", [(j, "linear", _Z) for j in range(1, 10)], [f"child map {j} is singular" for j in range(1, 10)]),
+        ("cantor", [(2, "linear", _Z)], ["child map 2 is singular"]),
+        (
+            "cantor",
+            [(1, "linear", [[1.5, 0.0], [0.0, 1.5]])],
+            [
+                "kept child map 1 is not contractive (norm 1.5)",
+                "child 1 image is not contained in the base",
+                _OVERLAP.format(1, 2, 0.333333),
+                _OVERLAP.format(1, 3, 0.333333),
+                _PARTITION.format("1.5000000000000002"),
+            ],
+        ),
+        ("cantor", [(3, "translation", [2.0, 0.0])], ["child 3 image is not contained in the base"]),
+        ("cantor", [(3, "translation", [0.0, 0.0])], [_OVERLAP.format(1, 3, 0.333333), _PARTITION.format("0.6666666666666667")]),
+        ("cantor", [(3, "linear", [[0.3, 0.0], [0.0, 0.3]]), (3, "translation", [0.35, 0.0])], [_PARTITION.format("0.9666666666666667")]),
+        ("cantor", [(1, "linear", _Z), (3, "translation", [2 / 3, 0.0])], ["child map 1 is singular", _OVERLAP.format(2, 3, 0.333333)]),
+        ("cantor", [(j, "linear", _Z) for j in range(1, 4)], [f"child map {j} is singular" for j in range(1, 4)]),
+    ],
+)
+def test_validate_geometry_messages(name, edits, want):
+    # every message, in order, with the exact covered measure of the
+    # sequential sums; with all maps singular only those lines come back
+    doc = to_document(builtin(name))
+    for j, key, value in edits:
+        doc["maps"][j - 1][key] = value
+    assert validate_geometry(load(doc, check_geometry=False)) == want
+    with pytest.raises(ValidationError) as exc:
+        load(doc)
+    assert exc.value.violations == want
+
+
 def test_load_relaxed_skips_geometry_checks():
     doc = to_document(builtin("carpet"))
     doc["maps"][0]["translation"][0] += 0.1

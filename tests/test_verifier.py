@@ -26,7 +26,13 @@ from porofractal.verifier import (
     separation_sweep,
 )
 
-from conftest import min_distance_matrix, oracle_intersection_area, similarity_conjugate
+from conftest import (
+    min_distance_matrix,
+    oracle_intersection_area,
+    overlapping_complement_cantor,
+    segment_overlap_length_oracle,
+    similarity_conjugate,
+)
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
 
@@ -108,15 +114,27 @@ def test_accumulation_fails_for_overlapping_complements(carpet_overlap):
     assert overlap_measure(pa, pb, "area") > 1e-12 * t.scheme.base_measure()
 
 
+def test_accumulation_fails_for_overlapping_cantor_complements():
+    # the length branch: builtin cantor sends no candidate pair down it
+    t = build_tree(overlapping_complement_cantor(), 4)
+    res = check_accumulation(t)
+    assert not res.passed
+    assert res.witnesses
+    for a, b in res.witnesses:
+        pa, pb = (t.cell(Address.parse(w, 2, 3)).polygon for w in (a, b))
+        assert overlap_measure(pa, pb, "length") > 1e-12 * t.scheme.base_measure()
+
+
 def _accumulation_per_pair(t):
-    """check_accumulation's report computed pair by pair with the scalar oracle."""
+    """check_accumulation's report computed pair by pair with the scalar oracles."""
     comps = list(t.complement_cells())
     bb = np.array([c.polygon.bbox() for c in comps])
     ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], 1e-9)
     threshold = 1e-12 * t.scheme.base_measure()
     max_overlap, max_pair, violators = 0.0, None, []
     for i, j in zip(ii.tolist(), jj.tolist()):
-        ov = oracle_intersection_area(comps[i].polygon.vertices, comps[j].polygon.vertices)
+        a, b = comps[i].polygon.vertices, comps[j].polygon.vertices
+        ov = oracle_intersection_area(a, b) if t.scheme.measure_kind == "area" else segment_overlap_length_oracle(a, b, 1e-9)
         if ov > max_overlap:
             max_overlap, max_pair = ov, [str(comps[i].address), str(comps[j].address)]
         if ov > threshold and len(violators) < _MAX_WITNESSES:
@@ -129,11 +147,14 @@ def _accumulation_per_pair(t):
     }
 
 
-@pytest.mark.parametrize("name,depth", [("koch", 10), ("carpet", 3), ("carpet-overlap", 3)])
+@pytest.mark.parametrize("name,depth", [("koch", 10), ("carpet", 3), ("carpet-overlap", 3), ("cantor-overlap", 6)])
 def test_accumulation_batches_match_per_pair_oracle(name, depth, make_tree, carpet_overlap):
-    t = build_tree(carpet_overlap, depth) if name == "carpet-overlap" else make_tree(name, depth)
+    variants = {"carpet-overlap": carpet_overlap, "cantor-overlap": overlapping_complement_cantor()}
+    t = build_tree(variants[name], depth) if name in variants else make_tree(name, depth)
     got = check_accumulation(t).to_dict()
     assert got == _accumulation_per_pair(t)
+    if name == "cantor-overlap":
+        assert got["status"] == "fail" and got["extremal"]["pairs_examined"] > 0
     if name == "koch":
         assert got["extremal"]["pairs_examined"] > 4 * _CLIP_CHUNK
 
