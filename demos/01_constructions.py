@@ -9,7 +9,7 @@ few stages to demos/output/.
 from pathlib import Path
 
 from porofractal import build_tree, builtin
-from porofractal.geometry import diameter
+from porofractal.geometry import diameter, measures
 from porofractal.render import render_construction
 
 OUT = Path(__file__).parent / "output"
@@ -25,7 +25,7 @@ for name, depth in DEPTHS.items():
     for n in range(1, depth + 1):
         kept = t.kept_cells(n)
         comp = [c for c in t.levels[n] if not c.is_kept]
-        kept_mu = sum(t.cell_measure(c) for c in kept)
+        kept_mu = float(measures(t.vertices[n][t.kept_rows(n)], s.measure_kind).sum())
         print(
             f"  depth {n}: {len(kept):5d} kept + {len(comp):4d} removed cells, "
             f"kept measure {kept_mu:.6f} "

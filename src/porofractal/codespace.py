@@ -16,6 +16,12 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceededError
 
 
+def separator(M: int) -> str:
+    """The text between two address symbols over {1..M}: "." once a symbol
+    can take two digits, none otherwise."""
+    return "." if M > 9 else ""
+
+
 @dataclass(frozen=True, order=True)
 class Address:
     """Finite word i1 i2 ... in over {1..M} with split index m carried along."""
@@ -34,13 +40,14 @@ class Address:
                 raise ValueError("only the last symbol may be a complement index")
 
     def __str__(self) -> str:
-        return ("." if self.M > 9 else "").join(map(str, self.symbols))
+        return separator(self.M).join(map(str, self.symbols))
 
     @classmethod
     def parse(cls, text: str, m: int, M: int) -> "Address":
         if text == "":
             return cls((), m, M)
-        parts = text.split(".") if M > 9 else list(text)
+        sep = separator(M)
+        parts = text.split(sep) if sep else list(text)
         return cls(tuple(int(p) for p in parts), m, M)
 
     def __len__(self) -> int:
@@ -50,23 +57,6 @@ class Address:
     def is_kept(self) -> bool:
         """True for the empty address and for words entirely over {1..m}."""
         return all(s <= self.m for s in self.symbols)
-
-    @property
-    def complement_order(self) -> int | None:
-        """Order n for a complement word i1..i(n-1) j with j > m, else None."""
-        if self.symbols and self.symbols[-1] > self.m:
-            return len(self.symbols)
-        return None
-
-    def child(self, j: int) -> "Address":
-        if self.symbols and self.symbols[-1] > self.m:
-            raise ValueError("complement addresses have no children")
-        return Address(self.symbols + (j,), self.m, self.M)
-
-    def parent(self) -> "Address":
-        if not self.symbols:
-            raise ValueError("the empty address has no parent")
-        return Address(self.symbols[:-1], self.m, self.M)
 
 
 @dataclass(frozen=True)
@@ -95,11 +85,6 @@ class Code:
     def is_finite(self) -> bool:
         return not self.period
 
-    @property
-    def horizon(self) -> int | None:
-        """Number of usable symbols, None when the code is infinite."""
-        return len(self.preperiod) if self.is_finite else None
-
     def symbol_at(self, i: int) -> int:
         if i < len(self.preperiod):
             return self.preperiod[i]
@@ -120,32 +105,11 @@ class Code:
         return {"preperiod": "".join(map(str, self.preperiod)), "period": "".join(map(str, self.period))}
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """All codes sharing a fixed kept prefix."""
-
-    prefix: Address
-
-    def __post_init__(self) -> None:
-        if not self.prefix.is_kept:
-            raise ValueError("cylinder prefixes must be kept words")
-
-
 def shift(c: Code) -> Code:
     """Drop the first symbol; eventually-periodic form is preserved."""
     if c.preperiod:
         return Code(c.preperiod[1:], c.period, c.m)
     return Code((), c.period[1:] + c.period[:1], c.m)
-
-
-def in_cylinder(c: Code, cyl: Cylinder) -> bool:
-    """True iff the code starts with the cylinder's prefix."""
-    if cyl.prefix.m != c.m:
-        raise ValueError("code and cylinder alphabets differ")
-    n = len(cyl.prefix)
-    if c.is_finite and n > len(c.preperiod):
-        raise ValueError("code horizon shorter than the cylinder prefix")
-    return c.prefix(n) == cyl.prefix.symbols
 
 
 def periodic_code(w: Address) -> Code:

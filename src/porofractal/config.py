@@ -6,7 +6,7 @@ CLI) can override them; nothing downstream hardcodes these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class Tolerances:
     ratio: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("geom", "area", "sep", "lambda_max", "ratio"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"tolerance {f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class Caps:
     pairs: int = 2_000_000
 
     def __post_init__(self) -> None:
-        for name in ("cells", "words", "pairs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"cap {name} must be at least 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"cap {f.name} must be at least 1")
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, shift, transitive_prefix
+from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, separator, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoSeparationError
 from .geometry import Point2, diameter, point_distances
@@ -151,7 +151,7 @@ def transitivity_witness(s: Scheme, n: int, caps: Caps = DEFAULT_CAPS) -> Transi
     code = Code((), prefix.symbols, s.m)
     symbols = prefix.symbols
     first_visits: dict[str, int] = {}
-    sep = "." if s.M > 9 else ""  # Address's string form
+    sep = separator(s.M)  # as Address's string form
     for k in range(len(symbols) - n + 1):
         key = sep.join(map(str, symbols[k : k + n]))
         if key not in first_visits:
@@ -361,17 +361,17 @@ def chaos_report(
     n: int,
     horizon: int,
     mode: SeparationMode = "forall_exists",
-    separation_depth: int | None = None,
-    realize_depth: int = DEFAULT_REALIZE_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> ChaosWitnessReport:
     """Generate all four witness families at resolution n and the horizon.
 
-    Raises NoSeparationError when the separation prerequisite fails in the
-    requested mode, since sensitivity and the orbit pair are then undefined.
+    Separation is searched to depth min(n, 4) and points are realized at
+    DEFAULT_REALIZE_DEPTH.  Raises NoSeparationError when the separation
+    prerequisite fails in the requested mode, since sensitivity and the
+    orbit pair are then undefined.
     """
-    sep = estimate_separation(s, separation_depth or min(n, 4), mode, tol, caps)
+    sep = estimate_separation(s, min(n, 4), mode, tol, caps)
     if sep.epsilon0 < tol.sep:
         raise NoSeparationError(
             f"separation {sep.epsilon0!r} in mode {mode!r} is below tolerance {tol.sep!r}"
@@ -381,8 +381,8 @@ def chaos_report(
         n,
         horizon,
         sep,
-        tuple(periodic_density_witnesses(s, n, realize_depth, tol, caps)),
+        tuple(periodic_density_witnesses(s, n, DEFAULT_REALIZE_DEPTH, tol, caps)),
         transitivity_witness(s, n, caps),
-        tuple(sensitivity_witnesses(s, n, sep, realize_depth, tol, caps)),
-        li_yorke_witness(s, horizon, sep, realize_depth, tol, caps),
+        tuple(sensitivity_witnesses(s, n, sep, DEFAULT_REALIZE_DEPTH, tol, caps)),
+        li_yorke_witness(s, horizon, sep, DEFAULT_REALIZE_DEPTH, tol, caps),
     )

@@ -150,10 +150,6 @@ class AffineMap2:
         return AffineMap2(inv, -inv @ self.translation)
 
 
-def identity_map() -> AffineMap2:
-    return AffineMap2(np.eye(2), np.zeros(2))
-
-
 def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: bool = False) -> AffineMap2:
     """Similarity of the given ratio: rotation by `angle` (radians), optional
     reflection across the x-axis applied first."""
@@ -255,16 +251,6 @@ def measure(p: ConvexPolygon, kind: MeasureKind) -> float:
     return float(measures(p.vertices[None], kind)[0])
 
 
-def area(p: ConvexPolygon) -> float:
-    """Shoelace area; zero for degenerate polygons."""
-    return measure(p, "area")
-
-
-def length(p: ConvexPolygon) -> float:
-    """Length of a degenerate polygon: 0 for a point, |v1 - v0| for a segment."""
-    return measure(p, "length")
-
-
 def diameters(verts: np.ndarray) -> np.ndarray:
     """Maximum pairwise vertex distance of each polygon of a (N, V, 2) vertex
     stack (exact for convex polygons)."""
@@ -333,11 +319,6 @@ def point_distances(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.where(_inside(points, cells, 0.0), 0.0, d)
 
 
-def point_distance(point, p: ConvexPolygon) -> float:
-    """Distance from a point to a closed convex polygon (0 inside)."""
-    return float(point_distances(np.asarray(point, dtype=float).reshape(1, 2), p.vertices[None])[0])
-
-
 def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distances between the boundaries of A[k] and B[k], for stacks
     (P, Va, 2) and (P, Vb, 2): 0 where they meet.
@@ -366,17 +347,31 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return d
 
 
+def _zero_nested(d: np.ndarray, a: tuple, b: tuple) -> None:
+    """Set d[k] to 0 where the boundaries of pair k are apart (d[k] > 0) but
+    one polygon holds the other.  Each side is (vertices, lo, hi, rows): the
+    pair's polygon is vertices[rows[k]] with the bounding box lo[rows[k]],
+    hi[rows[k]].  A polygon lies in its box, so containment is asked only
+    where one box holds the other, and only those pairs are gathered."""
+    (va, lo_a, hi_a, ra), (vb, lo_b, hi_b, rb) = a, b
+    pos = np.nonzero(d > 0.0)[0]
+    la, ha, lb, hb = lo_a[ra[pos]], hi_a[ra[pos]], lo_b[rb[pos]], hi_b[rb[pos]]
+    k = pos[((la >= lb) & (ha <= hb)).all(axis=1) | ((lb >= la) & (hb <= ha)).all(axis=1)]
+    if k.shape[0]:
+        pa, pb = va[ra[k]], vb[rb[k]]
+        d[k[_inside(pa[:, 0], pb, 0.0) | _inside(pb[:, 0], pa, 0.0)]] = 0.0
+
+
 def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Minimum Euclidean distance between two closed convex polygons.
+    """Minimum Euclidean distance between two closed convex polygons, as
+    `PairDistanceEvaluator.distances` reads it.
 
     Zero when they touch, overlap, or one contains the other.
     """
-    d = float(_pair_distances(a.vertices[None], b.vertices[None])[0])
-    if d > 0.0:
-        # boundaries apart: distance is zero only if one polygon contains the other
-        if point_in_polygon(a.vertices[0], b, tol=0.0) or point_in_polygon(b.vertices[0], a, tol=0.0):
-            return 0.0
-    return d
+    A, B, row = a.vertices[None], b.vertices[None], np.zeros(1, dtype=np.intp)
+    d = _pair_distances(A, B)
+    _zero_nested(d, (A, A.min(axis=1), A.max(axis=1), row), (B, B.min(axis=1), B.max(axis=1), row))
+    return float(d[0])
 
 
 _PAIR_CHUNK = 131072
@@ -440,14 +435,7 @@ class PairDistanceEvaluator:
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             out[lo:hi] = _pair_distances(self.vertices[ii[lo:hi]], self.vertices[jj[lo:hi]])
-        # boundaries apart but one polygon nested in the other still means 0
-        pos = np.nonzero(out > 0.0)[0]
-        li, lj = self.lo[ii[pos]], self.lo[jj[pos]]
-        hi_, hj = self.hi[ii[pos]], self.hi[jj[pos]]
-        k = pos[((li >= lj) & (hi_ <= hj)).all(axis=1) | ((lj >= li) & (hj <= hi_)).all(axis=1)]
-        if k.shape[0]:
-            a, b = self.vertices[ii[k]], self.vertices[jj[k]]
-            out[k[_inside(a[:, 0], b, 0.0) | _inside(b[:, 0], a, 0.0)]] = 0.0
+        _zero_nested(out, (self.vertices, self.lo, self.hi, ii), (self.vertices, self.lo, self.hi, jj))
         return out
 
 
@@ -563,9 +551,9 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     count.  Crossings are computed parametrically on the subject edge, so
     every emitted point lies on that edge; sign noise at shared vertices can
     only produce degenerate slivers, never far-away intersection artifacts.
-    Each area is the shoelace sum of its row, which numpy adds pairwise
-    along the row as it adds a 1-D array, so it is bitwise the area of that
-    clipped polygon.
+    Each area is `measures` of the rows clipped to one vertex count, whose
+    shoelace sums numpy adds pairwise along the row as it adds a 1-D array,
+    so it is bitwise the area of that clipped polygon.
     """
     S = np.asarray(S, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -603,15 +591,8 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
         pts = nxt
     for k in sorted(set(count[count >= 3].tolist())):
         r = np.nonzero(count == k)[0]
-        x, y = pts[r, :k, 0], pts[r, :k, 1]
-        roll = np.r_[1:k, 0]
-        out[r] = np.abs((x * y[:, roll] - x[:, roll] * y).sum(axis=1)) / 2.0
+        out[r] = measures(pts[r, :k], "area")
     return out
-
-
-def intersection_area(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Area of the intersection of two convex polygons (0 for degenerate input)."""
-    return float(overlap_areas(a.vertices[None], b.vertices[None])[0])
 
 
 def _overlap_lengths(S: np.ndarray, C: np.ndarray, tol: float) -> np.ndarray:
@@ -643,8 +624,3 @@ def overlap_measures(S: np.ndarray, C: np.ndarray, kind: MeasureKind, tol: float
     if kind == "length":
         return _overlap_lengths(np.asarray(S, dtype=float), np.asarray(C, dtype=float), tol)
     raise ValueError(f"unknown measure kind {kind!r}")
-
-
-def overlap_measure(a: ConvexPolygon, b: ConvexPolygon, kind: MeasureKind, tol: float = _CONSTRUCTION_TOL) -> float:
-    """Measure of the intersection under the scheme's measure kind."""
-    return float(overlap_measures(a.vertices[None], b.vertices[None], kind, tol)[0])

@@ -9,35 +9,16 @@ construction and the removed pieces are exactly what the figures show.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codespace import Address
 from .errors import DepthOutOfRangeError, UnknownAddressError
 from .scheme import CellTree
 
-_HEX_COLOR = re.compile(r"[0-9a-f]{6}")
+_FILLS = {"kept": "35618f", "complement": "f5efe0", "highlight": "d7263d"}
 _STROKE = "000000"
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    kept_fill: str = "35618f"
-    complement_fill: str = "f5efe0"
-    highlight_fill: str = "d7263d"
-    stroke_width: float = 0.002
-    canvas: int = 640
-
-    def __post_init__(self) -> None:
-        for name in ("kept_fill", "complement_fill", "highlight_fill"):
-            if not _HEX_COLOR.fullmatch(getattr(self, name)):
-                raise ValueError(f"{name} must be six lowercase hex digits")
-        if self.stroke_width <= 0:
-            raise ValueError("stroke width must be positive")
-        if self.canvas < 64:
-            raise ValueError("canvas must be at least 64 px")
+_STROKE_WIDTH = 0.002
+_CANVAS = 640  # width in px
 
 
 def _fmt(v: float) -> str:
@@ -57,22 +38,21 @@ def _collect(t: CellTree, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return verts[order], kept[order], symbols[order]
 
 
-def _document(t: CellTree, depth: int, style: RenderStyle, highlight_prefix: tuple[int, ...] | None) -> str:
+def _document(t: CellTree, depth: int, highlight_prefix: tuple[int, ...] | None) -> str:
     if not 1 <= depth <= t.depth:
         raise DepthOutOfRangeError(f"depth {depth} outside the built tree (1..{t.depth})")
     x0, y0, x1, y1 = t.scheme.base.bbox()
     pad = 0.05 * max(x1 - x0, y1 - y0)
     vx, vy = x0 - pad, y0 - pad
     vw, vh = (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad
-    width = style.canvas
-    height = max(1, round(style.canvas * vh / vw))
+    width = _CANVAS
+    height = max(1, round(_CANVAS * vh / vw))
     flip = y0 + y1  # mirror construction y upward onto the svg y axis
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
-    fills = {"kept": style.kept_fill, "complement": style.complement_fill, "highlight": style.highlight_fill}
     verts, kept, symbols = _collect(t, depth)
     highlight = np.zeros_like(kept)
     if highlight_prefix is not None:
@@ -83,22 +63,22 @@ def _document(t: CellTree, depth: int, style: RenderStyle, highlight_prefix: tup
     for cls, v in zip(classes, xy):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in v.tolist())
         lines.append(
-            f'<polygon class="{cls}" fill="#{fills[cls]}" stroke="#{_STROKE}" '
-            f'stroke-width="{_fmt(style.stroke_width)}" points="{pts}"/>'
+            f'<polygon class="{cls}" fill="#{_FILLS[cls]}" stroke="#{_STROKE}" '
+            f'stroke-width="{_fmt(_STROKE_WIDTH)}" points="{pts}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def render_construction(t: CellTree, depth: int, style: RenderStyle = RenderStyle()) -> str:
+def render_construction(t: CellTree, depth: int) -> str:
     """SVG of the depth-n kept cells plus all complement cells of orders <= n."""
-    return _document(t, depth, style, None)
+    return _document(t, depth, None)
 
 
-def render_subfractal(t: CellTree, prefix: Address, depth: int, style: RenderStyle = RenderStyle()) -> str:
+def render_subfractal(t: CellTree, prefix: Address, depth: int) -> str:
     """As render_construction, with kept cells under the prefix highlighted."""
     if not prefix.symbols or not prefix.is_kept:
         raise UnknownAddressError(f"subfractal prefixes are nonempty kept words, got {prefix!s}")
     if len(prefix) > depth:
         raise DepthOutOfRangeError(f"prefix of length {len(prefix)} exceeds render depth {depth}")
-    return _document(t, depth, style, prefix.symbols)
+    return _document(t, depth, prefix.symbols)

@@ -61,12 +61,6 @@ class Scheme:
         if self.measure_kind == "length" and not self.base.is_degenerate:
             raise ValueError("length measure requires a degenerate (segment) base")
 
-    def child_map(self, symbol: int) -> AffineMap2:
-        """Map for child index `symbol` in 1..M."""
-        if not 1 <= symbol <= self.M:
-            raise ValueError(f"child index {symbol} outside 1..{self.M}")
-        return self.child_maps[symbol - 1]
-
     def base_measure(self) -> float:
         return measure(self.base, self.measure_kind)
 
@@ -101,8 +95,7 @@ class CellTree:
     part (N, 2, 2) and translation (N, 2) of its accumulated map.  Row
     p*M + (j-1) holds child j of the p-th kept cell of level n-1, so an
     address is the digits of its row and is never stored.  `levels`,
-    `kept_cells`, `complement_cells` and `cell` make a Cell only when one is
-    indexed, and keep it for the next access.
+    `kept_cells` and `cell` make a Cell only when one is indexed.
     """
 
     scheme: Scheme
@@ -152,31 +145,17 @@ class CellTree:
     def cell(self, address: Address) -> Cell:
         return self._cells(len(address), [self.row(address)])[0]
 
-    @cached_property
-    def _made(self) -> tuple[dict[int, Cell], ...]:
-        return tuple({} for _ in self.vertices)
-
     def _cells(self, depth: int, rows: Sequence[int]) -> list[Cell]:
-        # made once per row, so repeated indexing returns the same Cell; the
-        # rows not yet made are decoded in one `symbols` call
-        made, (m, M) = self._made[depth], (self.scheme.m, self.scheme.M)
-        new = [r for r in rows if r not in made]
-        for r, w in zip(new, self.symbols(depth, np.array(new, dtype=np.intp)).tolist()):
+        # the rows are decoded in one `symbols` call
+        cells, (m, M) = [], (self.scheme.m, self.scheme.M)
+        for r, w in zip(rows, self.symbols(depth, np.array(rows, dtype=np.intp)).tolist()):
             kind = "kept" if r % M < m else "complement"
             acc = AffineMap2._unchecked(self.linear[depth][r], self.translation[depth][r])
-            made[r] = Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind, acc)
-        return [made[r] for r in rows]
+            cells.append(Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind, acc))
+        return cells
 
     def kept_cells(self, depth: int) -> "_CellView":
         return _CellView(self, depth, self.kept_rows(depth))
-
-    def complement_cells(self, max_order: int | None = None) -> Iterator[Cell]:
-        top = self.depth if max_order is None else max_order
-        for n in range(1, top + 1):
-            yield from self._cells(n, self.complement_rows(n).tolist())
-
-    def cell_measure(self, cell: Cell) -> float:
-        return measure(cell.polygon, self.scheme.measure_kind)
 
 
 class _CellView(Sequence):

@@ -9,7 +9,7 @@ the depth it was checked to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -406,13 +406,5 @@ def full_verify(
         if mode == separation_mode:
             counted.append(res)
     overall = "pass" if all(c.passed for c in counted) else "fail"
-    tolerances = {
-        "geom": tol.geom,
-        "area": tol.area,
-        "sep": tol.sep,
-        "lambda_max": tol.lambda_max,
-        "ratio": tol.ratio,
-        "separation_mode": separation_mode,
-        "expected_ratio": expected_ratio,
-    }
+    tolerances = {**asdict(tol), "separation_mode": separation_mode, "expected_ratio": expected_ratio}
     return VerificationReport(t.scheme.name, t.depth, tolerances, tuple(conditions), overall)

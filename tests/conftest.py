@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from porofractal.codespace import Address, Code
-from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters, identity_map
+from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters
 from porofractal.geometry import min_distance, similarity_map
 from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
 
@@ -101,11 +101,16 @@ def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.n
     scheme.build_tree.  Each kept cell's accumulated map is composed with
     every child map and the base is mapped through the result, one cell at
     a time.  Per level: addresses, vertices, linear parts, translations."""
-    level = [(Address((), s.m, s.M), identity_map())]
+    level = [(Address((), s.m, s.M), AffineMap2(np.eye(2), np.zeros(2)))]
     levels = []
     for n in range(depth + 1):
         if n:
-            level = [(a.child(j), compose(acc, s.child_map(j))) for a, acc in level if a.is_kept for j in range(1, s.M + 1)]
+            level = [
+                (Address(a.symbols + (j,), s.m, s.M), compose(acc, s.child_maps[j - 1]))
+                for a, acc in level
+                if a.is_kept
+                for j in range(1, s.M + 1)
+            ]
         levels.append(
             (
                 [a for a, _ in level],
@@ -121,8 +126,8 @@ def accumulated_map_oracle(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
     """Per-symbol composition child_maps[i1] o ... o child_maps[in]: the
     oracle for scheme's batched fold of words."""
     if not symbols:
-        return identity_map()
-    return reduce(compose, (s.child_map(i) for i in symbols))
+        return AffineMap2(np.eye(2), np.zeros(2))
+    return reduce(compose, (s.child_maps[i - 1] for i in symbols))
 
 
 def address_vertices_oracle(s: Scheme, address: Address) -> np.ndarray:
@@ -183,16 +188,15 @@ def point_distance_oracle(q: np.ndarray, v: np.ndarray) -> float:
     return float(_point_segment_oracle(np.broadcast_to(q, (e.shape[0], 2)), e[:, 0], e[:, 1]).min())
 
 
-def min_distance_oracle(a: np.ndarray, b: np.ndarray, boxed: bool = False) -> float:
+def min_distance_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Edge-pair route to the distance of two closed convex polygons: the
-    oracle for geometry.min_distance, and with boxed=True for
-    PairDistanceEvaluator.
+    oracle for geometry.min_distance and PairDistanceEvaluator.
 
     Every edge of a meets every edge of b; a pair is apart by the least of
     its four end-to-segment distances, or 0 when the edges properly cross
     (orientation signs differ both ways and the bounding boxes meet).  When
-    the boundaries are apart, one polygon holding a vertex of the other
-    means 0; boxed only asks this when one bounding box holds the other.
+    the boundaries are apart and one bounding box holds the other, one
+    polygon holding a vertex of the other means 0.
     """
     ea, eb = _edges_oracle(a), _edges_oracle(b)
     A = np.repeat(ea, eb.shape[0], axis=0)
@@ -212,7 +216,7 @@ def min_distance_oracle(a: np.ndarray, b: np.ndarray, boxed: bool = False) -> fl
     meet = np.minimum(np.maximum(p1, p2), np.maximum(q1, q2)) >= np.maximum(np.minimum(p1, p2), np.minimum(q1, q2))
     meet = meet.all(axis=1)
     dist = float(np.where(crossing & meet, 0.0, d).min())
-    if dist > 0.0 and boxed:
+    if dist > 0.0:
         la, ha, lb, hb = a.min(axis=0), a.max(axis=0), b.min(axis=0), b.max(axis=0)
         if not (((la >= lb) & (ha <= hb)).all() or ((lb >= la) & (hb <= ha)).all()):
             return dist

@@ -13,7 +13,7 @@ import numpy as np
 from porofractal.cli import main as cli_main
 from porofractal.codespace import Address, Code, shift
 from porofractal.dynamics import chaos_report, realization_bound
-from porofractal.geometry import Point2
+from porofractal.geometry import Point2, measure
 from porofractal.ifs import compose_word, from_scheme, inverse_shift
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, realize_point
 from porofractal.verifier import check_accumulation, check_adjacency, check_diameter, check_ratio, check_separation
@@ -170,8 +170,9 @@ def test_criterion_9_combinatorics(make_tree):
                 for p_idx, parent in enumerate(parents):
                     children = t.levels[n + 1][p_idx * s.M : (p_idx + 1) * s.M]
                     assert all(c.address.symbols[:-1] == parent.address.symbols for c in children)
-                    total = sum(t.cell_measure(c) for c in children)
-                    assert abs(total - t.cell_measure(parent)) <= 1e-12 * t.cell_measure(parent), (name, n)
+                    total = sum(measure(c.polygon, s.measure_kind) for c in children)
+                    parent_mu = measure(parent.polygon, s.measure_kind)
+                    assert abs(total - parent_mu) <= 1e-12 * parent_mu, (name, n)
 
 
 def test_criterion_10_rendering(make_tree, tmp_path):

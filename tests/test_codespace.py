@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from porofractal.codespace import (
     Address,
     Code,
-    Cylinder,
     enumerate_words,
     finite_code,
-    in_cylinder,
     periodic_code,
     shift,
     transitive_prefix,
@@ -37,8 +35,7 @@ def test_address_kept_and_complement_order():
     assert addr(()).is_kept
     assert addr((1, 2)).is_kept
     assert not addr((1, 3)).is_kept
-    assert addr((1, 3)).complement_order == 2
-    assert addr((1, 2)).complement_order is None
+    assert len(addr((1, 3))) == 2
 
 
 def test_address_serialization_compact():
@@ -55,10 +52,11 @@ def test_address_serialization_dotted_for_wide_alphabets():
 
 def test_address_children_and_parents():
     a = addr((1,))
-    assert a.child(3).symbols == (1, 3)
+    child = addr(a.symbols + (3,))
+    assert child.symbols == (1, 3)
     with pytest.raises(ValueError):
-        a.child(3).child(1)  # complement cells are leaves
-    assert a.child(2).parent() == a
+        addr(child.symbols + (1,))  # complement cells are leaves
+    assert addr(child.symbols[:-1]) == a
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +80,21 @@ def test_shift_consumes_preperiod():
 
 def test_finite_code_horizon():
     c = finite_code((1, 2, 1), 2)
-    assert c.horizon == 3
+    assert c.is_finite and len(c.preperiod) == 3
     assert c.prefix(3) == (1, 2, 1)
     with pytest.raises(IndexError):
         c.prefix(4)
-    assert shift(c).horizon == 2
+    assert shift(c).prefix(2) == (2, 1)
+    with pytest.raises(IndexError):
+        shift(c).prefix(3)
 
 
 def test_in_cylinder():
+    # a code lies in the cylinder of a kept word when it starts with it
     c = periodic_code(addr((1, 2)))
-    assert in_cylinder(c, Cylinder(addr((1, 2))))
-    assert not in_cylinder(c, Cylinder(addr((2,))))
-    assert in_cylinder(Code((2,), (1,), 2), Cylinder(addr((2, 1))))
-
-
-def test_cylinder_requires_kept_prefix():
-    with pytest.raises(ValueError):
-        Cylinder(addr((1, 3)))
+    assert c.prefix(2) == (1, 2)
+    assert c.prefix(1) != (2,)
+    assert Code((2,), (1,), 2).prefix(2) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def test_periodic_points_dense_at_every_resolution():
     # own periodic code, for every kept word up to depth 8
     for n in range(1, 9):
         for w in enumerate_words(2, n):
-            assert in_cylinder(periodic_code(w), Cylinder(w))
+            assert periodic_code(w).prefix(n) == w.symbols
 
 
 @settings(max_examples=80, deadline=None)

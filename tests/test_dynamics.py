@@ -256,7 +256,7 @@ def test_shift_commutes_with_realization(name):
         first = code.symbol_at(0)
         assert point_in_polygon(p.as_array(), address_polygon(s, Address((first,), s.m, s.M)), tol=1e-9)
         # pulling back through that child map realizes the shifted code
-        q = s.child_map(first).inverse().transform_point(p)
+        q = s.child_maps[first - 1].inverse().transform_point(p)
         r, _ = realize_point(s, shift(code), depth)
         assert q.distance_to(r) <= 2 * bound
 

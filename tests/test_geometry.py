@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,20 +16,14 @@ from porofractal.geometry import (
     AffineMap2,
     ConvexPolygon,
     PairDistanceEvaluator,
-    area,
     apply,
     box_overlap_pairs,
     compose,
     diameter,
-    identity_map,
-    intersection_area,
-    length,
     measure,
     min_distance,
     overlap_areas,
-    overlap_measure,
     overlap_measures,
-    point_distance,
     point_distances,
     point_in_polygon,
     similarity_map,
@@ -92,25 +87,24 @@ def test_map_rejects_bad_shapes():
 
 
 def test_area_unit_square():
-    assert area(UNIT_SQUARE) == 1.0
+    assert measure(UNIT_SQUARE, "area") == 1.0
 
 
 def test_area_koch_base_triangle():
-    assert area(KOCH_BASE) == pytest.approx(SQRT3 / 12, rel=1e-12)
-    assert area(KOCH_BASE) == pytest.approx(0.1443375673, abs=1e-9)
+    assert measure(KOCH_BASE, "area") == pytest.approx(SQRT3 / 12, rel=1e-12)
+    assert measure(KOCH_BASE, "area") == pytest.approx(0.1443375673, abs=1e-9)
 
 
 def test_area_degenerate_is_zero():
-    assert area(SEGMENT) == 0.0
-    assert area(POINT) == 0.0
+    assert measure(SEGMENT, "area") == 0.0
+    assert measure(POINT, "area") == 0.0
 
 
 def test_length_measure():
-    assert length(SEGMENT) == 1.0
-    assert length(POINT) == 0.0
     assert measure(SEGMENT, "length") == 1.0
+    assert measure(POINT, "length") == 0.0
     with pytest.raises(ValueError):
-        length(UNIT_SQUARE)
+        measure(UNIT_SQUARE, "length")
 
 
 def test_diameter_unit_square():
@@ -174,7 +168,7 @@ def _random_convex(rng, n_points=7, scale=2.0):
         except Exception:
             continue
         poly = pts[hull.vertices]
-        if area(ConvexPolygon._unchecked(poly)) > 0.05:
+        if measure(ConvexPolygon._unchecked(poly), "area") > 0.05:
             return ConvexPolygon(poly)
 
 
@@ -293,8 +287,8 @@ def test_box_overlap_pairs_matches_outer_predicate():
 
 
 def test_point_distance():
-    assert point_distance((0.5, 0.5), UNIT_SQUARE) == 0.0
-    assert point_distance((2.0, 0.5), UNIT_SQUARE) == pytest.approx(1.0, abs=1e-15)
+    sq = np.stack([UNIT_SQUARE.vertices] * 2)
+    assert point_distances(np.array([[0.5, 0.5], [2.0, 0.5]]), sq).tolist() == [0.0, pytest.approx(1.0, abs=1e-15)]
 
 
 def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
@@ -323,7 +317,20 @@ def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
         assert min_distance(pb, pa) == min_distance_oracle(b, a)
         if a.shape == b.shape:
             got = PairDistanceEvaluator(np.stack([a, b])).distances([0, 1], [1, 0])
-            assert got.tolist() == [min_distance_oracle(a, b, True), min_distance_oracle(b, a, True)]
+            assert got.tolist() == [min_distance_oracle(a, b), min_distance_oracle(b, a)]
+
+
+def test_min_distance_reads_touching_pairs_as_the_evaluator():
+    # a vertex of b at the midpoint of an edge of a: rounding leaves the
+    # boundaries about 1e-17 apart, and neither bounding box holds the
+    # other, so neither route turns that into 0 by a containment test
+    rng = np.random.default_rng(121)
+    a, b = _random_ngon(rng, 4).vertices, _random_ngon(rng, 4).vertices
+    b = b - b[0] + (a[0] + a[1]) / 2.0
+    got = PairDistanceEvaluator(np.stack([a, b])).distances([0, 1], [1, 0])
+    assert 0.0 < got[0] < 1e-16
+    pa, pb = ConvexPolygon._unchecked(a), ConvexPolygon._unchecked(b)
+    assert [min_distance(pa, pb), min_distance(pb, pa)] == got.tolist()
 
 
 def test_pair_distance_evaluator_bitwise_matches_oracle_on_levels():
@@ -335,7 +342,7 @@ def test_pair_distance_evaluator_bitwise_matches_oracle_on_levels():
         ii = np.concatenate([np.arange(k - 1), rng.integers(0, k, 150)])
         jj = np.concatenate([np.arange(1, k), rng.integers(0, k, 150)])
         got = PairDistanceEvaluator(V).distances(ii, jj)
-        assert got.tolist() == [min_distance_oracle(V[i], V[j], True) for i, j in zip(ii, jj)], name
+        assert got.tolist() == [min_distance_oracle(V[i], V[j]) for i, j in zip(ii, jj)], name
 
 
 def test_point_distances_bitwise_match_scalar_oracle():
@@ -357,7 +364,7 @@ def test_point_distances_bitwise_match_scalar_oracle():
         cells, points = np.stack(cells), np.array(points)
         want = [point_distance_oracle(q, v) for q, v in zip(points, cells)]
         assert point_distances(points, cells).tolist() == want, k
-        assert [point_distance(q, ConvexPolygon._unchecked(v)) for q, v in zip(points, cells)] == want, k
+        assert [point_distances(q[None], v[None])[0] for q, v in zip(points, cells)] == want, k
         for tol in (0.0, 1e-9):
             got = [point_in_polygon(q, ConvexPolygon._unchecked(v), tol) for q, v in zip(points, cells)]
             assert got == [contains_oracle(v, q, tol) for q, v in zip(points, cells)], (k, tol)
@@ -368,20 +375,20 @@ def test_point_distances_bitwise_match_scalar_oracle():
 
 
 def test_intersection_area_identity():
-    assert intersection_area(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(1.0, rel=1e-12)
+    assert overlap_areas(UNIT_SQUARE.vertices[None], UNIT_SQUARE.vertices[None])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_intersection_area_edge_adjacent():
-    assert intersection_area(square(0, 0, 1), square(1, 0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert overlap_areas(square(0, 0, 1).vertices[None], square(1, 0, 1).vertices[None])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_intersection_area_half_overlap():
     b = ConvexPolygon(np.array([[0.5, 0.0], [1.5, 0.0], [1.5, 1.0], [0.5, 1.0]]))
-    assert intersection_area(UNIT_SQUARE, b) == pytest.approx(0.5, rel=1e-12)
+    assert overlap_areas(UNIT_SQUARE.vertices[None], b.vertices[None])[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_intersection_area_degenerate_is_zero():
-    assert intersection_area(SEGMENT, UNIT_SQUARE) == 0.0
+    assert overlap_areas(SEGMENT.vertices[None], UNIT_SQUARE.vertices[None])[0] == 0.0
 
 
 def test_overlap_areas_degenerate_and_empty():
@@ -419,11 +426,11 @@ def test_segment_overlap_measure():
     a = ConvexPolygon(np.array([[0.0, 0.0], [0.5, 0.0]]))
     b = ConvexPolygon(np.array([[0.25, 0.0], [1.0, 0.0]]))
     c = ConvexPolygon(np.array([[0.25, 0.5], [1.0, 0.5]]))
-    assert overlap_measure(a, b, "length") == pytest.approx(0.25, abs=1e-15)
-    assert overlap_measure(a, c, "length") == 0.0
+    one = [overlap_measures(x.vertices[None], y.vertices[None], "length")[0] for x, y in [(a, b), (a, c), (b, a)]]
+    assert one == [pytest.approx(0.25, abs=1e-15), 0.0, one[0]]
     stack = np.stack([a.vertices, a.vertices, b.vertices])
     got = overlap_measures(stack, np.stack([b.vertices, c.vertices, a.vertices]), "length")
-    assert got.tolist() == [overlap_measure(a, b, "length"), 0.0, overlap_measure(b, a, "length")]
+    assert got.tolist() == one
     with pytest.raises(ValueError):
         overlap_measures(stack, stack, "volume")
 
@@ -467,7 +474,7 @@ def test_apply_bitwise_matches_per_map_oracle():
 
 
 def test_apply_identity():
-    out = apply(identity_map(), KOCH_BASE)
+    out = apply(AffineMap2(np.eye(2), np.zeros(2)), KOCH_BASE)
     assert np.array_equal(out.vertices, KOCH_BASE.vertices)
 
 
@@ -492,8 +499,8 @@ def test_apply_singular_raises():
 
 def test_compose_identity_neutral():
     m = similarity_map(0.5, 0.3, (0.2, -0.1))
-    left = compose(identity_map(), m)
-    right = compose(m, identity_map())
+    left = compose(AffineMap2(np.eye(2), np.zeros(2)), m)
+    right = compose(m, AffineMap2(np.eye(2), np.zeros(2)))
     assert np.allclose(left.linear, m.linear) and np.allclose(left.translation, m.translation)
     assert np.allclose(right.linear, m.linear) and np.allclose(right.translation, m.translation)
 
@@ -527,7 +534,7 @@ def convex_polygons(draw):
     except Exception:
         assume(False)
     poly = pts[hull.vertices]
-    assume(area(ConvexPolygon._unchecked(poly)) > 0.05)
+    assume(measure(ConvexPolygon._unchecked(poly), "area") > 0.05)
     diffs = poly[:, None, :] - poly[None, :, :]
     d = np.hypot(diffs[..., 0], diffs[..., 1])
     np.fill_diagonal(d, np.inf)
@@ -546,7 +553,7 @@ def affine_maps(draw):
 @settings(max_examples=60, deadline=None)
 @given(m=affine_maps(), p=convex_polygons())
 def test_area_scales_by_determinant(m, p):
-    assert area(apply(m, p)) == pytest.approx(abs(m.det) * area(p), rel=1e-12)
+    assert measure(apply(m, p), "area") == pytest.approx(abs(m.det) * measure(p, "area"), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,8 +580,8 @@ def test_compose_is_associative(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(a=convex_polygons(), b=convex_polygons())
 def test_intersection_bounded_by_both_areas(a, b):
-    inter = intersection_area(a, b)
-    assert inter <= min(area(a), area(b)) + 1e-12
+    inter = overlap_areas(a.vertices[None], b.vertices[None])[0]
+    assert inter <= min(measure(a, "area"), measure(b, "area")) + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -583,7 +590,7 @@ def test_overlap_areas_bitwise_matches_scalar_oracle(a, b, shift):
     # up to 9 vertices each, so clipped polygons reach numpy's pairwise
     # summation at 8 or more terms
     b = ConvexPolygon(b.vertices + np.array(shift) / 2.0)
-    assert intersection_area(a, b) == oracle_intersection_area(a.vertices, b.vertices)
+    assert overlap_areas(a.vertices[None], b.vertices[None])[0] == oracle_intersection_area(a.vertices, b.vertices)
     assert overlap_areas(b.vertices[None], a.vertices[None]).tolist() == [oracle_intersection_area(b.vertices, a.vertices)]
 
 
@@ -591,7 +598,7 @@ def test_overlap_areas_bitwise_matches_scalar_oracle(a, b, shift):
 @given(a=convex_polygons(), b=convex_polygons())
 def test_min_distance_zero_iff_touching(a, b):
     d = min_distance(a, b)
-    inter = intersection_area(a, b)
+    inter = overlap_areas(a.vertices[None], b.vertices[None])[0]
     if inter > 1e-9:
         assert d == 0.0
     if d > 1e-9:
@@ -635,7 +642,7 @@ def test_min_distance_bitwise_matches_edge_pair_oracle(a, b, place, at):
     assert min_distance(pb, pa) == min_distance_oracle(vb, va)
     if va.shape == vb.shape:
         got = PairDistanceEvaluator(np.stack([va, vb])).distances([0, 1], [1, 0])
-        assert got.tolist() == [min_distance_oracle(va, vb, True), min_distance_oracle(vb, va, True)]
+        assert got.tolist() == [min_distance_oracle(va, vb), min_distance_oracle(vb, va)]
 
 
 # ---------------------------------------------------------------------------
@@ -658,3 +665,35 @@ def test_private_names_cross_modules_only_from_geometry():
                 continue
             crossing += [f"{path.name}: {module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert crossing == []
+
+
+def test_public_names_have_callers_outside_tests():
+    # a public module-level function or class is used or imported elsewhere
+    # in src/, by a demo or the benchmark, or named in backticks in the
+    # README; a name only tests reach is dead API
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "porofractal").glob("*.py"))
+    scripts = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in modules + scripts}
+    defined = [
+        node.name
+        for path in modules
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    stems = {path.stem for path in modules}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Attribute):
+                # module.name, as in `render.render_construction`
+                owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", None)
+                if owner in stems:
+                    used.add(node.attr)
+    # a README span names one object, as `verifier.separation_sweep` does
+    used.update(re.findall(r"`(?:\w+\.)*(\w+)`", (root / "README.md").read_text()))
+    assert [name for name in defined if name not in used] == []

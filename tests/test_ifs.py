@@ -143,7 +143,7 @@ def test_compose_word_single_symbol_is_level_one_cell():
     s = builtin("carpet")
     sys_ = from_scheme(s)
     poly = compose_word(sys_, Address((1,), 8, 8))
-    assert np.allclose(poly.vertices, s.child_map(1).transform(s.base.vertices), atol=1e-15)
+    assert np.allclose(poly.vertices, s.child_maps[0].transform(s.base.vertices), atol=1e-15)
 
 
 def test_compose_word_cantor_21():

@@ -6,7 +6,7 @@ import pytest
 from porofractal.codespace import Address
 from porofractal.errors import DepthOutOfRangeError, UnknownAddressError
 from porofractal.geometry import similarity_map
-from porofractal.render import RenderStyle, _collect, render_construction, render_subfractal
+from porofractal.render import _collect, render_construction, render_subfractal
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin
 
 from conftest import similarity_conjugate
@@ -143,24 +143,3 @@ def test_coordinates_match_round_on_each_coordinate():
 
     want = [" ".join(f"{fmt(x)},{fmt(y0 + y1 - y)}" for x, y in v) for v in _collect(t, 2)[0]]
     assert [p.get("points") for p in polygons(render_construction(t, 2))] == want
-
-
-# ---------------------------------------------------------------------------
-# style validation
-
-
-def test_style_rejects_bad_colors():
-    with pytest.raises(ValueError):
-        RenderStyle(kept_fill="xyzxyz")
-    with pytest.raises(ValueError):
-        RenderStyle(kept_fill="FFF")
-
-
-def test_style_rejects_small_canvas():
-    with pytest.raises(ValueError):
-        RenderStyle(canvas=32)
-
-
-def test_custom_style_applied(make_tree):
-    svg = render_construction(make_tree("koch", 1), 1, RenderStyle(kept_fill="112233"))
-    assert 'fill="#112233"' in svg

@@ -17,7 +17,7 @@ from porofractal.errors import (
     UnknownSchemeError,
     ValidationError,
 )
-from porofractal.geometry import AffineMap2, area, intersection_area, overlap_measure, similarity_map
+from porofractal.geometry import AffineMap2, measure, overlap_measures, similarity_map
 from porofractal.scheme import (
     BUILTIN_NAMES,
     Cell,
@@ -72,7 +72,7 @@ def test_builtins_satisfy_all_geometric_invariants():
 
 def test_carpet_level1_measures_and_ratio():
     t = build_tree(builtin("carpet"), 1)
-    mus = [t.cell_measure(c) for c in t.levels[1]]
+    mus = [measure(c.polygon, "area") for c in t.levels[1]]
     assert mus == pytest.approx([1 / 9] * 9, rel=1e-12)
     kept = sum(mus[:8])
     assert kept / mus[8] == pytest.approx(8.0, abs=1e-12)
@@ -80,13 +80,13 @@ def test_carpet_level1_measures_and_ratio():
 
 def test_pascal3_ratio():
     t = build_tree(builtin("pascal3"), 1)
-    mus = [t.cell_measure(c) for c in t.levels[1]]
+    mus = [measure(c.polygon, "area") for c in t.levels[1]]
     assert sum(mus[:6]) / sum(mus[6:]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_koch_ratio_and_equal_areas():
     t = build_tree(builtin("koch"), 1)
-    areas = [area(c.polygon) for c in t.levels[1]]
+    areas = [measure(c.polygon, "area") for c in t.levels[1]]
     assert areas == pytest.approx([SQRT3 / 36] * 3, rel=1e-12)
     assert (areas[0] + areas[1]) / areas[2] == pytest.approx(2.0, abs=1e-12)
 
@@ -94,9 +94,9 @@ def test_koch_ratio_and_equal_areas():
 def test_cantor_maps():
     s = builtin("cantor")
     x = np.array([[1.0, 0.0]])
-    assert s.child_map(1).transform(x)[0][0] == pytest.approx(1 / 3, abs=1e-15)
-    assert s.child_map(2).transform(x)[0][0] == pytest.approx(1.0, abs=1e-15)
-    assert s.child_map(3).transform(x)[0][0] == pytest.approx(2 / 3, abs=1e-15)
+    assert s.child_maps[0].transform(x)[0][0] == pytest.approx(1 / 3, abs=1e-15)
+    assert s.child_maps[1].transform(x)[0][0] == pytest.approx(1.0, abs=1e-15)
+    assert s.child_maps[2].transform(x)[0][0] == pytest.approx(2 / 3, abs=1e-15)
     assert s.measure_kind == "length"
 
 
@@ -273,8 +273,8 @@ def test_verify_path_makes_no_cells(monkeypatch):
         full_verify(build_tree(builtin(name), depth))
     assert made == []
     # the counter sees cells made on demand
-    t = build_tree(builtin("koch"), 2)
-    assert t.levels[2][4] is t.cell(t.address(2, 4)) and len(made) == 1
+    build_tree(builtin("koch"), 2).levels[2][4]
+    assert len(made) == 1
 
 
 def test_tree_is_freed_without_the_cycle_collector():
@@ -286,7 +286,6 @@ def test_tree_is_freed_without_the_cycle_collector():
         full_verify(t)
         list(t.levels[3])
         list(t.kept_cells(2))
-        list(t.complement_cells())
         ref = weakref.ref(t)
         del t
         assert ref() is None
@@ -305,11 +304,12 @@ def test_partition_identity_all_builtins():
         s = builtin(name)
         t = build_tree(s, 4)
         for n in range(1, 4):
+            below = list(t.levels[n + 1])
             for parent in t.kept_cells(n):
-                children = [c for c in t.levels[n + 1] if c.address.symbols[:-1] == parent.address.symbols]
+                children = [c for c in below if c.address.symbols[:-1] == parent.address.symbols]
                 assert len(children) == s.M
-                total = sum(t.cell_measure(c) for c in children)
-                assert total == pytest.approx(t.cell_measure(parent), rel=1e-12)
+                total = sum(measure(c.polygon, s.measure_kind) for c in children)
+                assert total == pytest.approx(measure(parent.polygon, s.measure_kind), rel=1e-12)
 
 
 def test_nesting_all_builtins():
@@ -318,9 +318,9 @@ def test_nesting_all_builtins():
         t = build_tree(s, 3)
         for n in (2, 3):
             for c in t.levels[n]:
-                parent = t.cell(c.address.parent())
-                child_mu = t.cell_measure(c)
-                inter = overlap_measure(c.polygon, parent.polygon, s.measure_kind)
+                parent = t.cell(Address(c.address.symbols[:-1], s.m, s.M))
+                child_mu = measure(c.polygon, s.measure_kind)
+                inter = overlap_measures(c.polygon.vertices[None], parent.polygon.vertices[None], s.measure_kind)[0]
                 assert inter == pytest.approx(child_mu, rel=1e-9)
 
 
@@ -328,7 +328,7 @@ def test_kept_fraction_matches_geometric_decay():
     # direct summation oracle: kept measure fraction at depth n is (8/9)^n
     t = build_tree(builtin("carpet"), 4)
     for n in range(1, 5):
-        kept = sum(t.cell_measure(c) for c in t.kept_cells(n))
+        kept = sum(measure(c.polygon, "area") for c in t.kept_cells(n))
         assert kept == pytest.approx((8 / 9) ** n, abs=1e-9)
 
 
@@ -338,7 +338,8 @@ def test_composition_order_gives_nested_cells():
     for w in [(1,), (2, 5), (8, 1, 3)]:
         parent = address_polygon(s, Address(w[:-1], 8, 9))
         child = address_polygon(s, Address(w, 8, 9))
-        assert intersection_area(child, parent) == pytest.approx(area(child), rel=1e-9)
+        inter = overlap_measures(child.vertices[None], parent.vertices[None], "area")[0]
+        assert inter == pytest.approx(measure(child, "area"), rel=1e-9)
 
 
 def test_cantor_builds_and_verifies_past_tiny_determinants():
@@ -432,7 +433,7 @@ def test_address_vertices_bitwise_matches_per_symbol_oracle():
         groups = [[Address((), s.m, s.M)]]
         for n in (1, 2, 3):
             kept = [Address(w, s.m, s.M) for w in itertools.product(range(1, s.m + 1), repeat=n)]
-            groups += [kept, [a.parent().child(j) for a in kept[:: s.m] for j in range(s.m + 1, s.M + 1)]]
+            groups += [kept, [Address(a.symbols[:-1] + (j,), s.m, s.M) for a in kept[:: s.m] for j in range(s.m + 1, s.M + 1)]]
         for words in groups:
             got = address_vertices(s, words)
             for k, w in enumerate(words):
@@ -471,7 +472,7 @@ def test_scheme_document_is_valid_json():
 @pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 6)])
 def test_cell_views_match_per_row_route(name, depth):
     # every way of reading a Cell gives the address, map and polygon of
-    # its row, and the same object for the same row
+    # its row
     t = build_tree(builtin(name), depth)
     m, M = t.scheme.m, t.scheme.M
 
@@ -482,7 +483,6 @@ def test_cell_views_match_per_row_route(name, depth):
         assert cell.acc_map.translation.tobytes() == t.translation[n][row].tobytes()
         assert cell.polygon.vertices.tobytes() == t.vertices[n][row].tobytes()
         assert cell.kind == ("kept" if row % M < m else "complement")
-        assert t.cell(cell.address) is cell
 
     for n in range(depth + 1):
         rows = np.arange(t.vertices[n].shape[0])
@@ -496,9 +496,5 @@ def test_cell_views_match_per_row_route(name, depth):
                 assert isinstance(cells, tuple) and len(cells) == len(view_rows[sl])
                 for cell, row in zip(cells, view_rows[sl].tolist()):
                     check(cell, n, row)
-            assert list(view) == list(view[:])
-    comps = list(t.complement_cells())
-    rows = [(n, r) for n in range(1, depth + 1) for r in t.complement_rows(n).tolist()]
-    assert len(comps) == len(rows)
-    for cell, (n, row) in zip(comps, rows):
-        check(cell, n, row)
+            for cell, row in zip(view, view_rows.tolist()):
+                check(cell, n, row)

@@ -10,7 +10,7 @@ from porofractal.geometry import (
     ConvexPolygon,
     box_overlap_pairs,
     min_distance,
-    overlap_measure,
+    overlap_measures,
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
@@ -111,7 +111,7 @@ def test_accumulation_fails_for_overlapping_complements(carpet_overlap):
     a, b = res.witnesses[0]
     pa = t.cell(Address.parse(a, 8, 9)).polygon
     pb = t.cell(Address.parse(b, 8, 9)).polygon
-    assert overlap_measure(pa, pb, "area") > 1e-12 * t.scheme.base_measure()
+    assert overlap_measures(pa.vertices[None], pb.vertices[None], "area")[0] > 1e-12 * t.scheme.base_measure()
 
 
 def test_accumulation_fails_for_overlapping_cantor_complements():
@@ -122,12 +122,12 @@ def test_accumulation_fails_for_overlapping_cantor_complements():
     assert res.witnesses
     for a, b in res.witnesses:
         pa, pb = (t.cell(Address.parse(w, 2, 3)).polygon for w in (a, b))
-        assert overlap_measure(pa, pb, "length") > 1e-12 * t.scheme.base_measure()
+        assert overlap_measures(pa.vertices[None], pb.vertices[None], "length")[0] > 1e-12 * t.scheme.base_measure()
 
 
 def _accumulation_per_pair(t):
     """check_accumulation's report computed pair by pair with the scalar oracles."""
-    comps = list(t.complement_cells())
+    comps = [c for level in t.levels[1:] for c in level if not c.is_kept]
     bb = np.array([c.polygon.bbox() for c in comps])
     ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], 1e-9)
     threshold = 1e-12 * t.scheme.base_measure()
