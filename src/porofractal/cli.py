@@ -70,10 +70,12 @@ def _resolve_scheme(value: str, tol: Tolerances) -> Scheme:
     """Builtin name, or path to a scheme document (structural checks only)."""
     if value in BUILTIN_NAMES:
         return builtin(value)
-    path = Path(value)
-    if not path.is_file():
-        raise _UsageError(f"unknown scheme {value!r}: not a built-in name or readable file")
-    return load(path.read_text(encoding="utf-8"), check_geometry=False, tol=tol)
+    try:
+        return load(Path(value).read_text(encoding="utf-8"), check_geometry=False, tol=tol)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scheme file {value!r} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot read scheme file {value!r}, and it names no built-in: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -106,10 +106,10 @@ def periodic_density_witnesses(
     words = enumerate_words(s.m, n, M=s.M, caps=caps)
     codes = [periodic_code(w) for w in words]
     points, bounds = realize_points(s, codes, max(n, realize_depth), caps)
-    gaps = point_distances(np.array([[p.x, p.y] for p in points]), address_vertices(s, words)).tolist()
+    gaps = point_distances(points, address_vertices(s, words)).tolist()
     return [
-        PeriodicWitness(w, code, point, bound, gap, gap <= tol.geom)
-        for w, code, point, bound, gap in zip(words, codes, points, bounds, gaps)
+        PeriodicWitness(w, code, Point2(x, y), bound, gap, gap <= tol.geom)
+        for w, code, (x, y), bound, gap in zip(words, codes, points.tolist(), bounds.tolist(), gaps)
     ]
 
 
@@ -214,9 +214,10 @@ def sensitivity_witnesses(
     vs = [Code(w.symbols, b.symbols, s.m) for w in words]
     points, _ = realize_points(s, us + vs, max(n, realize_depth), caps)
     # n shifts drop the cylinder word w, leaving a and b repeated for every w
-    (qu, qv), _ = realize_points(s, [Code((), a.symbols, s.m), Code((), b.symbols, s.m)], realize_depth, caps)
-    pairs = zip(words, us, vs, points, points[len(us) :])
-    return [SensitivityWitness(w, n, u, v, pu.distance_to(pv), qu.distance_to(qv), bound) for w, u, v, pu, pv in pairs]
+    q, _ = realize_points(s, [Code((), a.symbols, s.m), Code((), b.symbols, s.m)], realize_depth, caps)
+    initial = np.hypot(*(points[: len(us)] - points[len(us) :]).T).tolist()
+    distance = float(np.hypot(*(q[0] - q[1])))
+    return [SensitivityWitness(w, n, u, v, d, distance, bound) for w, u, v, d in zip(words, us, vs, initial)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,7 @@ def li_yorke_witness(
     for _ in range(horizon - 1):
         codes += [shift(codes[-2]), shift(codes[-1])]
     points, _ = realize_points(s, codes, realize_depth, caps)
-    samples = [pu.distance_to(pv) for pu, pv in zip(points[::2], points[1::2])]
+    samples = np.hypot(*(points[::2] - points[1::2]).T).tolist()
     # longest agreement run beginning at a sampled shift, capped at the
     # realization depth (deeper agreement is invisible to the realization)
     span = horizon - 1 + realize_depth

@@ -9,7 +9,7 @@ parallel sweeps.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -114,15 +114,6 @@ class AffineMap2:
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "translation", tr)
 
-    @classmethod
-    def _unchecked(cls, linear: np.ndarray, translation: np.ndarray) -> "AffineMap2":
-        # fast path for maps that are valid by construction (rows of a built
-        # tree); skips the shape and finiteness checks
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "linear", _frozen(linear))
-        object.__setattr__(obj, "translation", _frozen(translation))
-        return obj
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.linear.T + self.translation
 
@@ -215,10 +206,23 @@ def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[n
     return L, T
 
 
+def _levels(children: tuple[np.ndarray, np.ndarray], m: int, depth: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Accumulated maps L (N, 2, 2), T (N, 2) of levels 1..depth over M
+    `_stack_maps` maps.  Level 1 is the maps; row p*M + (j-1) of the next is
+    child j of the p-th kept row (the first m of each block of M) by `_step`,
+    so each row is bitwise the `_fold` of its address."""
+    lin, tr = children
+    L, T = lin, tr[..., 0]
+    for n in range(depth):
+        if n:
+            L, T = _step(L[..., :m, None, :, :], T[..., :m, None, :], lin, tr)
+        yield L.reshape(-1, 2, 2), T.reshape(-1, 2)
+
+
 def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) -> np.ndarray:
     """The base's vertices under each map (L[k], T[k]), (N, V, 2), in the
-    operand order of `AffineMap2.transform`; with ccw, reversed where the
-    map reverses orientation."""
+    operand order of `AffineMap2.transform`, read-only; with ccw, reversed
+    where the map reverses orientation."""
     v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
     if ccw and base.shape[0] >= 3:
         # det < 0, compared without the subtraction: a difference of two
@@ -226,6 +230,7 @@ def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) ->
         flip = L[:, 0, 0] * L[:, 1, 1] < L[:, 0, 1] * L[:, 1, 0]
         if flip.any():
             v[flip] = v[flip, ::-1]
+    v.setflags(write=False)
     return v
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError
-from .geometry import AffineMap2, ConvexPolygon, MeasureKind, Point2, apply, measure
-from .geometry import _fold, _images, _inside, _require_nonsingular, _stack_maps
+from .geometry import AffineMap2, ConvexPolygon, MeasureKind, Point2, measure
+from .geometry import _fold, _images, _inside, _levels, _require_nonsingular, _stack_maps
 from .scheme import Scheme
 from .verifier import SeparationMode, separation_sweep
 
@@ -82,14 +82,18 @@ def total_measure(sys: IteratedSystem, a: SetApproximation) -> float:
 
 
 def iterate_attractor(sys: IteratedSystem, seed: SetApproximation, k: int, caps: Caps = DEFAULT_CAPS) -> SetApproximation:
-    """Apply all maps to every cell, k generations in a row."""
+    """Apply all maps to every cell, k generations in a row: one `_images`
+    per seed cell under the m**k maps of level k, with the maps varying
+    slowest and the seed cells fastest (from the base: the tree's kept cells)."""
     if k < 0:
         raise ValueError("generation count must be nonnegative")
     if len(seed.cells) * sys.m**k > caps.cells:
         raise CapExceededError(f"{len(seed.cells) * sys.m ** k} cells would exceed the cell cap {caps.cells}")
-    cells = seed.cells
-    for _ in range(k):
-        cells = tuple(apply(w, c) for w in sys.maps for c in cells)
+    if not k:
+        return SetApproximation(seed.cells, seed.generation)
+    *_, (L, T) = _levels(sys._children, sys.m, k)
+    images = [_images(c.vertices, L, T) for c in seed.cells]
+    cells = tuple(ConvexPolygon._unchecked(v[i]) for i in range(L.shape[0]) for v in images)
     return SetApproximation(cells, seed.generation + k)
 
 
@@ -137,15 +141,11 @@ def separation_from_maps(
     """Separation estimate computed from composed-image polygons.
 
     Same semantics as the verifier's separation check, but the cells of
-    each depth k come from one fold of all m**k words in lexicographic order
-    rather than from a built tree: bitwise the tree's kept cells, at any
-    depth the cell cap allows.
+    each depth k are the base's images under the system's own levels, all
+    m**k words in lexicographic order, rather than a built tree's: bitwise
+    the tree's kept cells, at any depth the cell cap allows.
     """
     if sys.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {sys.m ** depth} exceeds the cell cap {caps.cells}")
-    cells_by_depth = []
-    for k in range(1, depth + 1):
-        # C-order indices run the last symbol fastest: lexicographic words
-        words = np.indices((sys.m,) * k).reshape(k, -1).T + 1
-        cells_by_depth.append(_images(sys.base.vertices, *_fold(sys._children, words)))
+    cells_by_depth = [_images(sys.base.vertices, L, T) for L, T in _levels(sys._children, sys.m, depth)]
     return separation_sweep(cells_by_depth, mode, caps).value

@@ -29,8 +29,8 @@ from .geometry import (
     _fold,
     _images,
     _inside,
+    _levels,
     _stack_maps,
-    _step,
     diameters,
     measure,
     measures,
@@ -75,12 +75,11 @@ class Scheme:
 
 @dataclass(frozen=True, eq=False)
 class Cell:
-    """One realized construction piece with its address and accumulated map."""
+    """One realized construction piece: its address, polygon and kind."""
 
     address: Address
     polygon: ConvexPolygon
     kind: str  # "kept" | "complement"
-    acc_map: AffineMap2
 
     @property
     def is_kept(self) -> bool:
@@ -89,20 +88,17 @@ class Cell:
 
 @dataclass(frozen=True, eq=False)
 class CellTree:
-    """Per-depth cell arrays; level 0 holds the base cell only.
+    """Per-depth read-only cell vertices (N, V, 2); level 0 holds the base.
 
-    Level n stores one row per cell: its vertices (N, V, 2) and the linear
-    part (N, 2, 2) and translation (N, 2) of its accumulated map.  Row
-    p*M + (j-1) holds child j of the p-th kept cell of level n-1, so an
-    address is the digits of its row and is never stored.  `levels`,
-    `kept_cells` and `cell` make a Cell only when one is indexed.
+    Row p*M + (j-1) of level n holds child j of the p-th kept cell of level
+    n-1, so an address is the digits of its row and is never stored; its
+    map is `accumulated_map` of its symbols.  `levels`, `kept_cells` and
+    `cell` make a Cell only when one is indexed.
     """
 
     scheme: Scheme
     depth: int
     vertices: tuple[np.ndarray, ...]
-    linear: tuple[np.ndarray, ...]
-    translation: tuple[np.ndarray, ...]
 
     @property
     def levels(self) -> tuple["_CellView", ...]:
@@ -150,8 +146,7 @@ class CellTree:
         cells, (m, M) = [], (self.scheme.m, self.scheme.M)
         for r, w in zip(rows, self.symbols(depth, np.array(rows, dtype=np.intp)).tolist()):
             kind = "kept" if r % M < m else "complement"
-            acc = AffineMap2._unchecked(self.linear[depth][r], self.translation[depth][r])
-            cells.append(Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind, acc))
+            cells.append(Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind))
         return cells
 
     def kept_cells(self, depth: int) -> "_CellView":
@@ -387,30 +382,20 @@ def address_vertices(s: Scheme, words: Sequence[Address]) -> np.ndarray:
 def build_tree(s: Scheme, depth: int, caps: Caps = DEFAULT_CAPS) -> CellTree:
     """Subdivide to the given depth; every kept cell spawns M children.
 
-    Each level comes from the kept rows of the one above by the stacked
-    step `_step` and `_images`, so every row is bitwise the per-cell
-    composition's.
+    Each level is the base's `_images` under the accumulated maps of
+    `_levels`, so every row is bitwise the per-cell composition's.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if s.m**depth > caps.cells:
         raise CapExceededError(f"m**depth = {s.m**depth} exceeds the cell cap {caps.cells}")
-    child_linear, child_translation = s._children
-    lin, tr, verts = [np.eye(2)[None]], [np.zeros((1, 2))], [s.base.vertices[None]]
-    for _ in range(depth):
-        keep = np.arange(lin[-1].shape[0]) % s.M < s.m
-        L, T = _step(lin[-1][keep][:, None], tr[-1][keep][:, None], child_linear[None], child_translation[None])
-        lin.append(L.reshape(-1, 2, 2))
-        tr.append(T.reshape(-1, 2))
-        verts.append(_images(s.base.vertices, lin[-1], tr[-1]))
-    for a in lin + tr + verts:
-        a.setflags(write=False)
-    return CellTree(s, depth, tuple(verts), tuple(lin), tuple(tr))
+    verts = [s.base.vertices[None]] + [_images(s.base.vertices, L, T) for L, T in _levels(s._children, s.m, depth)]
+    return CellTree(s, depth, tuple(verts))
 
 
-def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[list[Point2], list[float]]:
-    """Centroids of the depth-N cells addressed by the codes' first N
-    symbols, with the cell diameters as error bounds.
+def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[np.ndarray, np.ndarray]:
+    """Centroids (P, 2) of the depth-N cells addressed by the codes' first N
+    symbols, with the cell diameters (P,) as error bounds.
 
     The limit point of each code lies within its bound.  Works at depths far
     past where polygon construction would hit the vertex-distinctness
@@ -425,11 +410,11 @@ def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DE
         raise ValueError("code symbols must be kept indices of the scheme")
     # unflipped: the centroid adds the vertices in AffineMap2.transform order
     verts = _images(s.base.vertices, *_fold(s._children, words), ccw=False)
-    return [Point2(x, y) for x, y in verts.mean(axis=1).tolist()], diameters(verts).tolist()
+    return verts.mean(axis=1), diameters(verts)
 
 
 def realize_point(s: Scheme, c: Code, depth: int, caps: Caps = DEFAULT_CAPS) -> tuple[Point2, float]:
     """Centroid of the depth-N cell addressed by the code's first N symbols,
     with its error bound; see `realize_points`."""
     points, bounds = realize_points(s, [c], depth, caps)
-    return points[0], bounds[0]
+    return Point2(*points[0].tolist()), float(bounds[0])

@@ -96,11 +96,11 @@ def segment_overlap_length_oracle(a: np.ndarray, b: np.ndarray, tol: float) -> f
     return max(0.0, min(la, hi) - max(0.0, lo))
 
 
-def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray, np.ndarray]]:
+def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray]]:
     """Per-cell construction of a cell tree: the oracle for
     scheme.build_tree.  Each kept cell's accumulated map is composed with
     every child map and the base is mapped through the result, one cell at
-    a time.  Per level: addresses, vertices, linear parts, translations."""
+    a time.  Per level: addresses, vertices, linear parts."""
     level = [(Address((), s.m, s.M), AffineMap2(np.eye(2), np.zeros(2)))]
     levels = []
     for n in range(depth + 1):
@@ -116,10 +116,17 @@ def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.n
                 [a for a, _ in level],
                 np.stack([image_oracle(acc, s.base.vertices) for _, acc in level]),
                 np.stack([acc.linear for _, acc in level]),
-                np.stack([acc.translation for _, acc in level]),
             )
         )
     return levels
+
+
+def iterate_attractor_oracle(maps, cells: list[ConvexPolygon], k: int) -> list[ConvexPolygon]:
+    """Every map applied to every cell by `apply`, one generation at a
+    time, maps varying slowest: the oracle for ifs.iterate_attractor."""
+    for _ in range(k):
+        cells = [apply(w, c) for w in maps for c in cells]
+    return cells
 
 
 def accumulated_map_oracle(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:

@@ -120,6 +120,26 @@ def test_verify_unknown_scheme_exits_2(capsys):
     assert run(["verify", "--scheme", "nosuch", "--depth", "2"]) == 2
 
 
+def test_verify_unreadable_scheme_file_exits_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "carpet.json"
+    path.write_text(dumps(builtin("carpet")))
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert run(["verify", "--scheme", str(path), "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read scheme file {str(path)!r}") and "Permission denied" in err
+
+
+def test_verify_non_utf8_scheme_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(["verify", "--scheme", str(path), "--depth", "2"]) == 3
+    assert capsys.readouterr().err.startswith("malformed scheme: ")
+
+
 def test_verify_cap_exceeded_exits_2(capsys):
     assert run(["verify", "--scheme", "carpet", "--depth", "8", "--force-cap", "1000"]) == 2
 

@@ -16,7 +16,7 @@ from porofractal.dynamics import (
 )
 from porofractal.errors import NoSeparationError
 from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
-from porofractal.ifs import compose_word, from_scheme, separation_from_maps
+from porofractal.ifs import SetApproximation, compose_word, from_scheme, iterate_attractor, separation_from_maps
 from porofractal.scheme import BUILTIN_NAMES, Scheme, address_polygon, builtin, realize_point, realize_points
 
 from conftest import point_distance_oracle
@@ -292,9 +292,9 @@ def test_chaos_report_json_shape():
 
 def test_chaos_report_composes_no_single_maps(monkeypatch):
     # every witness family realizes its codes through scheme's stacked fold,
-    # never one geometry.compose per symbol; the IFS words go through the
-    # same fold with no compose or apply, and a code's prefix is sliced,
-    # not read one symbol_at per symbol
+    # never one geometry.compose per symbol; the IFS words, attractor and
+    # separation go through the same stacked steps with no compose or apply,
+    # and a code's prefix is sliced, not read one symbol_at per symbol
     counts = {"compose": [], "apply": [], "symbol_at": []}
     calls = counts["compose"]
     originals = {key: getattr(geometry, key) for key in ("compose", "apply")}
@@ -319,6 +319,7 @@ def test_chaos_report_composes_no_single_maps(monkeypatch):
         system = from_scheme(s)
         compose_word(system, Address((1, 2) * 6, s.m, s.m))
         separation_from_maps(system, 2, "pairwise")
+        iterate_attractor(system, SetApproximation((s.base,), 0), 2)
         codes = [periodic_code(Address((2, 1), s.m, s.M)), Code((1,), (2, 1, 1), s.m), finite_code((2,) * 20, s.m)]
         realize_points(s, codes, 20)
     assert not calls and not counts["apply"] and not counts["symbol_at"]

@@ -8,7 +8,7 @@ from porofractal import ifs
 from porofractal.codespace import Address, Code
 from porofractal.config import Caps, Tolerances
 from porofractal.errors import AmbiguousBranchError, CapExceededError, OutsideAttractorError, SingularMapError
-from porofractal.geometry import AffineMap2, Point2, apply
+from porofractal.geometry import AffineMap2, ConvexPolygon, Point2, apply
 from porofractal.ifs import (
     IteratedSystem,
     SetApproximation,
@@ -23,7 +23,7 @@ from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, realize_point
 from porofractal.verifier import check_separation, kept_separation
 from porofractal.codespace import shift
 
-from conftest import address_vertices_oracle, contains_oracle, fold_cases
+from conftest import address_vertices_oracle, contains_oracle, fold_cases, iterate_attractor_oracle
 
 
 def kept_words(m, n):
@@ -114,6 +114,44 @@ def test_iterate_semigroup_property():
     def key(c):
         return tuple(np.round(np.sort(c.vertices, axis=0).ravel(), 12))
     assert sorted(map(key, combined.cells)) == sorted(map(key, staged.cells))
+
+
+def test_iterate_from_the_base_bitwise_matches_tree_cells():
+    for s in fold_cases():
+        k = 7 if s.m == 2 else 3
+        t = build_tree(s, k)
+        for n in range(1, k + 1):
+            out = iterate_attractor(from_scheme(s), SetApproximation((s.base,), 0), n)
+            want = t.vertices[n][t.kept_rows(n)]
+            assert np.stack([c.vertices for c in out.cells]).tobytes() == want.tobytes(), (s.name, n)
+
+
+@pytest.mark.parametrize("name", ["carpet", "koch"])
+def test_iterate_mixed_seed_matches_per_cell_oracle(name):
+    # maps vary slowest and the seed cells fastest, whatever their vertex counts
+    sys_ = from_scheme(builtin(name))
+    seed = (builtin("carpet").base, ConvexPolygon(np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])))
+    for k in (1, 2, 3):
+        out = iterate_attractor(sys_, SetApproximation(seed, 0), k)
+        want = iterate_attractor_oracle(sys_.maps, list(seed), k)
+        assert len(out.cells) == len(want) == 2 * sys_.m**k and out.generation == k
+        for got, ref in zip(out.cells, want):
+            assert got.vertices.shape == ref.vertices.shape
+            assert np.allclose(got.vertices, ref.vertices, rtol=0, atol=1e-12)
+
+
+def test_singular_system_raises_from_the_level_routes():
+    s = builtin("cantor")
+    flat = AffineMap2(np.array([[1 / 3, 0.0], [0.0, 0.0]]), np.zeros(2))
+    sys_ = IteratedSystem((flat, s.child_maps[1]), s.base)
+    seed = SetApproximation((s.base,), 0)
+    for k in (1, 3):
+        with pytest.raises(SingularMapError):
+            iterate_attractor(sys_, seed, k)
+    with pytest.raises(SingularMapError):
+        separation_from_maps(sys_, 2, "pairwise")
+    out = iterate_attractor(sys_, seed, 0)
+    assert out.cells == seed.cells and out.generation == 0
 
 
 def test_iterate_cap():

@@ -17,7 +17,7 @@ from porofractal.errors import (
     UnknownSchemeError,
     ValidationError,
 )
-from porofractal.geometry import AffineMap2, measure, overlap_measures, similarity_map
+from porofractal.geometry import AffineMap2, Point2, apply, measure, overlap_measures, similarity_map
 from porofractal.scheme import (
     BUILTIN_NAMES,
     Cell,
@@ -219,18 +219,18 @@ def test_cell_counts_all_builtins():
 
 
 def test_build_tree_bitwise_matches_per_cell_oracle():
-    # every level's arrays equal the per-cell compose/_image route exactly,
-    # and the rows decode to the oracle's addresses in the same order
+    # every level's vertices equal the per-cell compose/_image route and the
+    # fold of each row's address exactly, and the rows decode to the
+    # oracle's addresses in the same order
     g = similarity_map(0.7, 0.4, (0.3, -0.2), reflect=True)
     cases = [(builtin(n), d) for n, d in [("carpet", 4), ("pascal3", 4), ("koch", 10), ("cantor", 9)]]
     cases += [(similarity_conjugate(builtin("koch"), g), 8), (similarity_conjugate(builtin("carpet"), g), 3)]
     for s, depth in cases:
         t = build_tree(s, depth)
         flipped = 0
-        for n, (addresses, verts, linear, translation) in enumerate(build_levels_oracle(s, depth)):
+        for n, (addresses, verts, linear) in enumerate(build_levels_oracle(s, depth)):
             assert np.array_equal(t.vertices[n], verts), (s.name, n)
-            assert np.array_equal(t.linear[n], linear), (s.name, n)
-            assert np.array_equal(t.translation[n], translation), (s.name, n)
+            assert address_vertices(s, addresses).tobytes() == t.vertices[n].tobytes(), (s.name, n)
             assert [t.address(n, i) for i in range(len(addresses))] == addresses, (s.name, n)
             flipped += int((np.linalg.det(linear) < 0.0).sum())
         # koch's kept maps reverse orientation, so its rows get reordered
@@ -411,8 +411,7 @@ def test_accumulated_map_matches_tree_cells():
     for w in kept_words(2, 3):
         acc = accumulated_map(s, w)
         cell = t.cell(Address(w, 2, 3))
-        assert np.allclose(acc.linear, cell.acc_map.linear, rtol=0, atol=1e-15)
-        assert np.allclose(acc.translation, cell.acc_map.translation, rtol=0, atol=1e-15)
+        assert apply(acc, s.base).vertices.tobytes() == cell.polygon.vertices.tobytes()
 
 
 def test_realize_points_bitwise_matches_per_symbol_oracle():
@@ -421,11 +420,11 @@ def test_realize_points_bitwise_matches_per_symbol_oracle():
         codes = [Code((), w, s.m) for w in words] + [Code((2, 1), (1, 2), s.m)]
         for depth in range(1, 21):
             points, bounds = realize_points(s, codes, depth)
+            assert points.shape == (len(codes), 2) and bounds.shape == (len(codes),)
             for k, c in enumerate(codes):
                 p, bound = realize_point_oracle(s, c, depth)
-                got = np.array([points[k].x, points[k].y])
-                assert got.tobytes() == p.tobytes() and bounds[k] == bound, (s.name, c, depth)
-            assert realize_point(s, codes[-1], depth) == (points[-1], bounds[-1])
+                assert points[k].tobytes() == p.tobytes() and bounds[k] == bound, (s.name, c, depth)
+            assert realize_point(s, codes[-1], depth) == (Point2(*points[-1].tolist()), bounds[-1])
 
 
 def test_address_vertices_bitwise_matches_per_symbol_oracle():
@@ -471,7 +470,7 @@ def test_scheme_document_is_valid_json():
 
 @pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 6)])
 def test_cell_views_match_per_row_route(name, depth):
-    # every way of reading a Cell gives the address, map and polygon of
+    # every way of reading a Cell gives the address, polygon and kind of
     # its row
     t = build_tree(builtin(name), depth)
     m, M = t.scheme.m, t.scheme.M
@@ -479,8 +478,6 @@ def test_cell_views_match_per_row_route(name, depth):
     def check(cell, n, row):
         assert cell.address == Address(tuple(t.symbols(n, np.array([row]))[0].tolist()), m, M)
         assert cell.address == t.address(n, row) and t.row(cell.address) == row
-        assert cell.acc_map.linear.tobytes() == t.linear[n][row].tobytes()
-        assert cell.acc_map.translation.tobytes() == t.translation[n][row].tobytes()
         assert cell.polygon.vertices.tobytes() == t.vertices[n][row].tobytes()
         assert cell.kind == ("kept" if row % M < m else "complement")
 
