@@ -258,9 +258,18 @@ def measure(p: ConvexPolygon, kind: MeasureKind) -> float:
 
 def diameters(verts: np.ndarray) -> np.ndarray:
     """Maximum pairwise vertex distance of each polygon of a (N, V, 2) vertex
-    stack (exact for convex polygons)."""
-    diff = verts[:, :, None, :] - verts[:, None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1]).max(axis=(1, 2))
+    stack (exact for convex polygons; 0 for a point).
+
+    A running maximum over the V(V-1)/2 vertex pairs, one (N,) plane at a
+    time, so the working memory is a few rows of N, not an (N, V, V, 2)
+    difference tensor.  Max is exact and hypot ignores sign, so this is
+    bitwise the maximum over the full tensor."""
+    x, y = verts[..., 0], verts[..., 1]
+    out = np.zeros(verts.shape[0])
+    for i in range(verts.shape[1]):
+        for j in range(i + 1, verts.shape[1]):
+            np.maximum(out, np.hypot(x[:, i] - x[:, j], y[:, i] - y[:, j]), out=out)
+    return out
 
 
 def diameter(p: ConvexPolygon) -> float:
@@ -281,19 +290,19 @@ def _edge_ends(V: int) -> np.ndarray:
     return t
 
 
-def _vertex_edge(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_edge(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
     """Distances from the points p to the segments (a, b) and orientations
-    of p against them (positive on the left), over broadcast (..., 2)
-    arrays.  The closest point is clamped to the segment (Ericson, Real-Time
-    Collision Detection, 2005, 5.1.2); a zero-length one is its start.
-    Every entry takes the same float operations, whatever the shapes, so a
-    table of many vertex-edge pairs is bitwise many scalar queries."""
-    e = b - a
-    w = p - a
-    ex, ey, wx, wy = e[..., 0], e[..., 1], w[..., 0], w[..., 1]
+    of p against them (positive on the left), over broadcast x and y
+    coordinate planes.  The closest point is clamped to the segment
+    (Ericson, Real-Time Collision Detection, 2005, 5.1.2); a zero-length one
+    is its start.  Every entry takes the same float operations, whatever
+    the shapes, so a table of many vertex-edge pairs is bitwise many scalar
+    queries."""
+    ex, ey = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
     denom = ex * ex + ey * ey
     t = np.clip((wx * ex + wy * ey) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
-    d = np.hypot(p[..., 0] - (a[..., 0] + t * ex), p[..., 1] - (a[..., 1] + t * ey))
+    d = np.hypot(px - (ax + t * ex), py - (ay + t * ey))
     return d, ex * wy - ey * wx
 
 
@@ -303,7 +312,8 @@ def _inside(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
     near a point or segment."""
     t = _edge_ends(cells.shape[1])
     if cells.shape[1] < 3:
-        return _vertex_edge(points[:, None], cells[:, :1], cells[:, t])[0][:, 0] <= tol
+        x, y = cells[..., 0], cells[..., 1]
+        return _vertex_edge(points[:, 0], points[:, 1], x[:, 0], y[:, 0], x[:, t[0]], y[:, t[0]])[0] <= tol
     e = cells[:, t] - cells
     w = points[:, None] - cells
     cross = e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
@@ -320,33 +330,45 @@ def point_distances(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
     (P, V, 2) stack, row by row (0 inside): the least distance to an edge,
     one vertex-edge table of one direction."""
     t = _edge_ends(cells.shape[1])
-    d = _vertex_edge(points[:, None], cells[:, : t.shape[0]], cells[:, t])[0].min(axis=1)
+    x, y = cells[..., 0], cells[..., 1]
+    E = t.shape[0]
+    d = _vertex_edge(points[:, :1], points[:, 1:], x[:, :E], y[:, :E], x[:, t], y[:, t])[0].min(axis=1)
     return np.where(_inside(points, cells, 0.0), 0.0, d)
 
 
+def _planes(verts: np.ndarray) -> np.ndarray:
+    """The x and y coordinate planes (2, V, P) of a (P, V, 2) vertex stack,
+    C-ordered, so that pairs run along the last, contiguous axis."""
+    return np.ascontiguousarray(verts.transpose(2, 1, 0))
+
+
 def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distances between the boundaries of A[k] and B[k], for stacks
-    (P, Va, 2) and (P, Vb, 2): 0 where they meet.
+    """Distances between the boundaries of polygons A[k] and B[k], given as
+    coordinate planes (2, Va, P) and (2, Vb, P) (`_planes`): 0 where they
+    meet.
 
     Two edges are apart by the least distance from an end of one to the
     other, unless they cross.  Each such term belongs to one vertex and one
-    edge, so it is computed once: a (P, Va, Eb) table of A's vertices
-    against B's edges, a (P, Vb, Ea) table of B's against A's, each with
-    the orientations.  Edges cross when the ends of each lie strictly on
-    both sides of the other's line: two sign products of table entries."""
+    edge, so it is computed once: a (Va, Eb, P) table of A's vertices
+    against B's edges, a (Vb, Ea, P) table of B's against A's, each with
+    the orientations.  The pairs run along the last axis, so every step is
+    one long loop, and each entry takes the same float operations as a
+    scalar query.  Edges cross when the ends of each lie strictly on both
+    sides of the other's line: two sign products of table entries."""
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
     Ea, Eb = ta.shape[0], tb.shape[0]
-    da, oa = _vertex_edge(A[:, :, None], B[:, None, :Eb], B[:, None, tb])
-    db, ob = _vertex_edge(B[:, :, None], A[:, None, :Ea], A[:, None, ta])
-    P = A.shape[0]
-    d = np.minimum(da.reshape(P, -1).min(axis=1), db.reshape(P, -1).min(axis=1))
-    crossing = (oa[:, :Ea] * oa[:, ta] < 0.0) & (ob[:, :Eb] * ob[:, tb] < 0.0).transpose(0, 2, 1)
-    k, i, j = np.nonzero(crossing)
+    (ax, ay), (bx, by) = A, B
+    da, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
+    db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
+    P = A.shape[2]
+    d = np.minimum(da.reshape(-1, P).min(axis=0), db.reshape(-1, P).min(axis=0))
+    crossing = (oa[:Ea] * oa[ta] < 0.0) & (ob[:Eb] * ob[tb] < 0.0).transpose(1, 0, 2)
+    i, j, k = np.nonzero(crossing)
     if k.shape[0]:
         # a proper crossing lies in both bounding boxes; requiring them to
         # meet keeps rounding noise in the orientations of collinear
         # disjoint segments from reading as a crossing
-        a1, a2, b1, b2 = A[k, i], A[k, ta[i]], B[k, j], B[k, tb[j]]
+        a1, a2, b1, b2 = A[:, i, k].T, A[:, ta[i], k].T, B[:, j, k].T, B[:, tb[j], k].T
         meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
         d[k[meet.all(axis=1)]] = 0.0
     return d
@@ -374,7 +396,7 @@ def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     Zero when they touch, overlap, or one contains the other.
     """
     A, B, row = a.vertices[None], b.vertices[None], np.zeros(1, dtype=np.intp)
-    d = _pair_distances(A, B)
+    d = _pair_distances(_planes(A), _planes(B))
     _zero_nested(d, (A, A.min(axis=1), A.max(axis=1), row), (B, B.min(axis=1), B.max(axis=1), row))
     return float(d[0])
 
@@ -396,8 +418,16 @@ class PairDistanceEvaluator:
         if not vertices.shape[0]:
             raise ValueError("need at least one polygon")
         self.vertices = vertices
-        self.lo, self.hi = vertices.min(axis=1), vertices.max(axis=1)
-        self.centroids = vertices.mean(axis=1)
+        # running min, max and sum over the vertex planes: numpy reduces a
+        # strided axis in this order, so these are bitwise min, max and
+        # mean over axis 1, without the reductions over a short axis
+        V = vertices.shape[1]
+        self.lo, self.hi, total = vertices[:, 0].copy(), vertices[:, 0].copy(), vertices[:, 0].copy()
+        for v in range(1, V):
+            np.minimum(self.lo, vertices[:, v], out=self.lo)
+            np.maximum(self.hi, vertices[:, v], out=self.hi)
+            total += vertices[:, v]
+        self.centroids = total / V
 
     def box_gaps(self, ii, jj) -> np.ndarray:
         """Bounding-box gaps of the index pairs: lower bounds on min_distance."""
@@ -439,7 +469,7 @@ class PairDistanceEvaluator:
         step = max(1, _PAIR_CHUNK // (V * _edge_ends(V).shape[0]))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            out[lo:hi] = _pair_distances(self.vertices[ii[lo:hi]], self.vertices[jj[lo:hi]])
+            out[lo:hi] = _pair_distances(_planes(self.vertices[ii[lo:hi]]), _planes(self.vertices[jj[lo:hi]]))
         _zero_nested(out, (self.vertices, self.lo, self.hi, ii), (self.vertices, self.lo, self.hi, jj))
         return out
 

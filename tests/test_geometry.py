@@ -251,7 +251,7 @@ def test_pair_distance_evaluator_mixed_vertex_counts():
     # first polygon, one sharing its first vertex and one strictly inside it,
     # so touching and nested pairs are exercised
     rng = np.random.default_rng(5)
-    for k in (1, 2, 3, 4, 7):
+    for k in (1, 2, 3, 4, 7, 9):
         polys = [_random_ngon(rng, k) for _ in range(6)]
         v, c = polys[0].vertices, polys[0].vertices.mean(axis=0)
         polys += [ConvexPolygon(v[0] + 0.5 * (v - v[0])), ConvexPolygon(c + 0.5 * (v - c))]
@@ -262,6 +262,10 @@ def test_pair_distance_evaluator_mixed_vertex_counts():
             assert got[n] == min_distance(polys[i], polys[j]), (k, i, j)
         for i, p in enumerate(polys):
             assert tuple(ev.lo[i]) + tuple(ev.hi[i]) == p.bbox()
+        # the boxes and centroids are bitwise the reductions over the vertices
+        v = ev.vertices
+        for got, want in [(ev.lo, v.min(axis=1)), (ev.hi, v.max(axis=1)), (ev.centroids, v.mean(axis=1))]:
+            assert got.tobytes() == want.tobytes(), k
 
 
 def test_box_overlap_pairs_matches_outer_predicate():

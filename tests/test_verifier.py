@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from porofractal.config import Caps
 from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
     ConvexPolygon,
+    PairDistanceEvaluator,
     box_overlap_pairs,
     min_distance,
     overlap_measures,
@@ -27,7 +31,6 @@ from porofractal.verifier import (
 )
 
 from conftest import (
-    min_distance_matrix,
     oracle_intersection_area,
     overlapping_complement_cantor,
     segment_overlap_length_oracle,
@@ -240,11 +243,16 @@ def test_pairwise_never_exceeds_forall_exists(name, make_tree):
 
 def _full_matrix_sweep(cells_by_depth, mode):
     # brute-force oracle: every pair's exact distance, ties to the first
-    # entry in row-major order of the symmetric distance matrix
+    # entry in row-major order of the symmetric distance matrix.  One
+    # evaluator call fills the matrix; it is bitwise scalar min_distance
+    # pair by pair (test_min_distance_matrix_matches_scalar), and fast
+    # enough for levels of a few hundred cells
     per_depth = []
     for cells in cells_by_depth:
         addrs = [a for a, _ in cells]
-        mat = min_distance_matrix([p for _, p in cells])
+        ii, jj = np.nonzero(~np.eye(len(cells), dtype=bool))
+        mat = np.zeros((len(cells),) * 2)
+        mat[ii, jj] = PairDistanceEvaluator(np.stack([p.vertices for _, p in cells])).distances(ii, jj)
         if mode == "pairwise":
             np.fill_diagonal(mat, np.inf)
             i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
@@ -270,10 +278,18 @@ def _rotated_carpet():
     return similarity_conjugate(builtin("carpet"), similarity_map(0.7, 0.3, (0.2, -0.1)))
 
 
-def test_separation_pruned_path_matches_full_matrix():
+def _square_row(xs):
+    # one depth of unit squares at the given x positions, in address order
+    squares = [ConvexPolygon(np.array([[x, 0.0], [x + 1, 0.0], [x + 1, 1.0], [x, 1.0]])) for x in xs]
+    return [[(Address((i,), len(xs), len(xs)), p) for i, p in enumerate(squares, start=1)]]
+
+
+def test_separation_pruned_path_matches_full_matrix(monkeypatch):
     # the pruned sweep must reproduce the exhaustive matrix exactly: values,
-    # depth-wise values and tie-broken witnesses, in both modes
-    cases = [(builtin(n), d) for n, d in [("carpet", 2), ("pascal3", 2), ("cantor", 4), ("koch", 5)]]
+    # depth-wise values and tie-broken witnesses, in both modes.  cantor d9
+    # seeds 511 consecutive pairs with no touching one, past a seed chunk;
+    # koch d8 visits its deepest level's rows in several blocks
+    cases = [(builtin(n), d) for n, d in [("carpet", 2), ("pascal3", 2), ("cantor", 4), ("koch", 5), ("cantor", 9), ("koch", 8)]]
     for s, depth in cases + [(_rotated_carpet(), 2)]:
         t = build_tree(s, depth)
         cells = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, depth + 1)]
@@ -283,13 +299,25 @@ def test_separation_pruned_path_matches_full_matrix():
             # the tree's vertex stacks give the same sweep and pair
             tree_sweep, ta, tb = kept_separation(t, mode)
             assert (tree_sweep, ta, tb) == (sweep, a, b), (s.name, mode)
+    # consecutive cells far apart while a later pair touches, or comes
+    # nearer than every consecutive pair: the seeds bound loosely
+    for xs in [(0.0, 6.0, 12.0, 18.0, 1.0, 7.5), (0.0, 6.0, 12.0, 18.0, 1.25), (9.0, 0.0, 4.5, 2.0, 6.0, 1.0)]:
+        cells = _square_row(xs)
+        for mode in ("pairwise", "forall_exists"):
+            sweep, a, b = _sweep(cells, mode)
+            assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, mode), (xs, mode)
+    calls = []
+    distances = PairDistanceEvaluator.distances
+    monkeypatch.setattr(PairDistanceEvaluator, "distances", lambda ev, ii, jj: calls.append(1) or distances(ev, ii, jj))
+    t = build_tree(builtin("koch"), 8)
+    separation_sweep([t.vertices[8][t.kept_rows(8)]], "forall_exists")
+    assert len(calls) >= 3
 
 
 def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
     # squares [0,1], [2,3], [1,2] on a row: the first touching consecutive
     # pair is (2, 3), but (1, 3) also touches and comes first
-    squares = [ConvexPolygon(np.array([[x, 0.0], [x + 1, 0.0], [x + 1, 1.0], [x, 1.0]])) for x in (0.0, 2.0, 1.0)]
-    cells = [[(Address((i,), 3, 3), p) for i, p in enumerate(squares, start=1)]]
+    cells = _square_row((0.0, 2.0, 1.0))
     sweep, a, b = _sweep(cells, "pairwise")
     assert (sweep.value, str(a), str(b)) == (0.0, "1", "3")
     assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, "pairwise")
@@ -310,6 +338,24 @@ def test_separation_cap():
     t = build_tree(builtin("cantor"), 5)
     with pytest.raises(CapExceededError):
         check_separation(t, "pairwise", caps=Caps(pairs=10))
+
+
+# the smallest pair caps that do not raise: forall_exists keeps its own,
+# and pairwise, which counts only the seeding chunks it evaluates, may only
+# need fewer; cantor has no touching seed, so it still seeds every pair
+_CAP_CASES = [("koch", 8, 88, 502), ("carpet", 3, 104, 581), ("cantor", 6, 12, 120), ("pascal3", 4, 65, 1550)]
+
+
+@pytest.mark.parametrize("name,depth,forall_exists,pairwise", _CAP_CASES)
+def test_separation_cap_thresholds(name, depth, forall_exists, pairwise, make_tree):
+    t = make_tree(name, depth)
+    check_separation(t, "forall_exists", caps=Caps(pairs=forall_exists))
+    with pytest.raises(CapExceededError):
+        check_separation(t, "forall_exists", caps=Caps(pairs=forall_exists - 1))
+    check_separation(t, "pairwise", caps=Caps(pairs=pairwise))
+    if name == "cantor":
+        with pytest.raises(CapExceededError):
+            check_separation(t, "pairwise", caps=Caps(pairs=pairwise - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +435,6 @@ def test_conditions_hold_in_rotated_frames():
 
 
 def test_report_json_shape(make_tree, carpet_gap):
-    import json
-
     for rep in (full_verify(make_tree("cantor", 3)), full_verify(build_tree(carpet_gap, 2))):
         doc = json.loads(rep.to_json())
         assert set(doc) == {"scheme", "depth", "tolerances", "conditions", "overall"}
@@ -399,3 +443,25 @@ def test_report_json_shape(make_tree, carpet_gap):
             assert cond["status"] in ("pass", "fail")
             if cond["status"] == "fail":
                 assert cond["witnesses"]  # every failure carries a witness
+
+
+# (digest key, scheme, depth): the sweep-shallow cantor op reads its depth
+# from a variable the workload rebinds to the carpet's sweep depth before
+# the op runs, so its keys hold the reports of cantor d2 and d3
+_REF_REPORTS = [
+    ("verify-deep/carpet-d2", "carpet", 2),
+    ("verify-deep/carpet-d4", "carpet", 4),
+    ("verify-deep/koch-d4", "koch", 4),
+    ("verify-deep/koch-d12", "koch", 12),
+    ("sweep-shallow/cantor-d4", "cantor", 2),
+    ("sweep-shallow/cantor-d9", "cantor", 3),
+]
+
+
+@pytest.mark.parametrize("key,name,depth", _REF_REPORTS)
+def test_report_bytes_match_benchmark_refs(key, name, depth):
+    # the benchmark's recorded report digests, read only: a byte change in a
+    # built-in's full_verify report fails here, not only in the harness
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())
+    report = full_verify(build_tree(builtin(name), depth), expected_ratio=EXPECTED_RATIO[name]).to_json()
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == refs[key]
