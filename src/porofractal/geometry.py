@@ -336,31 +336,25 @@ def point_distances(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.where(_inside(points, cells, 0.0), 0.0, d)
 
 
-def _planes(verts: np.ndarray) -> np.ndarray:
-    """The x and y coordinate planes (2, V, P) of a (P, V, 2) vertex stack,
-    C-ordered, so that pairs run along the last, contiguous axis."""
-    return np.ascontiguousarray(verts.transpose(2, 1, 0))
-
-
 def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distances between the boundaries of polygons A[k] and B[k], given as
-    coordinate planes (2, Va, P) and (2, Vb, P) (`_planes`): 0 where they
-    meet.
+    """Distances between the boundaries of A[k] and B[k], for stacks
+    (P, Va, 2) and (P, Vb, 2): 0 where they meet.
 
     Two edges are apart by the least distance from an end of one to the
     other, unless they cross.  Each such term belongs to one vertex and one
     edge, so it is computed once: a (Va, Eb, P) table of A's vertices
     against B's edges, a (Vb, Ea, P) table of B's against A's, each with
-    the orientations.  The pairs run along the last axis, so every step is
-    one long loop, and each entry takes the same float operations as a
+    the orientations.  Both stacks are first laid out as contiguous x and y
+    planes (2, V, P), so the pairs run along the last axis and every step
+    is one long loop; each entry takes the same float operations as a
     scalar query.  Edges cross when the ends of each lie strictly on both
     sides of the other's line: two sign products of table entries."""
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
     Ea, Eb = ta.shape[0], tb.shape[0]
-    (ax, ay), (bx, by) = A, B
+    (ax, ay), (bx, by) = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
     da, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
     db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
-    P = A.shape[2]
+    P = A.shape[0]
     d = np.minimum(da.reshape(-1, P).min(axis=0), db.reshape(-1, P).min(axis=0))
     crossing = (oa[:Ea] * oa[ta] < 0.0) & (ob[:Eb] * ob[tb] < 0.0).transpose(1, 0, 2)
     i, j, k = np.nonzero(crossing)
@@ -368,7 +362,7 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # a proper crossing lies in both bounding boxes; requiring them to
         # meet keeps rounding noise in the orientations of collinear
         # disjoint segments from reading as a crossing
-        a1, a2, b1, b2 = A[:, i, k].T, A[:, ta[i], k].T, B[:, j, k].T, B[:, tb[j], k].T
+        a1, a2, b1, b2 = A[k, i], A[k, ta[i]], B[k, j], B[k, tb[j]]
         meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
         d[k[meet.all(axis=1)]] = 0.0
     return d
@@ -396,7 +390,7 @@ def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     Zero when they touch, overlap, or one contains the other.
     """
     A, B, row = a.vertices[None], b.vertices[None], np.zeros(1, dtype=np.intp)
-    d = _pair_distances(_planes(A), _planes(B))
+    d = _pair_distances(A, B)
     _zero_nested(d, (A, A.min(axis=1), A.max(axis=1), row), (B, B.min(axis=1), B.max(axis=1), row))
     return float(d[0])
 
@@ -469,7 +463,7 @@ class PairDistanceEvaluator:
         step = max(1, _PAIR_CHUNK // (V * _edge_ends(V).shape[0]))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            out[lo:hi] = _pair_distances(_planes(self.vertices[ii[lo:hi]]), _planes(self.vertices[jj[lo:hi]]))
+            out[lo:hi] = _pair_distances(self.vertices[ii[lo:hi]], self.vertices[jj[lo:hi]])
         _zero_nested(out, (self.vertices, self.lo, self.hi, ii), (self.vertices, self.lo, self.hi, jj))
         return out
 

@@ -17,7 +17,7 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import _PAIR_CHUNK, PairDistanceEvaluator, box_overlap_pairs, diameters, measures, overlap_measures
+from .geometry import PairDistanceEvaluator, box_overlap_pairs, diameters, measures, overlap_measures
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
@@ -299,43 +299,23 @@ def _depth_forall_exists(ev: PairDistanceEvaluator, budget: _PairBudget) -> tupl
     rows are visited in ascending order of that bound until it passes the
     running minimum.  Centroid distances bound each distance from above, so
     a visited row only evaluates the partners that can reach its bound.
-
-    Rows are taken in blocks of 1, 2, 4, ... rows, at most _PAIR_CHUNK
-    row-cell entries each, less the rows already past the running minimum:
-    one centroid filter and one `distances` call per block.  The rows of a
-    block are then replayed one by one in visiting order, with the stop
-    test, the budget charge and the tie rule of a row-at-a-time visit, so
-    the rows a block holds past the stop only cost time.
     """
-    k = ev.vertices.shape[0]
     slack = _slack(ev)
     lower = ev.farthest_box_gaps()
-    order = np.argsort(lower, kind="stable")
     running, pick = np.inf, (0, 0)
-    at, size = 0, 1
-    while at < k:
-        # the running minimum only falls, so a row past it now is never visited
-        rows = order[at : at + size]
-        rows = rows[lower[rows] - slack <= running]
-        if not rows.shape[0]:
+    for i in np.argsort(lower, kind="stable").tolist():
+        if lower[i] - slack > running:
             break
-        at, size = at + size, min(2 * size, max(1, _PAIR_CHUNK // k))
-        c = ev.centroids[None] - ev.centroids[rows, None]
-        mask = np.hypot(c[..., 0], c[..., 1]) >= (lower[rows] - slack)[:, None]
-        mask[np.arange(rows.shape[0]), rows] = False
-        r, cand = np.nonzero(mask)
-        exact = ev.distances(rows[r], cand)
-        ends = np.cumsum(np.bincount(r, minlength=rows.shape[0])).tolist()
-        for b, i in enumerate(rows.tolist()):
-            if lower[i] - slack > running:
-                return running, pick[0], pick[1]
-            lo, hi = ends[b - 1] if b else 0, ends[b]
-            budget.spend(hi - lo)
-            row_max = float(exact[lo:hi].max()) if hi > lo else 0.0
-            if row_max < running or (row_max == running and i < pick[0]):
-                # a row of the full distance matrix holds 0 on its diagonal,
-                # so a row of zeros reports its first column
-                running, pick = row_max, (i, int(cand[lo + np.argmax(exact[lo:hi])]) if row_max > 0.0 else 0)
+        c = ev.centroids - ev.centroids[i]
+        cand = np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
+        cand = cand[cand != i]
+        budget.spend(cand.shape[0])
+        exact = ev.distances(np.full(cand.shape[0], i), cand)
+        row_max = float(exact.max()) if cand.shape[0] else 0.0
+        if row_max < running or (row_max == running and i < pick[0]):
+            # a row of the full distance matrix holds 0 on its diagonal, so a
+            # row of zeros reports its first column
+            running, pick = row_max, (i, int(cand[np.argmax(exact)]) if row_max > 0.0 else 0)
     return running, pick[0], pick[1]
 
 
@@ -359,11 +339,10 @@ def separation_sweep(
     does), takes their minimum as a bound, and sort-and-sweeps the boxes
     for the pairs whose gap is within it.  forall_exists bounds every row
     by its farthest box gap, read off the Pareto-maximal box corners, and
-    evaluates only the rows whose bound does not pass the running minimum,
-    a doubling block of rows per exact call.  The pair cap counts the exact
-    evaluations over all depths: for pairwise the seeding chunks it
-    evaluated and the swept pairs, for forall_exists the partners of each
-    row it visits before the stop.
+    evaluates only the rows whose bound does not pass the running minimum.
+    The pair cap counts the exact evaluations over all depths: for
+    pairwise the seeding chunks it evaluated and the swept pairs, for
+    forall_exists the partners of each row it visits.
     """
     if mode not in ("pairwise", "forall_exists"):
         raise ValueError(f"unknown separation mode {mode!r}")

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from porofractal import verifier
 from porofractal.codespace import Address
 from porofractal.config import Caps
 from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
     ConvexPolygon,
-    PairDistanceEvaluator,
     box_overlap_pairs,
     min_distance,
     overlap_measures,
@@ -31,6 +31,7 @@ from porofractal.verifier import (
 )
 
 from conftest import (
+    min_distance_matrix,
     oracle_intersection_area,
     overlapping_complement_cantor,
     segment_overlap_length_oracle,
@@ -243,16 +244,11 @@ def test_pairwise_never_exceeds_forall_exists(name, make_tree):
 
 def _full_matrix_sweep(cells_by_depth, mode):
     # brute-force oracle: every pair's exact distance, ties to the first
-    # entry in row-major order of the symmetric distance matrix.  One
-    # evaluator call fills the matrix; it is bitwise scalar min_distance
-    # pair by pair (test_min_distance_matrix_matches_scalar), and fast
-    # enough for levels of a few hundred cells
+    # entry in row-major order of the symmetric distance matrix
     per_depth = []
     for cells in cells_by_depth:
         addrs = [a for a, _ in cells]
-        ii, jj = np.nonzero(~np.eye(len(cells), dtype=bool))
-        mat = np.zeros((len(cells),) * 2)
-        mat[ii, jj] = PairDistanceEvaluator(np.stack([p.vertices for _, p in cells])).distances(ii, jj)
+        mat = min_distance_matrix([p for _, p in cells])
         if mode == "pairwise":
             np.fill_diagonal(mat, np.inf)
             i, j = np.unravel_index(int(np.argmin(mat)), mat.shape)
@@ -286,32 +282,29 @@ def _square_row(xs):
 
 def test_separation_pruned_path_matches_full_matrix(monkeypatch):
     # the pruned sweep must reproduce the exhaustive matrix exactly: values,
-    # depth-wise values and tie-broken witnesses, in both modes.  cantor d9
-    # seeds 511 consecutive pairs with no touching one, past a seed chunk;
-    # koch d8 visits its deepest level's rows in several blocks
-    cases = [(builtin(n), d) for n, d in [("carpet", 2), ("pascal3", 2), ("cantor", 4), ("koch", 5), ("cantor", 9), ("koch", 8)]]
-    for s, depth in cases + [(_rotated_carpet(), 2)]:
-        t = build_tree(s, depth)
-        cells = [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, depth + 1)]
-        for mode in ("pairwise", "forall_exists"):
-            sweep, a, b = _sweep(cells, mode)
-            assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, mode), (s.name, mode)
-            # the tree's vertex stacks give the same sweep and pair
-            tree_sweep, ta, tb = kept_separation(t, mode)
-            assert (tree_sweep, ta, tb) == (sweep, a, b), (s.name, mode)
-    # consecutive cells far apart while a later pair touches, or comes
-    # nearer than every consecutive pair: the seeds bound loosely
-    for xs in [(0.0, 6.0, 12.0, 18.0, 1.0, 7.5), (0.0, 6.0, 12.0, 18.0, 1.25), (9.0, 0.0, 4.5, 2.0, 6.0, 1.0)]:
-        cells = _square_row(xs)
-        for mode in ("pairwise", "forall_exists"):
-            sweep, a, b = _sweep(cells, mode)
-            assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, mode), (xs, mode)
-    calls = []
-    distances = PairDistanceEvaluator.distances
-    monkeypatch.setattr(PairDistanceEvaluator, "distances", lambda ev, ii, jj: calls.append(1) or distances(ev, ii, jj))
-    t = build_tree(builtin("koch"), 8)
-    separation_sweep([t.vertices[8][t.kept_rows(8)]], "forall_exists")
-    assert len(calls) >= 3
+    # depth-wise values and tie-broken witnesses, in both modes.  Each case
+    # also runs with a seed chunk of 4, so pairwise seeding crosses chunks
+    # (cantor d5 and d6 have no touching seed at all)
+    trees = [build_tree(builtin(n), d) for n, d in [("carpet", 2), ("pascal3", 2), ("cantor", 4), ("koch", 5), ("cantor", 5), ("cantor", 6)]]
+    trees.append(build_tree(_rotated_carpet(), 2))
+    # rows of squares whose consecutive cells lie far apart while a later
+    # pair touches, or comes nearer than every consecutive pair, so the
+    # seeds bound loosely; in the last a touching seed (5, 6) comes after a
+    # chunk of 4 seeds, and the non-consecutive (1, 5) touches too
+    rows = [(0.0, 6.0, 12.0, 18.0, 1.0, 7.5), (0.0, 6.0, 12.0, 18.0, 1.25), (9.0, 0.0, 4.5, 2.0, 6.0, 1.0), (0.0, 3.0, 6.0, 9.0, 1.0, 2.0)]
+    cases = [(t.scheme.name, [[(c.address, c.polygon) for c in t.kept_cells(n)] for n in range(1, t.depth + 1)], t) for t in trees]
+    cases += [(xs, _square_row(xs), None) for xs in rows]
+    for name, cells, t in cases:
+        want = {mode: _full_matrix_sweep(cells, mode) for mode in ("pairwise", "forall_exists")}
+        for chunk in (verifier._SEED_CHUNK, 4):
+            monkeypatch.setattr(verifier, "_SEED_CHUNK", chunk)
+            for mode in ("pairwise", "forall_exists"):
+                sweep, a, b = _sweep(cells, mode)
+                assert (sweep.by_depth, a, b) == want[mode], (name, chunk, mode)
+                if t is not None:
+                    # the tree's vertex stacks give the same sweep and pair
+                    tree_sweep, ta, tb = kept_separation(t, mode)
+                    assert (tree_sweep, ta, tb) == (sweep, a, b), (name, chunk, mode)
 
 
 def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
