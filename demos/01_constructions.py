@@ -23,9 +23,8 @@ for name, depth in DEPTHS.items():
     print(f"=== {name}: m={s.m}, M={s.M}, measure={s.measure_kind} ===")
     print(f"base measure {s.base_measure():.6f}, base diameter {diameter(s.base):.6f}")
     for n in range(1, depth + 1):
-        kept = t.kept_cells(n)
-        comp = [c for c in t.levels[n] if not c.is_kept]
-        kept_mu = float(measures(t.vertices[n][t.kept_rows(n)], s.measure_kind).sum())
+        kept, comp = t.kept_rows(n), t.complement_rows(n)
+        kept_mu = float(measures(t.vertices[n][kept], s.measure_kind).sum())
         print(
             f"  depth {n}: {len(kept):5d} kept + {len(comp):4d} removed cells, "
             f"kept measure {kept_mu:.6f} "

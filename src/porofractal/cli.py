@@ -98,9 +98,9 @@ def _emit(text: str, out: str | None) -> None:
         raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, depth_default: int | None = None) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", required=True, help="built-in name or scheme JSON path")
-    p.add_argument("--depth", type=int, default=depth_default, required=depth_default is None)
+    p.add_argument("--depth", type=int, required=True)
     for f in fields(Tolerances):
         flag = "--lambda-max" if f.name == "lambda_max" else f"--tol-{f.name}"
         p.add_argument(flag, dest=f.name, type=float, default=f.default)

@@ -85,13 +85,6 @@ class Code:
     def is_finite(self) -> bool:
         return not self.period
 
-    def symbol_at(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        if self.period:
-            return self.period[(i - len(self.preperiod)) % len(self.period)]
-        raise IndexError(f"index {i} beyond the declared horizon {len(self.preperiod)}")
-
     def prefix(self, n: int) -> tuple[int, ...]:
         if self.is_finite and n > len(self.preperiod):
             raise IndexError(f"prefix of length {n} beyond the declared horizon")

@@ -93,7 +93,6 @@ class PeriodicWitness:
 def periodic_density_witnesses(
     s: Scheme,
     n: int,
-    realize_depth: int = DEFAULT_REALIZE_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> list[PeriodicWitness]:
@@ -105,7 +104,7 @@ def periodic_density_witnesses(
     """
     words = enumerate_words(s.m, n, M=s.M, caps=caps)
     codes = [periodic_code(w) for w in words]
-    points, bounds = realize_points(s, codes, max(n, realize_depth), caps)
+    points, bounds = realize_points(s, codes, max(n, DEFAULT_REALIZE_DEPTH), caps)
     gaps = point_distances(points, address_vertices(s, words)).tolist()
     return [
         PeriodicWitness(w, code, Point2(x, y), bound, gap, gap <= tol.geom)
@@ -194,7 +193,6 @@ def sensitivity_witnesses(
     s: Scheme,
     n: int,
     sep: SeparationEstimate,
-    realize_depth: int = DEFAULT_REALIZE_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> list[SensitivityWitness]:
@@ -208,13 +206,13 @@ def sensitivity_witnesses(
     if sep.epsilon0 < tol.sep:
         raise NoSeparationError(f"separation {sep.epsilon0!r} below tolerance {tol.sep!r}")
     a, b = sep.word_a, sep.word_b
-    bound = sep.epsilon0 - 2.0 * realization_bound(s, realize_depth)
+    bound = sep.epsilon0 - 2.0 * realization_bound(s, DEFAULT_REALIZE_DEPTH)
     words = enumerate_words(s.m, n, M=s.M, caps=caps)
     us = [Code(w.symbols, a.symbols, s.m) for w in words]
     vs = [Code(w.symbols, b.symbols, s.m) for w in words]
-    points, _ = realize_points(s, us + vs, max(n, realize_depth), caps)
+    points, _ = realize_points(s, us + vs, max(n, DEFAULT_REALIZE_DEPTH), caps)
     # n shifts drop the cylinder word w, leaving a and b repeated for every w
-    q, _ = realize_points(s, [Code((), a.symbols, s.m), Code((), b.symbols, s.m)], realize_depth, caps)
+    q, _ = realize_points(s, [Code((), a.symbols, s.m), Code((), b.symbols, s.m)], DEFAULT_REALIZE_DEPTH, caps)
     initial = np.hypot(*(points[: len(us)] - points[len(us) :]).T).tolist()
     distance = float(np.hypot(*(q[0] - q[1])))
     return [SensitivityWitness(w, n, u, v, d, distance, bound) for w, u, v, d in zip(words, us, vs, initial)]
@@ -281,7 +279,6 @@ def li_yorke_witness(
     s: Scheme,
     horizon: int,
     sep: SeparationEstimate,
-    realize_depth: int = DEFAULT_REALIZE_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> LiYorkeWitness:
@@ -297,21 +294,21 @@ def li_yorke_witness(
     if sep.epsilon0 < tol.sep:
         raise NoSeparationError(f"separation {sep.epsilon0!r} below tolerance {tol.sep!r}")
     a, b = sep.word_a.symbols, sep.word_b.symbols
-    total = horizon + realize_depth + len(a)
+    total = horizon + DEFAULT_REALIZE_DEPTH + len(a)
     u = Code((), a, s.m)
     v = finite_code(_doubling_partner(a, b, total), s.m)
     codes = [u, v]
     for _ in range(horizon - 1):
         codes += [shift(codes[-2]), shift(codes[-1])]
-    points, _ = realize_points(s, codes, realize_depth, caps)
+    points, _ = realize_points(s, codes, DEFAULT_REALIZE_DEPTH, caps)
     samples = np.hypot(*(points[::2] - points[1::2]).T).tolist()
     # longest agreement run beginning at a sampled shift, capped at the
     # realization depth (deeper agreement is invisible to the realization)
-    span = horizon - 1 + realize_depth
-    same = np.lib.stride_tricks.sliding_window_view(np.equal(u.prefix(span), v.prefix(span)), realize_depth)
-    agreement = int(np.where(same.all(axis=1), realize_depth, same.argmin(axis=1)).max())
+    span = horizon - 1 + DEFAULT_REALIZE_DEPTH
+    same = np.lib.stride_tricks.sliding_window_view(np.equal(u.prefix(span), v.prefix(span)), DEFAULT_REALIZE_DEPTH)
+    agreement = int(np.where(same.all(axis=1), DEFAULT_REALIZE_DEPTH, same.argmin(axis=1)).max())
     min_bound = realization_bound(s, agreement) if agreement else 0.0
-    max_bound = sep.epsilon0 - 2.0 * realization_bound(s, realize_depth)
+    max_bound = sep.epsilon0 - 2.0 * realization_bound(s, DEFAULT_REALIZE_DEPTH)
     return LiYorkeWitness(u, v, horizon, tuple(samples), min(samples), max(samples), agreement, min_bound, max_bound)
 
 
@@ -382,8 +379,8 @@ def chaos_report(
         n,
         horizon,
         sep,
-        tuple(periodic_density_witnesses(s, n, DEFAULT_REALIZE_DEPTH, tol, caps)),
+        tuple(periodic_density_witnesses(s, n, tol, caps)),
         transitivity_witness(s, n, caps),
-        tuple(sensitivity_witnesses(s, n, sep, DEFAULT_REALIZE_DEPTH, tol, caps)),
-        li_yorke_witness(s, horizon, sep, DEFAULT_REALIZE_DEPTH, tol, caps),
+        tuple(sensitivity_witnesses(s, n, sep, tol, caps)),
+        li_yorke_witness(s, horizon, sep, tol, caps),
     )

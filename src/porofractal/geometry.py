@@ -45,9 +45,6 @@ class Point2:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
-    def distance_to(self, other: "Point2") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
 
 @dataclass(frozen=True, eq=False)
 class ConvexPolygon:
@@ -135,8 +132,7 @@ class AffineMap2:
         return self.operator_norm < 1.0 - tol
 
     def inverse(self, tol: float = _CONSTRUCTION_TOL) -> "AffineMap2":
-        if abs(self.det) <= tol:
-            raise SingularMapError("cannot invert a numerically singular map")
+        _require_nonsingular(self, tol)
         inv = np.linalg.inv(self.linear)
         return AffineMap2(inv, -inv @ self.translation)
 

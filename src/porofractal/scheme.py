@@ -20,7 +20,7 @@ import numpy as np
 
 from .codespace import Address, Code
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
-from .errors import CapExceededError, ParseError, UnknownAddressError, UnknownSchemeError, ValidationError
+from .errors import CapExceededError, ParseError, UnknownSchemeError, ValidationError
 from .geometry import (
     AffineMap2,
     ConvexPolygon,
@@ -81,10 +81,6 @@ class Cell:
     polygon: ConvexPolygon
     kind: str  # "kept" | "complement"
 
-    @property
-    def is_kept(self) -> bool:
-        return self.kind == "kept"
-
 
 @dataclass(frozen=True, eq=False)
 class CellTree:
@@ -92,8 +88,8 @@ class CellTree:
 
     Row p*M + (j-1) of level n holds child j of the p-th kept cell of level
     n-1, so an address is the digits of its row and is never stored; its
-    map is `accumulated_map` of its symbols.  `levels`, `kept_cells` and
-    `cell` make a Cell only when one is indexed.
+    map is `accumulated_map` of its symbols.  `levels` and `kept_cells`
+    make a Cell only when one is indexed.
     """
 
     scheme: Scheme
@@ -114,32 +110,18 @@ class CellTree:
         """Rows of the complement cells of a level, in address order."""
         return np.flatnonzero(np.arange(self.vertices[depth].shape[0]) % self.scheme.M >= self.scheme.m)
 
-    def _radix(self, depth: int) -> tuple[int, ...]:
-        # a row's digits: the kept-parent index in base m, then j - 1
-        return (self.scheme.m,) * (depth - 1) + (self.scheme.M,)
-
     def symbols(self, depth: int, rows: np.ndarray) -> np.ndarray:
         """Address symbols of the given rows of a level, one row each."""
         if not depth:
             return np.zeros((len(rows), 0), dtype=np.intp)
-        return np.stack(np.unravel_index(rows, self._radix(depth)), axis=1) + 1
+        # a row's digits: the kept-parent index in base m, then j - 1
+        radix = (self.scheme.m,) * (depth - 1) + (self.scheme.M,)
+        return np.stack(np.unravel_index(rows, radix), axis=1) + 1
 
     def address(self, depth: int, row: int) -> Address:
         if not 0 <= row < self.vertices[depth].shape[0]:
             raise IndexError(f"row {row} outside level {depth}")
         return Address(tuple(self.symbols(depth, [row])[0].tolist()), self.scheme.m, self.scheme.M)
-
-    def row(self, address: Address) -> int:
-        """Row of the cell with this address in level len(address)."""
-        w = address.symbols
-        if not w:
-            return 0
-        if len(w) <= self.depth and max(w[:-1], default=1) <= self.scheme.m and w[-1] <= self.scheme.M:
-            return int(np.ravel_multi_index(tuple(i - 1 for i in w), self._radix(len(w))))
-        raise UnknownAddressError(f"no cell with address {address!s}")
-
-    def cell(self, address: Address) -> Cell:
-        return self._cells(len(address), [self.row(address)])[0]
 
     def _cells(self, depth: int, rows: Sequence[int]) -> list[Cell]:
         # the rows are decoded in one `symbols` call

@@ -42,14 +42,6 @@ class ConditionResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "status": self.status,
-            "extremal": self.extremal,
-            "witnesses": [list(w) if isinstance(w, tuple) else w for w in self.witnesses],
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -59,17 +51,8 @@ class VerificationReport:
     conditions: tuple[ConditionResult, ...]
     overall: str
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "depth": self.depth,
-            "tolerances": self.tolerances,
-            "conditions": [c.to_dict() for c in self.conditions],
-            "overall": self.overall,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def condition(self, name: str, mode: str | None = None) -> ConditionResult:
         for c in self.conditions:

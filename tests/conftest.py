@@ -1,6 +1,6 @@
 import dataclasses
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from porofractal.codespace import Address, Code
 from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters
 from porofractal.geometry import min_distance, similarity_map
-from porofractal.scheme import BUILTIN_NAMES, Scheme, build_tree, builtin
+from porofractal.scheme import BUILTIN_NAMES, Cell, CellTree, Scheme, build_tree, builtin
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +94,28 @@ def segment_overlap_length_oracle(a: np.ndarray, b: np.ndarray, tol: float) -> f
     s = [float(np.dot(q - p0, u)) for q in b]
     lo, hi = min(s), max(s)
     return max(0.0, min(la, hi) - max(0.0, lo))
+
+
+def symbol_at_oracle(c: Code, i: int) -> int:
+    """Symbol i of a code, read one symbol at a time: the oracle for
+    Code.prefix and the agreement runs of the Li-Yorke witness."""
+    if i < len(c.preperiod):
+        return c.preperiod[i]
+    if c.period:
+        return c.period[(i - len(c.preperiod)) % len(c.period)]
+    raise IndexError(f"index {i} beyond the declared horizon {len(c.preperiod)}")
+
+
+@lru_cache(maxsize=4)
+def _tree_rows(t: CellTree, n: int) -> dict[tuple[int, ...], int]:
+    return {tuple(w): row for row, w in enumerate(t.symbols(n, np.arange(t.vertices[n].shape[0])).tolist())}
+
+
+def tree_cell(t: CellTree, address: Address) -> Cell:
+    """The tree's own cell with this address, found by decoding every row of
+    its level and matching the symbols; unlike scheme.address_polygon, it
+    does not fold the address through the maps the tree was built with."""
+    return t.levels[len(address)][_tree_rows(t, len(address))[address.symbols]]
 
 
 def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray]]:

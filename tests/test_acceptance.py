@@ -18,7 +18,7 @@ from porofractal.ifs import compose_word, from_scheme, inverse_shift
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, realize_point
 from porofractal.verifier import check_accumulation, check_adjacency, check_diameter, check_ratio, check_separation
 
-from conftest import overlapping_complement_carpet, shrunk_complement_carpet
+from conftest import overlapping_complement_carpet, shrunk_complement_carpet, tree_cell
 
 
 @contextmanager
@@ -115,7 +115,7 @@ def test_criterion_6_scheme_ifs_cross_validation(make_tree):
             t = make_tree(name, 4)
             for n in range(1, 5):
                 for w in kept_words(s.m, n):
-                    cell = t.cell(Address(w, s.m, s.M))
+                    cell = tree_cell(t, Address(w, s.m, s.M))
                     poly = compose_word(sys_, Address(w, s.m, s.m))
                     assert np.allclose(poly.vertices, cell.polygon.vertices, rtol=0, atol=1e-9), (name, w)
 
@@ -132,7 +132,7 @@ def test_criterion_7_conjugacy():
             p, _ = realize_point(s, code, 20)
             q, _branch = inverse_shift(sys_, p)
             r, _ = realize_point(s, shift(code), 20)
-            assert q.distance_to(r) <= 1e-9
+            assert math.hypot(q.x - r.x, q.y - r.y) <= 1e-9
         q, branch = inverse_shift(sys_, Point2(0.7, 0.0))
         assert branch == 2 and abs(q.x - 0.1) <= 1e-12
         q, branch = inverse_shift(sys_, Point2(0.25, 0.0))
@@ -163,10 +163,10 @@ def test_criterion_9_combinatorics(make_tree):
             t = make_tree(name, 4)
             for n in range(1, 5):
                 assert len(t.kept_cells(n)) == s.m**n
-                comps = [c for c in t.levels[n] if not c.is_kept]
+                comps = [c for c in t.levels[n] if c.kind == "complement"]
                 assert len(comps) == s.m ** (n - 1) * (s.M - s.m)
             for n in range(0, 4):
-                parents = [c for c in t.levels[n] if c.is_kept]
+                parents = [c for c in t.levels[n] if c.kind == "kept"]
                 for p_idx, parent in enumerate(parents):
                     children = t.levels[n + 1][p_idx * s.M : (p_idx + 1) * s.M]
                     assert all(c.address.symbols[:-1] == parent.address.symbols for c in children)

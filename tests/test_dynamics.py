@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from porofractal import geometry
 from porofractal.codespace import Address, Code, finite_code, periodic_code, shift
 from porofractal.dynamics import (
+    DEFAULT_REALIZE_DEPTH,
     chaos_report,
     estimate_separation,
     li_yorke_witness,
@@ -19,7 +21,7 @@ from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
 from porofractal.ifs import SetApproximation, compose_word, from_scheme, iterate_attractor, separation_from_maps
 from porofractal.scheme import BUILTIN_NAMES, Scheme, address_polygon, builtin, realize_point, realize_points
 
-from conftest import point_distance_oracle
+from conftest import point_distance_oracle, symbol_at_oracle
 
 
 def code_from_dict(d, m):
@@ -174,7 +176,7 @@ def test_sensitivity_witness_replay():
             u, v = shift(u), shift(v)
         pu, _ = realize_point(s, u, 12)
         pv, _ = realize_point(s, v, 12)
-        assert pu.distance_to(pv) == pytest.approx(d["distance"], abs=1e-12)
+        assert math.hypot(pu.x - pv.x, pu.y - pv.y) == pytest.approx(d["distance"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def test_li_yorke_small_horizon_has_both_sample_kinds():
     s = builtin("cantor")
     sep = estimate_separation(s, 1)
     wit = li_yorke_witness(s, 4, sep)
-    agree = [wit.code_u.symbol_at(k) == wit.code_v.symbol_at(k) for k in range(4)]
+    agree = [symbol_at_oracle(wit.code_u, k) == symbol_at_oracle(wit.code_v, k) for k in range(4)]
     assert any(agree) and not all(agree)
 
 
@@ -208,26 +210,30 @@ def test_li_yorke_replay():
     for k in range(d["horizon"]):
         pu, _ = realize_point(s, u, 12)
         pv, _ = realize_point(s, v, 12)
-        assert pu.distance_to(pv) == pytest.approx(d["samples"][k], abs=1e-12)
+        assert math.hypot(pu.x - pv.x, pu.y - pv.y) == pytest.approx(d["samples"][k], abs=1e-12)
         u, v = shift(u), shift(v)
 
 
 def test_li_yorke_agreement_matches_per_symbol_runs():
     # the longest run of agreeing symbols from a sampled shift, capped at
-    # the realization depth, counted one symbol at a time
+    # the realization depth, counted one symbol at a time; the short
+    # horizons stay below the cap and the long ones reach it
+    depths = []
     for name in BUILTIN_NAMES:
         s = builtin(name)
         sep = estimate_separation(s, 2)
-        for horizon, realize_depth in [(4, 1), (5, 3), (16, 12), (33, 7), (64, 12), (64, 20)]:
-            wit = li_yorke_witness(s, horizon, sep, realize_depth)
+        for horizon in (4, 5, 16, 33, 64):
+            wit = li_yorke_witness(s, horizon, sep)
             u, v = wit.code_u, wit.code_v
             runs = []
             for k in range(horizon):
                 run = 0
-                while run < realize_depth and u.symbol_at(k + run) == v.symbol_at(k + run):
+                while run < DEFAULT_REALIZE_DEPTH and symbol_at_oracle(u, k + run) == symbol_at_oracle(v, k + run):
                     run += 1
                 runs.append(run)
-            assert wit.agreement_depth == max(runs), (name, horizon, realize_depth)
+            assert wit.agreement_depth == max(runs), (name, horizon)
+            depths.append(wit.agreement_depth)
+    assert min(depths) < DEFAULT_REALIZE_DEPTH == max(depths)
 
 
 def test_li_yorke_rejects_tiny_horizon():
@@ -253,12 +259,12 @@ def test_shift_commutes_with_realization(name):
         code = Code(pre, per, s.m)
         p, _ = realize_point(s, code, depth + 1)
         # the realized point lies in the first symbol's cell
-        first = code.symbol_at(0)
+        first = symbol_at_oracle(code, 0)
         assert point_in_polygon(p.as_array(), address_polygon(s, Address((first,), s.m, s.M)), tol=1e-9)
         # pulling back through that child map realizes the shifted code
         q = s.child_maps[first - 1].inverse().transform_point(p)
         r, _ = realize_point(s, shift(code), depth)
-        assert q.distance_to(r) <= 2 * bound
+        assert math.hypot(q.x - r.x, q.y - r.y) <= 2 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +299,8 @@ def test_chaos_report_json_shape():
 def test_chaos_report_composes_no_single_maps(monkeypatch):
     # every witness family realizes its codes through scheme's stacked fold,
     # never one geometry.compose per symbol; the IFS words, attractor and
-    # separation go through the same stacked steps with no compose or apply,
-    # and a code's prefix is sliced, not read one symbol_at per symbol
-    counts = {"compose": [], "apply": [], "symbol_at": []}
+    # separation go through the same stacked steps with no compose or apply
+    counts = {"compose": [], "apply": []}
     calls = counts["compose"]
     originals = {key: getattr(geometry, key) for key in ("compose", "apply")}
 
@@ -313,7 +318,6 @@ def test_chaos_report_composes_no_single_maps(monkeypatch):
     for name, n in [("cantor", 4), ("koch", 4), ("pascal3", 2), ("carpet", 2)]:
         chaos_report(builtin(name), n, 16)
     assert not calls
-    monkeypatch.setattr(Code, "symbol_at", counter("symbol_at", Code.symbol_at))
     for name in BUILTIN_NAMES:
         s = builtin(name)
         system = from_scheme(s)
@@ -322,4 +326,4 @@ def test_chaos_report_composes_no_single_maps(monkeypatch):
         iterate_attractor(system, SetApproximation((s.base,), 0), 2)
         codes = [periodic_code(Address((2, 1), s.m, s.M)), Code((1,), (2, 1, 1), s.m), finite_code((2,) * 20, s.m)]
         realize_points(s, codes, 20)
-    assert not calls and not counts["apply"] and not counts["symbol_at"]
+    assert not calls and not counts["apply"]

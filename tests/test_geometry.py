@@ -39,6 +39,7 @@ from conftest import (
     oracle_intersection_area,
     point_distance_oracle,
     segment_overlap_length_oracle,
+    tree_cell,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -239,8 +240,8 @@ def test_min_distance_rotated_collinear_cantor_cells():
     maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
     rotated = dataclasses.replace(s, base=apply(g, s.base), child_maps=maps)
     t = build_tree(rotated, 4)
-    a = t.cell(Address((1, 1, 2, 2), 2, 3)).polygon
-    b = t.cell(Address((1, 2, 2, 2), 2, 3)).polygon
+    a = tree_cell(t, Address((1, 1, 2, 2), 2, 3)).polygon
+    b = tree_cell(t, Address((1, 2, 2, 2), 2, 3)).polygon
     assert min_distance(a, b) == pytest.approx(17 / 81, abs=1e-12)
     ev = PairDistanceEvaluator(np.stack([a.vertices, b.vertices]))
     assert ev.distances([0, 1], [1, 0]) == pytest.approx([17 / 81] * 2, abs=1e-12)
@@ -314,7 +315,7 @@ def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
     g_inv = g.inverse()
     maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
     t = build_tree(dataclasses.replace(s, base=apply(g, s.base), child_maps=maps), 4)
-    cases.append(tuple(t.cell(Address(w, 2, 3)).polygon.vertices for w in [(1, 1, 2, 2), (1, 2, 2, 2)]))
+    cases.append(tuple(tree_cell(t, Address(w, 2, 3)).polygon.vertices for w in [(1, 1, 2, 2), (1, 2, 2, 2)]))
     for a, b in cases:
         pa, pb = ConvexPolygon._unchecked(a), ConvexPolygon._unchecked(b)
         assert min_distance(pa, pb) == min_distance_oracle(a, b)
@@ -674,7 +675,8 @@ def test_private_names_cross_modules_only_from_geometry():
 def test_public_names_have_callers_outside_tests():
     # a public module-level function or class is used or imported elsewhere
     # in src/, by a demo or the benchmark, or named in backticks in the
-    # README; a name only tests reach is dead API
+    # README, and so is a public method or property of a public class; a
+    # name only tests reach is dead API
     root = Path(__file__).resolve().parents[1]
     modules = sorted((root / "src" / "porofractal").glob("*.py"))
     scripts = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
@@ -685,8 +687,16 @@ def test_public_names_have_callers_outside_tests():
         for node in trees[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
+    methods = [
+        (node.name, item.name)
+        for path in modules
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
     stems = {path.stem for path in modules}
-    used = set()
+    used, read = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -698,6 +708,12 @@ def test_public_names_have_callers_outside_tests():
                 owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", None)
                 if owner in stems:
                     used.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
     # a README span names one object, as `verifier.separation_sweep` does
-    used.update(re.findall(r"`(?:\w+\.)*(\w+)`", (root / "README.md").read_text()))
-    assert [name for name in defined if name not in used] == []
+    named = set(re.findall(r"`(?:\w+\.)*(\w+)`", (root / "README.md").read_text()))
+    assert [name for name in defined if name not in used | named] == []
+    # a method or property counts as used when an attribute of its name is
+    # read, whatever the owner: the match is by name only, so methods that
+    # share a name, as the witnesses' to_dict do, pass or fail together
+    assert [f"{cls}.{name}" for cls, name in methods if name not in read | named] == []

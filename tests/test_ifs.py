@@ -23,7 +23,14 @@ from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, realize_point
 from porofractal.verifier import check_separation, kept_separation
 from porofractal.codespace import shift
 
-from conftest import address_vertices_oracle, contains_oracle, fold_cases, iterate_attractor_oracle
+from conftest import (
+    address_vertices_oracle,
+    contains_oracle,
+    fold_cases,
+    iterate_attractor_oracle,
+    symbol_at_oracle,
+    tree_cell,
+)
 
 
 def kept_words(m, n):
@@ -172,7 +179,7 @@ def test_compose_word_matches_tree_cells(name, make_tree):
     t = make_tree(name, 4)
     for n in range(1, 5):
         for w in kept_words(s.m, n):
-            cell = t.cell(Address(w, s.m, s.M))
+            cell = tree_cell(t, Address(w, s.m, s.M))
             poly = compose_word(sys_, Address(w, s.m, s.m))
             assert np.allclose(poly.vertices, cell.polygon.vertices, rtol=0, atol=1e-9)
 
@@ -259,9 +266,9 @@ def test_conjugacy_inverse_shift_realizes_symbolic_shift():
     for code in _random_codes(rng, 100):
         p, _ = realize_point(s, code, 20)
         q, branch = inverse_shift(sys_, p)
-        assert branch == code.symbol_at(0)
+        assert branch == symbol_at_oracle(code, 0)
         r, _ = realize_point(s, shift(code), 20)
-        assert q.distance_to(r) <= 1e-9
+        assert math.hypot(q.x - r.x, q.y - r.y) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

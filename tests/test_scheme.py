@@ -13,7 +13,6 @@ from porofractal.errors import (
     CapExceededError,
     ParseError,
     SingularMapError,
-    UnknownAddressError,
     UnknownSchemeError,
     ValidationError,
 )
@@ -43,6 +42,7 @@ from conftest import (
     fold_cases,
     realize_point_oracle,
     similarity_conjugate,
+    tree_cell,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -214,7 +214,7 @@ def test_cell_counts_all_builtins():
         t = build_tree(s, 4)
         for n in range(1, 5):
             assert len(t.kept_cells(n)) == s.m**n
-            comps = [c for c in t.levels[n] if not c.is_kept]
+            comps = [c for c in t.levels[n] if c.kind == "complement"]
             assert len(comps) == s.m ** (n - 1) * (s.M - s.m)
 
 
@@ -245,19 +245,12 @@ def test_address_row_round_trip():
             rows = np.arange(len(t.levels[n]))
             symbols = t.symbols(n, rows)
             for i in rows.tolist():
-                a = t.address(n, i)
-                assert t.row(a) == i and a.symbols == tuple(symbols[i].tolist())
-                assert t.cell(a).address == a
+                assert t.address(n, i).symbols == tuple(symbols[i].tolist())
             kept = t.kept_rows(n).tolist()
             assert [c.address for c in t.kept_cells(n)] == [t.address(n, i) for i in kept]
             assert all(t.address(n, i).is_kept for i in kept)
         with pytest.raises(IndexError):
             t.address(depth, len(t.levels[depth]))
-        too_deep = Address((1,) * (depth + 1), s.m, s.M)
-        below_complement = Address((s.M, 1), s.M, s.M)
-        for a in (too_deep, below_complement):
-            with pytest.raises(UnknownAddressError):
-                t.cell(a)
 
 
 def test_verify_path_makes_no_cells(monkeypatch):
@@ -295,7 +288,7 @@ def test_tree_is_freed_without_the_cycle_collector():
 
 def test_cantor_cell_21_interval():
     t = build_tree(builtin("cantor"), 2)
-    cell = t.cell(Address((2, 1), 2, 3))
+    cell = tree_cell(t, Address((2, 1), 2, 3))
     assert cell.polygon.vertices[:, 0] == pytest.approx([2 / 3, 7 / 9], abs=1e-15)
 
 
@@ -318,7 +311,7 @@ def test_nesting_all_builtins():
         t = build_tree(s, 3)
         for n in (2, 3):
             for c in t.levels[n]:
-                parent = t.cell(Address(c.address.symbols[:-1], s.m, s.M))
+                parent = tree_cell(t, Address(c.address.symbols[:-1], s.m, s.M))
                 child_mu = measure(c.polygon, s.measure_kind)
                 inter = overlap_measures(c.polygon.vertices[None], parent.polygon.vertices[None], s.measure_kind)[0]
                 assert inter == pytest.approx(child_mu, rel=1e-9)
@@ -410,7 +403,7 @@ def test_accumulated_map_matches_tree_cells():
     t = build_tree(s, 3)
     for w in kept_words(2, 3):
         acc = accumulated_map(s, w)
-        cell = t.cell(Address(w, 2, 3))
+        cell = tree_cell(t, Address(w, 2, 3))
         assert apply(acc, s.base).vertices.tobytes() == cell.polygon.vertices.tobytes()
 
 
@@ -477,7 +470,7 @@ def test_cell_views_match_per_row_route(name, depth):
 
     def check(cell, n, row):
         assert cell.address == Address(tuple(t.symbols(n, np.array([row]))[0].tolist()), m, M)
-        assert cell.address == t.address(n, row) and t.row(cell.address) == row
+        assert cell.address == t.address(n, row)
         assert cell.polygon.vertices.tobytes() == t.vertices[n][row].tobytes()
         assert cell.kind == ("kept" if row % M < m else "complement")
 
