@@ -391,7 +391,17 @@ def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
     return float(d[0])
 
 
-_PAIR_CHUNK = 131072
+# the most float64 elements that one work array of a batched kernel may hold:
+# every kernel that runs over a level, a pair list or a candidate list steps
+# through it in chunks of `_chunk_rows(width)` rows, so its working memory is
+# a few such arrays, whatever the input size
+_CHUNK_ELEMENTS = 16384
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a kernel whose largest work array holds `width`
+    float64 elements per row (at least one row)."""
+    return max(1, _CHUNK_ELEMENTS // width)
 
 
 class PairDistanceEvaluator:
@@ -441,26 +451,30 @@ class PairDistanceEvaluator:
             extreme[_maximal_hull(u, v)] = True
         far = np.nonzero(extreme)[0]
         out = np.empty(n)
-        step = max(1, _PAIR_CHUNK // far.shape[0])
+        # the gap terms of a row of the chunk are (far, 2) arrays
+        step = _chunk_rows(2 * far.shape[0])
         for a in range(0, n, step):
             b = min(n, a + step)
             out[a:b] = _box_gaps(lo[a:b, None], hi[a:b, None], lo[None, far], hi[None, far]).max(axis=1)
         return out
 
     def distances(self, ii, jj) -> np.ndarray:
-        """Exact min_distance for the index pairs (ii[k], jj[k])."""
+        """Exact min_distance for the index pairs (ii[k], jj[k]), a chunk of
+        pairs at a time: each pair's distance and containment test are its
+        own, so the chunking does not change a bit."""
         ii = np.asarray(ii, dtype=int)
         jj = np.asarray(jj, dtype=int)
         n = ii.shape[0]
         out = np.empty(n)
-        if n == 0:
-            return out
         V = self.vertices.shape[1]
-        step = max(1, _PAIR_CHUNK // (V * _edge_ends(V).shape[0]))
+        # a pair takes V·E table entries per direction, and its two gathered
+        # stacks are laid out as 2·V coordinates each
+        step = _chunk_rows(V * max(_edge_ends(V).shape[0], 2))
         for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            out[lo:hi] = _pair_distances(self.vertices[ii[lo:hi]], self.vertices[jj[lo:hi]])
-        _zero_nested(out, (self.vertices, self.lo, self.hi, ii), (self.vertices, self.lo, self.hi, jj))
+            a, b = ii[lo : lo + step], jj[lo : lo + step]
+            d = out[lo : lo + step]
+            d[:] = _pair_distances(self.vertices[a], self.vertices[b])
+            _zero_nested(d, (self.vertices, self.lo, self.hi, a), (self.vertices, self.lo, self.hi, b))
         return out
 
 
@@ -539,27 +553,33 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
         count = np.searchsorted(keys, near * n + upto) - start
         starts.append(start)
         counts.append(np.where(levels[near] == s + step, np.maximum(count, 0), 0))
-    rows = np.tile(np.arange(n), 3)
     starts, counts = np.concatenate(starts), np.concatenate(counts)
     ends = np.cumsum(counts)
-    ii_parts, jj_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    # each accepted pair is kept as one key i * n + j (i < j), so one sort
+    # of the keys gives the lexicographic order
+    found = []
+    # the largest work arrays hold both coordinates of each candidate
+    batch = _chunk_rows(2)
     w = 0
-    while w < rows.shape[0]:
-        # windows w..t-1 expand to at most _PAIR_CHUNK candidates (or one window)
+    while w < starts.shape[0]:
+        # windows w..t-1 expand to at most `batch` candidates (or one window);
+        # window w belongs to the box at sorted position w mod n
         done = int(ends[w - 1]) if w else 0
-        t = max(w + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        t = max(w + 1, int(np.searchsorted(ends, done + batch, side="right")))
         c = counts[w:t]
-        at = np.repeat(rows[w:t], c)
+        at = np.repeat(np.arange(w, t) % n, c)
         to = np.repeat(starts[w:t] - (np.cumsum(c) - c), c) + np.arange(at.shape[0])
         i, j = order[at], order[to]
         ok = ((np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j])) >= -pad).all(axis=1)
         i, j = i[ok], j[ok]
-        ii_parts.append(np.minimum(i, j))
-        jj_parts.append(np.maximum(i, j))
+        found.append(np.minimum(i, j) * n + np.maximum(i, j))
         w = t
-    ii, jj = np.concatenate(ii_parts), np.concatenate(jj_parts)
-    lex = np.lexsort((jj, ii))
-    return ii[lex], jj[lex]
+    pairs = np.concatenate(found)
+    del found
+    pairs.sort()
+    ii = pairs // n
+    pairs -= ii * n
+    return ii, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,12 @@ import numpy as np
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import PairDistanceEvaluator, box_overlap_pairs, diameters, measures, overlap_measures
+from .geometry import PairDistanceEvaluator, _chunk_rows, box_overlap_pairs, diameters, measures, overlap_measures
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
 
 _MAX_WITNESSES = 16
-# candidate pairs clipped per overlap_areas call; bounds the kernel's padded
-# work arrays, so peak memory does not grow with the candidate count
-_CLIP_CHUNK = 512
 # address-consecutive pairs per exact call while pairwise separation seeds
 # its bound; seeding stops after the first chunk that holds a touching pair
 _SEED_CHUNK = 256
@@ -52,7 +49,8 @@ class VerificationReport:
     overall: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the dataclasses' own field dicts, not an `asdict` deep copy
+        return json.dumps(self, default=vars, indent=2, sort_keys=True)
 
     def condition(self, name: str, mode: str | None = None) -> ConditionResult:
         for c in self.conditions:
@@ -151,7 +149,8 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     then lies on both boundaries, hence in neither open complement region.
     The candidate pairs come from the box sweep (`box_overlap_pairs`) over
     the complement cells' bounding boxes; the pair cap counts those
-    candidates, which are measured in batches of _CLIP_CHUNK pairs.
+    candidates.  They are measured in batches sized by the geometry chunk
+    budget: a clipped polygon of a pair has at most Vs + Vc vertices.
     """
     _require_depth(t, 1)
     orders = range(1, t.depth + 1)
@@ -164,8 +163,12 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
     if ii.shape[0] > caps.pairs:
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
     overlaps = np.empty(ii.shape[0])
-    for a in range(0, ii.shape[0], _CLIP_CHUNK):
-        b = a + _CLIP_CHUNK
+    # subject and clip polygon are both complement cells (Vs = Vc = V), and
+    # a clipped row holds up to Vs + Vc vertices of two coordinates
+    V = verts.shape[1]
+    batch = _chunk_rows(2 * (V + V))
+    for a in range(0, ii.shape[0], batch):
+        b = a + batch
         overlaps[a:b] = overlap_measures(verts[ii[a:b]], verts[jj[a:b]], t.scheme.measure_kind, tol.geom)
 
     def pair(k: int) -> tuple[str, str]:
@@ -191,7 +194,8 @@ def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Conditi
         i = int(np.argmax(diams))
         maxima.append(float(diams[i]))
         argmax_addr.append(str(t.address(n, i)))
-    factors = [maxima[i + 1] / maxima[i] for i in range(len(maxima) - 1)]
+    # an affine image of a point is a point: a zero diameter stays zero
+    factors = [maxima[i + 1] / maxima[i] if maxima[i] > 0.0 else 0.0 for i in range(len(maxima) - 1)]
     bad = [i for i, f in enumerate(factors) if f > tol.lambda_max]
     status = "fail" if bad else "pass"
     witnesses = tuple(argmax_addr[i + 1] for i in bad[:_MAX_WITNESSES]) if bad else (argmax_addr[-1],)

@@ -81,6 +81,23 @@ def test_verify_overlapping_complements_exits_1(tmp_path):
     assert accumulation["witnesses"]
 
 
+def test_verify_point_scheme_exits_1_with_diameter_passing(tmp_path, capsys):
+    # a valid scheme whose cells are all the origin: the maximal diameter is
+    # 0 at every depth, which decays (factor 0), while the ratio of zero
+    # lengths fails
+    maps = [{"linear": [[r, 0.0], [0.0, r]], "translation": [0.0, 0.0]} for r in (0.3, 0.5, 0.3)]
+    doc = {"name": "point", "m": 2, "M": 3, "measure": "length", "base": [[0.0, 0.0]], "maps": maps}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--scheme", str(path), "--depth", "3", "--out", str(out)]) == 1
+    status = {c["condition"]: c for c in json.loads(out.read_text())["conditions"]}
+    assert status["ratio"]["status"] == "fail"
+    assert status["diameter"]["status"] == "pass"
+    assert status["diameter"]["extremal"]["decay_factors"] == [0.0, 0.0]
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_verify_structurally_broken_scheme_exits_3(tmp_path, capsys):
     doc = to_document(builtin("carpet"))
     doc["m"] = doc["M"]

@@ -33,6 +33,37 @@ def test_address_validation():
         addr((4,))
 
 
+@pytest.mark.parametrize(
+    "symbols,message",
+    [
+        ((1, 4, 2), "symbol 4 outside alphabet 1..3"),
+        ((0,), "symbol 0 outside alphabet 1..3"),
+        ((3, 1), "only the last symbol may be a complement index"),
+        # the first offending symbol names the error, whichever check it fails
+        ((1, 3, 0), "only the last symbol may be a complement index"),
+        ((1, 5, 3, 1), "symbol 5 outside alphabet 1..3"),
+    ],
+)
+def test_address_validation_names_the_first_offending_symbol(symbols, message):
+    with pytest.raises(ValueError) as err:
+        addr(symbols)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "pre,per,message",
+    [
+        ((1, 3), (2,), "code symbol 3 outside kept alphabet 1..2"),
+        ((1,), (2, 0, 5), "code symbol 0 outside kept alphabet 1..2"),
+        ((), (-1,), "code symbol -1 outside kept alphabet 1..2"),
+    ],
+)
+def test_code_validation_names_the_first_offending_symbol(pre, per, message):
+    with pytest.raises(ValueError) as err:
+        Code(pre, per, 2)
+    assert str(err.value) == message
+
+
 def test_address_kept_and_complement_order():
     assert addr(()).is_kept
     assert addr((1, 2)).is_kept

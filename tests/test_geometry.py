@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from porofractal import geometry
 from porofractal.codespace import Address
 from porofractal.errors import SingularMapError
 from porofractal.geometry import (
@@ -289,6 +290,31 @@ def test_box_overlap_pairs_matches_outer_predicate():
         want_i, want_j = np.nonzero(np.triu(ok, k=1))
         got_i, got_j = box_overlap_pairs(lo, hi, pad)
         assert got_i.tolist() == want_i.tolist() and got_j.tolist() == want_j.tolist()
+
+
+@pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 8), ("pascal3", 3), ("cantor", 6)])
+def test_kernels_do_not_depend_on_the_chunk_budget(name, depth, monkeypatch):
+    # each pair or row of a chunked kernel is computed on its own, so the
+    # outputs are bitwise equal at any budget, down to one row per chunk
+    rng = np.random.default_rng(31)
+    v = build_tree(builtin(name), depth).vertices[depth]
+    c = v.mean(axis=1, keepdims=True)
+    # a half-size copy inside each cell: nested pairs whose boundaries are apart
+    stack = np.concatenate([v, c + 0.5 * (v - c)])
+    k = v.shape[0]
+    ii = np.concatenate([np.arange(k), np.arange(k - 1), rng.integers(0, 2 * k, 500)])
+    jj = np.concatenate([np.arange(k, 2 * k), np.arange(1, k), rng.integers(0, 2 * k, 500)])
+    lo, hi = stack.min(axis=1), stack.max(axis=1)
+
+    def kernels():
+        ev = PairDistanceEvaluator(stack)
+        return [ev.distances(ii, jj), ev.farthest_box_gaps(), *box_overlap_pairs(lo, hi, 1e-9), *box_overlap_pairs(lo, hi, 0.05)]
+
+    want = kernels()
+    assert not want[0][:k].any()  # every nested pair reads 0
+    for budget in (7, 64):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+        assert [a.tobytes() for a in kernels()] == [a.tobytes() for a in want], budget
 
 
 def test_point_distance():

@@ -1,25 +1,27 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from porofractal import verifier
+from porofractal import geometry, verifier
 from porofractal.codespace import Address
 from porofractal.config import Caps
 from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
     ConvexPolygon,
+    _chunk_rows,
     box_overlap_pairs,
     min_distance,
     overlap_measures,
     similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
-from porofractal.verifier import _CLIP_CHUNK, _MAX_WITNESSES
+from porofractal.verifier import _MAX_WITNESSES
 from porofractal.verifier import (
     check_accumulation,
     check_adjacency,
@@ -156,7 +158,10 @@ def _accumulation_per_pair(t):
 
 
 @pytest.mark.parametrize("name,depth", [("koch", 10), ("carpet", 3), ("carpet-overlap", 3), ("cantor-overlap", 6)])
-def test_accumulation_batches_match_per_pair_oracle(name, depth, make_tree, carpet_overlap):
+def test_accumulation_batches_match_per_pair_oracle(name, depth, make_tree, carpet_overlap, monkeypatch):
+    # a budget that clips triangle pairs 512 at a time (rows of 2 * (3 + 3)
+    # coordinates), so that koch d10 spans nine batches
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 512 * 12)
     variants = {"carpet-overlap": carpet_overlap, "cantor-overlap": overlapping_complement_cantor()}
     t = build_tree(variants[name], depth) if name in variants else make_tree(name, depth)
     # the result as its report writes it: tuples become lists
@@ -165,7 +170,7 @@ def test_accumulation_batches_match_per_pair_oracle(name, depth, make_tree, carp
     if name == "cantor-overlap":
         assert got["status"] == "fail" and got["extremal"]["pairs_examined"] > 0
     if name == "koch":
-        assert got["extremal"]["pairs_examined"] > 4 * _CLIP_CHUNK
+        assert got["extremal"]["pairs_examined"] > 4 * _chunk_rows(12)
 
 
 def test_accumulation_pair_cap(make_tree):
@@ -471,3 +476,60 @@ def test_report_bytes_match_benchmark_refs(key, name, depth):
     s, ratio = (_FAILING[name](), EXPECTED_RATIO["carpet"]) if name in _FAILING else (builtin(name), EXPECTED_RATIO[name])
     report = full_verify(build_tree(s, depth), expected_ratio=ratio).to_json()
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == refs[key]
+
+
+# ---------------------------------------------------------------------------
+# the working-memory budget of the batched kernels
+
+_BUDGET_CASES = [("carpet", 3), ("koch", 8), ("pascal3", 3), ("cantor", 6), ("carpet-gap", 3), ("carpet-overlap", 3)]
+
+
+@pytest.mark.parametrize("name,depth", _BUDGET_CASES)
+def test_reports_do_not_depend_on_the_chunk_budget(name, depth, make_tree, monkeypatch):
+    # every chunked kernel computes each pair or row on its own, so reports
+    # and the clipped overlaps are the same bytes at any budget, down to one
+    # pair or row per chunk
+    t = build_tree(_FAILING[name](), depth) if name in _FAILING else make_tree(name, depth)
+    ratio = EXPECTED_RATIO["carpet" if name in _FAILING else name]
+    batches = []
+
+    def recorded(S, C, kind, tol):
+        batches.append(overlap_measures(S, C, kind, tol))
+        return batches[-1]
+
+    monkeypatch.setattr(verifier, "overlap_measures", recorded)
+    want = full_verify(t, expected_ratio=ratio).to_json()
+    overlaps = b"".join(b.tobytes() for b in batches)
+    for budget in (7, 64):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+        batches.clear()
+        assert full_verify(t, expected_ratio=ratio).to_json() == want
+        assert b"".join(b.tobytes() for b in batches) == overlaps
+        assert all(b.shape[0] <= _chunk_rows(4 * t.vertices[1].shape[1]) for b in batches)
+
+
+@pytest.mark.parametrize("name,depth", [("carpet", 4), ("koch", 12)])
+def test_checks_work_in_bounded_memory(name, depth, make_tree):
+    # the kernels step through the chunk budget, so no check holds a table
+    # of every pair of a level: its working memory is a few chunks plus
+    # arrays of one entry per cell or candidate pair
+    t = make_tree(name, depth)
+    checks = {
+        "ratio": lambda: check_ratio(t, expected=EXPECTED_RATIO[name]),
+        "adjacency": lambda: check_adjacency(t),
+        "accumulation": lambda: check_accumulation(t),
+        "diameter": lambda: check_diameter(t),
+        "pairwise": lambda: check_separation(t, "pairwise"),
+        "forall_exists": lambda: check_separation(t, "forall_exists"),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for label, check in checks.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            check()
+            peaks[label] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) <= 3 * 2**20, {k: round(v / 2**20, 2) for k, v in peaks.items()}
