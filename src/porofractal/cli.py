@@ -21,6 +21,7 @@ import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 from . import dynamics, render, verifier
 from .codespace import Address
@@ -78,10 +79,14 @@ def _resolve_scheme(value: str, tol: Tolerances) -> Scheme:
         raise _UsageError(f"cannot read scheme file {value!r}, and it names no built-in: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the pieces of one text in order: to stdout, ending with a
+    newline, or atomically to `out`."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
         return
     path = Path(out)
@@ -89,7 +94,7 @@ def _emit(text: str, out: str | None) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -157,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     s = _resolve_scheme(args.scheme, tol)
     tree = build_tree(s, args.depth, caps)
     report = verifier.full_verify(tree, tol, caps, expected_ratio=args.expect_ratio, separation_mode=_mode(args))
-    _emit(report.to_json(), args.out)
+    _emit([report.to_json()], args.out)
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 
 
@@ -175,7 +180,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     caps = _caps(args)
     s = _resolve_scheme(args.scheme, tol)
     report = dynamics.chaos_report(s, args.depth, args.horizon, mode=_mode(args), tol=tol, caps=caps)
-    _emit(report.to_json(), args.out)
+    _emit([report.to_json()], args.out)
     return EXIT_OK if report.all_verified else EXIT_FAIL
 
 
@@ -184,15 +189,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
     caps = _caps(args)
     s = _resolve_scheme(args.scheme, tol)
     tree = build_tree(s, args.depth, caps)
-    if args.subfractal is None:
-        svg = render.render_construction(tree, args.depth)
-    else:
+    prefix = None
+    if args.subfractal is not None:
         try:
             prefix = Address.parse(args.subfractal, s.m, s.M)
         except ValueError as exc:
             raise _UsageError(f"bad subfractal prefix {args.subfractal!r}: {exc}") from exc
-        svg = render.render_subfractal(tree, prefix, args.depth)
-    _emit(svg, args.out)
+    # svg_chunks checks its arguments before the first piece is written
+    _emit(render.svg_chunks(tree, args.depth, prefix), args.out)
     return EXIT_OK
 
 

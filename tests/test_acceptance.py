@@ -180,13 +180,13 @@ def test_criterion_10_rendering(make_tree, tmp_path):
         import xml.etree.ElementTree as ET
         from pathlib import Path
 
-        from porofractal.render import render_construction, render_subfractal
+        from porofractal.render import render_construction, svg_chunks
 
         golden_dir = Path(__file__).parent / "golden"
         outputs = {
             "carpet_depth3.svg": render_construction(make_tree("carpet", 3), 3),
             "pascal3_depth2.svg": render_construction(make_tree("pascal3", 2), 2),
-            "koch_depth4_sub12.svg": render_subfractal(make_tree("koch", 4), Address((1, 2), 2, 3), 4),
+            "koch_depth4_sub12.svg": "".join(svg_chunks(make_tree("koch", 4), 4, Address((1, 2), 2, 3))),
         }
         for name, svg in outputs.items():
             assert svg == (golden_dir / name).read_text(encoding="utf-8"), name

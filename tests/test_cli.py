@@ -6,12 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from porofractal import render
 from porofractal.cli import main
+from porofractal.codespace import Address
 from porofractal.config import DEFAULT_TOLERANCES
 from porofractal.errors import OutsideAttractorError
-from porofractal.scheme import builtin, dumps, to_document
+from porofractal.geometry import similarity_map
+from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, load, to_document
 
-from conftest import overlapping_complement_carpet
+from conftest import overlapping_complement_carpet, similarity_conjugate
 
 
 def run(args):
@@ -238,6 +241,60 @@ def test_render_complement_prefix_exits_2(tmp_path, capsys):
 def test_render_to_stdout(capsys):
     assert run(["render", "--scheme", "cantor", "--depth", "2"]) == 0
     assert "<svg" in capsys.readouterr().out
+
+
+def _render_cases(scheme: str, s):
+    # (CLI arguments, expected document) at depths 1-4, whole and with kept
+    # prefixes of length 1, 2 and the full depth highlighted
+    for depth in range(1, 5):
+        t = build_tree(s, depth)
+        yield ["--depth", str(depth)], "".join(render.svg_chunks(t, depth))
+        for length in sorted({1, 2, depth} & set(range(1, depth + 1))):
+            prefix = Address(tuple((2 * i) % s.m + 1 for i in range(length)), s.m, s.M)
+            yield ["--depth", str(depth), "--subfractal", str(prefix)], "".join(render.svg_chunks(t, depth, prefix))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("koch-tilted",))
+def test_render_streams_the_joined_chunks(name, tmp_path, capsys):
+    # the file and stdout get the bytes of the joined chunks; the tilted koch
+    # has a coordinate that rounds to -0.0
+    if name == "koch-tilted":
+        path = tmp_path / "koch-tilted.json"
+        path.write_text(dumps(similarity_conjugate(builtin("koch"), similarity_map(1.0, 0.5))), encoding="utf-8")
+        scheme, s = str(path), load(path.read_text(encoding="utf-8"), check_geometry=False)
+    else:
+        scheme, s = name, builtin(name)
+    out = tmp_path / "out.svg"
+    for args, want in _render_cases(scheme, s):
+        assert run(["render", "--scheme", scheme, *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8"), args
+        assert run(["render", "--scheme", scheme, *args]) == 0
+        assert capsys.readouterr().out == want, args
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "args,built",
+    [
+        (["--scheme", "carpet", "--depth", "0"], None),
+        (["--scheme", "koch", "--depth", "3"], 2),
+        (["--scheme", "carpet", "--depth", "2", "--subfractal", "9"], None),
+        (["--scheme", "koch", "--depth", "2", "--subfractal", "111"], None),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_render_rejects_before_writing(args, built, to_file, tmp_path, capsys, monkeypatch):
+    # depth 0, a depth above the built tree, a complement prefix and an
+    # over-long prefix: exit 2, nothing on stdout and no file left behind
+    import porofractal.cli as cli
+
+    if built is not None:
+        monkeypatch.setattr(cli, "build_tree", lambda s, depth, caps: build_tree(s, built, caps))
+    out = tmp_path / "out.svg"
+    assert run(["render", *args] + (["--out", str(out)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

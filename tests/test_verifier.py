@@ -326,6 +326,70 @@ def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
     assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, "pairwise")
 
 
+def _depth_pairwise_oracle(ev, budget):
+    # the pairwise depth sweep that runs box_overlap_pairs over every box
+    # and drops the pairs with ci >= first afterwards
+    k = ev.vertices.shape[0]
+    if k < 2:
+        return np.inf, 0, 0
+    seeds = []
+    for a in range(0, k - 1, verifier._SEED_CHUNK):
+        b = min(k - 1, a + verifier._SEED_CHUNK)
+        budget.spend(b - a)
+        seeds.append(ev.distances(np.arange(a, b), np.arange(a + 1, b + 1)))
+        if seeds[-1].min() == 0.0:
+            break
+    dists = np.concatenate(seeds)
+    first = int(np.argmin(dists))
+    if dists[first] == 0.0 and first == 0:
+        return 0.0, 0, 1
+    ii = np.arange(dists.shape[0])
+    jj = ii + 1
+    bound = float(dists[first]) + verifier._slack(ev)
+    ci, cj = box_overlap_pairs(ev.lo, ev.hi, bound)
+    near = (cj != ci + 1) & (ev.box_gaps(ci, cj) <= bound)
+    if dists[first] == 0.0:
+        near &= ci < first
+    ci, cj = ci[near], cj[near]
+    budget.spend(ci.shape[0])
+    ii, jj = np.concatenate([ii, ci]), np.concatenate([jj, cj])
+    dists = np.concatenate([dists, ev.distances(ci, cj)])
+    at = np.nonzero(dists == dists.min())[0]
+    best = at[np.lexsort((jj[at], ii[at]))[0]]
+    return float(dists[best]), int(ii[best]), int(jj[best])
+
+
+def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_gap, carpet_overlap):
+    # a row of 300 squares one apart, whose first touching seed (300, 301)
+    # lies in the second seeding chunk; later in address order come squares
+    # touching some of them from above, squares a rounding slack below
+    # others (box gaps within the bound, distances above 0) and far-off
+    # squares the sweep can leave out
+    xs = [2.0 * i for i in range(300)] + [600.0, 601.0]
+    squares = [(x, 0.0) for x in xs] + [(2.0 * i + 0.5, 1.0) for i in range(150, 300, 7)]
+    squares += [(2.0 * i + 0.5, -1.0 - 3e-12) for i in range(0, 300, 11)] + [(5.0 * i, 40.0) for i in range(60)]
+    row = np.array([[[x, y], [x + 1, y], [x + 1, y + 1], [x, y + 1]] for x, y in squares])
+    stacks = [row, row[::-1].copy(), row[::2][:-1].copy()]
+    trees = [build_tree(builtin(n), d) for n, d in [("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 5)]]
+    trees += [build_tree(s, 3) for s in (carpet_gap, carpet_overlap, _rotated_carpet())]
+    stacks += [t.vertices[n][t.kept_rows(n)] for t in trees for n in range(1, t.depth + 1)]
+    # the smaller index of each zero-distance answer; it is at most the
+    # first touching seed's, so a value of 2 or more shows a case with
+    # first >= 2
+    zero_at = []
+    for chunk in (verifier._SEED_CHUNK, 4):
+        monkeypatch.setattr(verifier, "_SEED_CHUNK", chunk)
+        for v in stacks:
+            ev = verifier.PairDistanceEvaluator(v)
+            want_budget, got_budget = verifier._PairBudget(10**9), verifier._PairBudget(10**9)
+            want = _depth_pairwise_oracle(ev, want_budget)
+            assert verifier._depth_pairwise(ev, got_budget) == want
+            assert got_budget.left == want_budget.left
+            if want[0] == 0.0:
+                zero_at.append(want[1])
+    assert max(zero_at) >= 2
+
+
 def test_separation_single_cell_depth():
     t = build_tree(builtin("carpet"), 1)
     root = [(t.levels[0][0].address, t.levels[0][0].polygon)]
