@@ -267,17 +267,15 @@ def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[flo
     jj = ii + 1
     bound = float(dists[first]) + _slack(ev)
     stop = first if dists[first] == 0.0 else k
-    if stop < k:
-        # only pairs with ci < stop can change the answer, and their cj
-        # meet the rows before stop: a box that meets one of them, grown by
-        # bound, meets their union box grown by bound (the same rounded
-        # expression, and rounding is monotone), so only those are swept
-        lo, hi = ev.lo[:stop].min(axis=0), ev.hi[:stop].max(axis=0)
-        sub = np.flatnonzero(((np.minimum(ev.hi, hi) - np.maximum(ev.lo, lo)) >= -bound).all(axis=1))
-        ci, cj = box_overlap_pairs(ev.lo[sub], ev.hi[sub], bound)
-        ci, cj = sub[ci], sub[cj]
-    else:
-        ci, cj = box_overlap_pairs(ev.lo, ev.hi, bound)
+    # only pairs with ci < stop can change the answer, and their cj meet
+    # the rows before stop: a box that meets one of them, grown by bound,
+    # meets their union box grown by bound (the same rounded expression,
+    # and rounding is monotone), so only those are swept; with no 0 the
+    # union box holds every box and all of them are swept
+    lo, hi = ev.lo[:stop].min(axis=0), ev.hi[:stop].max(axis=0)
+    sub = np.flatnonzero(((np.minimum(ev.hi, hi) - np.maximum(ev.lo, lo)) >= -bound).all(axis=1))
+    ci, cj = box_overlap_pairs(ev.lo[sub], ev.hi[sub], bound)
+    ci, cj = sub[ci], sub[cj]
     near = (cj != ci + 1) & (ci < stop) & (ev.box_gaps(ci, cj) <= bound)
     ci, cj = ci[near], cj[near]
     budget.spend(ci.shape[0])
