@@ -2,10 +2,10 @@
 
 Exit codes: 0 success or pass, 1 verification or witness failure, 2 usage
 error, 3 malformed scheme (including a singular child map), 4 unmet
-dynamics prerequisite, 5 any other library error, 6 the --out file could
-not be written, 7 internal error (a bug).  File outputs are written
-atomically (temp file, then rename) and are deterministic.  The tolerance
-flags are the fields of config.Tolerances, with its defaults.
+dynamics prerequisite, 5 any other library error, 6 an output (the --out
+file or stdout) could not be written, 7 internal error (a bug).  Files are
+written atomically (temp file, then rename) and are deterministic.  The
+tolerance flags are the fields of config.Tolerances, with its defaults.
 
 Scheme files given to `verify` are loaded with structural checks only, so
 geometric defects surface as named condition failures (exit 1) instead of a
@@ -79,15 +79,25 @@ def _resolve_scheme(value: str, tol: Tolerances) -> Scheme:
         raise _UsageError(f"cannot read scheme file {value!r}, and it names no built-in: {exc.strerror or exc}") from exc
 
 
+def _to_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # anything left buffered goes to devnull, not to a failing flush at exit
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise _OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the pieces of one text in order: to stdout, ending with a
-    newline, or atomically to `out`."""
+    """Write the pieces of one text in order, as they come: to stdout,
+    ending with a newline, or atomically to `out`."""
     if out is None:
         last = ""
         for last in chunks:
-            sys.stdout.write(last)
-        if not last.endswith("\n"):
-            sys.stdout.write("\n")
+            _to_stdout(last)
+        _to_stdout("" if last.endswith("\n") else "\n")
         return
     path = Path(out)
     try:
@@ -148,11 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
-    if args.scheme_command == "list":
-        for name in BUILTIN_NAMES:
-            print(name)
-        return EXIT_OK
-    print(dumps(builtin(args.name)))
+    _emit(["\n".join(BUILTIN_NAMES) if args.scheme_command == "list" else dumps(builtin(args.name))], None)
     return EXIT_OK
 
 
@@ -162,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     s = _resolve_scheme(args.scheme, tol)
     tree = build_tree(s, args.depth, caps)
     report = verifier.full_verify(tree, tol, caps, expected_ratio=args.expect_ratio, separation_mode=_mode(args))
-    _emit([report.to_json()], args.out)
+    _emit(report.json_chunks(), args.out)
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 
 
@@ -171,7 +177,7 @@ def _cmd_separation(args: argparse.Namespace) -> int:
     caps = _caps(args)
     s = _resolve_scheme(args.scheme, tol)
     est = dynamics.estimate_separation(s, args.depth, _mode(args), tol, caps)
-    print(f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}")
+    _emit([f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}"], None)
     return EXIT_OK if est.epsilon0 >= tol.sep else EXIT_FAIL
 
 
@@ -180,7 +186,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     caps = _caps(args)
     s = _resolve_scheme(args.scheme, tol)
     report = dynamics.chaos_report(s, args.depth, args.horizon, mode=_mode(args), tol=tol, caps=caps)
-    _emit([report.to_json()], args.out)
+    _emit(report.json_chunks(), args.out)
     return EXIT_OK if report.all_verified else EXIT_FAIL
 
 

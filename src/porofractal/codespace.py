@@ -33,6 +33,8 @@ class Address:
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.M:
             raise ValueError("split index m must satisfy 1 <= m <= M")
+        if not self.symbols or (min(self.symbols) >= 1 and max(self.symbols) <= self.m):
+            return  # a kept word; otherwise scan for the first bad symbol
         for i, s in enumerate(self.symbols):
             if not 1 <= s <= self.M:
                 raise ValueError(f"symbol {s} outside alphabet 1..{self.M}")

@@ -12,15 +12,15 @@ replayed from its stored data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, separator, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import NoSeparationError
-from .geometry import Point2, diameter, point_distances
+from .geometry import Point2, _json_chunks, diameter, point_distances
 from .scheme import Scheme, address_vertices, build_tree, realize_points
 from .verifier import SeparationMode, kept_separation
 
@@ -350,8 +350,11 @@ class ChaosWitnessReport:
             "all_verified": self.all_verified,
         }
 
+    def json_chunks(self) -> Iterator[str]:
+        return _json_chunks(self.to_dict())
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return "".join(self.json_chunks())
 
 
 def chaos_report(

@@ -9,6 +9,8 @@ parallel sweeps.
 
 from __future__ import annotations
 
+import itertools
+import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -402,6 +404,15 @@ def _chunk_rows(width: int) -> int:
     """Rows per chunk of a kernel whose largest work array holds `width`
     float64 elements per row (at least one row)."""
     return max(1, _CHUNK_ELEMENTS // width)
+
+
+def _json_chunks(doc, default=None) -> Iterator[str]:
+    """`json.dumps(doc, default=default, indent=2, sort_keys=True)` in pieces
+    of `_chunk_rows(8)` encoder tokens (a short string and its list slot are
+    about eight float64 values), never holding the whole token list."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(doc)
+    while piece := "".join(itertools.islice(tokens, _chunk_rows(8))):
+        yield piece
 
 
 class PairDistanceEvaluator:

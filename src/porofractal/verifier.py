@@ -8,16 +8,15 @@ the depth it was checked to.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from .codespace import Address
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import CapExceededError, EmptyTreeError
-from .geometry import PairDistanceEvaluator, _chunk_rows, box_overlap_pairs, diameters, measures, overlap_measures
+from .geometry import PairDistanceEvaluator, _chunk_rows, _json_chunks, box_overlap_pairs, diameters, measures, overlap_measures
 from .scheme import CellTree
 
 SeparationMode = Literal["pairwise", "forall_exists"]
@@ -48,9 +47,12 @@ class VerificationReport:
     conditions: tuple[ConditionResult, ...]
     overall: str
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
         # the dataclasses' own field dicts, not an `asdict` deep copy
-        return json.dumps(self, default=vars, indent=2, sort_keys=True)
+        return _json_chunks(self, default=vars)
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
     def condition(self, name: str, mode: str | None = None) -> ConditionResult:
         for c in self.conditions:

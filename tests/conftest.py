@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import json
 from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 
 from porofractal.codespace import Address, Code
-from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters
+from porofractal.dynamics import chaos_report
+from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters, measure
 from porofractal.geometry import min_distance, similarity_map
 from porofractal.scheme import BUILTIN_NAMES, Cell, CellTree, Scheme, build_tree, builtin
 
@@ -149,6 +151,40 @@ def iterate_attractor_oracle(maps, cells: list[ConvexPolygon], k: int) -> list[C
     for _ in range(k):
         cells = [apply(w, c) for w in maps for c in cells]
     return cells
+
+
+def total_measure_oracle(sys_, cells) -> float:
+    """One `measure` call per cell, summed in cell order: the oracle for
+    ifs.total_measure."""
+    return float(sum(measure(c, sys_.measure_kind) for c in cells))
+
+
+def report_json_oracle(report) -> str:
+    """One `json.dumps` of a whole report, the stdlib encoder holding every
+    token before it joins them: the oracle for the reports' streamed
+    `json_chunks`."""
+    if hasattr(report, "to_dict"):
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(report, default=vars, indent=2, sort_keys=True)
+
+
+# (scheme, n) of the chaos reports the benchmark encodes, at horizon 64
+WITNESS_INPUTS = (("cantor", 8), ("koch", 8), ("pascal3", 4), ("carpet", 3))
+# (scheme, depth) of a full_verify report of every built-in
+VERIFY_INPUTS = (("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 9))
+
+
+@pytest.fixture(scope="session")
+def witness_reports():
+    """Memoized chaos reports at horizon 64, keyed by (scheme, n)."""
+    cache = {}
+
+    def _report(name: str, n: int):
+        if (name, n) not in cache:
+            cache[name, n] = chaos_report(builtin(name), n, 64)
+        return cache[name, n]
+
+    return _report
 
 
 def accumulated_map_oracle(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:

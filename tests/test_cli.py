@@ -1,20 +1,30 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 from porofractal import render
 from porofractal.cli import main
+from porofractal.dynamics import ChaosWitnessReport
 from porofractal.codespace import Address
 from porofractal.config import DEFAULT_TOLERANCES
 from porofractal.errors import OutsideAttractorError
 from porofractal.geometry import similarity_map
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, load, to_document
+from porofractal.verifier import VerificationReport, full_verify
 
-from conftest import overlapping_complement_carpet, similarity_conjugate
+from conftest import (
+    VERIFY_INPUTS,
+    WITNESS_INPUTS,
+    overlapping_complement_carpet,
+    report_json_oracle,
+    similarity_conjugate,
+)
 
 
 def run(args):
@@ -212,6 +222,66 @@ def test_dynamics_carpet_pairwise_exits_4(capsys):
     assert run(["dynamics", "--scheme", "carpet", "--depth", "2", "--mode", "pairwise"]) == 4
 
 
+@pytest.mark.parametrize("name,n", WITNESS_INPUTS)
+def test_dynamics_streams_the_report_bytes(name, n, witness_reports, tmp_path, capsys):
+    # the file gets the bytes of one json.dumps of the report, stdout the
+    # same plus a newline
+    report = witness_reports(name, n)
+    want, status = report_json_oracle(report), 0 if report.all_verified else 1
+    args = ["dynamics", "--scheme", name, "--depth", str(n), "--horizon", "64"]
+    out = tmp_path / "witness.json"
+    assert run([*args, "--out", str(out)]) == status
+    assert out.read_bytes() == want.encode("utf-8")
+    assert run(args) == status
+    assert capsys.readouterr().out == want + "\n"
+
+
+@pytest.mark.parametrize("name,depth", VERIFY_INPUTS)
+def test_verify_streams_the_report_bytes(name, depth, make_tree, tmp_path, capsys):
+    want = report_json_oracle(full_verify(make_tree(name, depth)))
+    args = ["verify", "--scheme", name, "--depth", str(depth)]
+    out = tmp_path / "report.json"
+    assert run([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    assert run(args) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_reports_reach_emit_as_iterators(monkeypatch, capsys):
+    import porofractal.cli as cli
+
+    seen = []
+    emit = cli._emit
+
+    def spy(chunks, out):
+        seen.append(chunks)
+        emit(chunks, out)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert run(["verify", "--scheme", "carpet", "--depth", "2"]) == 0
+    assert run(["dynamics", "--scheme", "cantor", "--depth", "3", "--horizon", "8"]) == 0
+    assert len(seen) == 2 and all(isinstance(chunks, Iterator) for chunks in seen)
+
+
+def _broken_chunks(self):
+    yield "{\n"
+    raise RuntimeError("encoder broke")
+
+
+@pytest.mark.parametrize(
+    "args,report_type",
+    [
+        (["verify", "--scheme", "carpet", "--depth", "2"], VerificationReport),
+        (["dynamics", "--scheme", "cantor", "--depth", "3", "--horizon", "8"], ChaosWitnessReport),
+    ],
+)
+def test_piece_failing_mid_stream_leaves_no_file(args, report_type, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(report_type, "json_chunks", _broken_chunks)
+    assert run([*args, "--out", str(tmp_path / "report.json")]) == 7
+    assert capsys.readouterr().err == "internal error: RuntimeError: encoder broke\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # render subcommand
 
@@ -343,6 +413,75 @@ def test_unwritable_out_exits_6(tmp_path, capsys):
     assert run(["verify", "--scheme", "carpet", "--depth", "2", "--out", str(out)]) == 6
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
+
+class _FailingStdout:
+    """A stdout whose every write fails with one errno, over a file
+    descriptor of its own."""
+
+    def __init__(self, code: int, fd: int):
+        self.code, self.fd = code, fd
+
+    def write(self, text: str) -> int:
+        raise OSError(self.code, os.strerror(self.code))
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC], ids=errno.errorcode.get)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["render", "--scheme", "carpet", "--depth", "2"],
+        ["dynamics", "--scheme", "cantor", "--depth", "3", "--horizon", "8"],
+        ["verify", "--scheme", "carpet", "--depth", "2"],
+        ["separation", "--scheme", "cantor", "--depth", "3"],
+        ["scheme", "list"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_failed_stdout_write_exits_6(code, args, tmp_path, monkeypatch, capsys):
+    # one error line, and the descriptor now points at devnull, so what
+    # stays buffered cannot fail again at exit
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(code, fh.fileno()))
+        assert run(args) == 6
+        monkeypatch.undo()
+        os.write(fh.fileno(), b"after")
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(code)}\n"
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def test_closed_pipe_exits_6_without_a_trace():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "porofractal.cli", "render", "--scheme", "carpet", "--depth", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 6
+    assert head == b"<?xml vers"
+    assert err.decode() == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_exits_6_without_a_trace():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "porofractal.cli", "verify", "--scheme", "carpet", "--depth", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        )
+    assert proc.returncode == 6
+    assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
 
 
 def test_unexpected_exception_exits_7(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
 from porofractal.ifs import SetApproximation, compose_word, from_scheme, iterate_attractor, separation_from_maps
 from porofractal.scheme import BUILTIN_NAMES, Scheme, address_polygon, builtin, realize_point, realize_points
 
-from conftest import point_distance_oracle, symbol_at_oracle
+from conftest import WITNESS_INPUTS, point_distance_oracle, report_json_oracle, symbol_at_oracle
 
 
 def code_from_dict(d, m):
@@ -327,3 +328,35 @@ def test_chaos_report_composes_no_single_maps(monkeypatch):
         codes = [periodic_code(Address((2, 1), s.m, s.M)), Code((1,), (2, 1, 1), s.m), finite_code((2,) * 20, s.m)]
         realize_points(s, codes, 20)
     assert not calls and not counts["apply"]
+
+
+@pytest.mark.parametrize("name,n", WITNESS_INPUTS)
+def test_witness_chunks_join_to_the_dumps_oracle(name, n, witness_reports, monkeypatch):
+    report = witness_reports(name, n)
+    want = report_json_oracle(report)
+    chunks = list(report.json_chunks())
+    assert len(chunks) > 1 and "".join(chunks) == report.to_json() == want
+    # piece boundaries fall between any two encoder tokens
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 24)
+    assert "".join(report.json_chunks()) == want
+
+
+def test_witness_encoding_memory_is_bounded(witness_reports):
+    # above the document dict, to_json holds pieces of a bounded number of
+    # tokens and the joined text, not the encoder's whole token list (which
+    # is about 5.8 MiB for this 840 KB document)
+    report = witness_reports("pascal3", 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = report.to_dict()
+        held = tracemalloc.get_traced_memory()[0] - base
+        del doc
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        size = len(report.to_json())
+        peak = tracemalloc.get_traced_memory()[1] - base - held
+    finally:
+        tracemalloc.stop()
+    assert size > 800_000
+    assert peak <= 2 * 2**20, peak / 2**20

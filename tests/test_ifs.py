@@ -28,6 +28,7 @@ from conftest import (
     contains_oracle,
     fold_cases,
     iterate_attractor_oracle,
+    total_measure_oracle,
     symbol_at_oracle,
     tree_cell,
 )
@@ -145,6 +146,25 @@ def test_iterate_mixed_seed_matches_per_cell_oracle(name):
         for got, ref in zip(out.cells, want):
             assert got.vertices.shape == ref.vertices.shape
             assert np.allclose(got.vertices, ref.vertices, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_total_measure_is_the_per_cell_sum_bitwise(name):
+    sys_ = from_scheme(builtin(name))
+    for n in range(6):
+        out = iterate_attractor(sys_, SetApproximation((sys_.base,), 0), n)
+        assert total_measure(sys_, out) == total_measure_oracle(sys_, out.cells), n
+
+
+def test_total_measure_of_mixed_vertex_counts_adds_in_cell_order():
+    # triangles and squares interleave in the cells, so the per-count
+    # groups are scattered back before the sum
+    sys_ = from_scheme(builtin("carpet"))
+    triangle = ConvexPolygon(np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]]))
+    seed = (triangle, builtin("carpet").base, triangle)
+    for k in range(4):
+        out = iterate_attractor(sys_, SetApproximation(seed, 0), k)
+        assert total_measure(sys_, out) == total_measure_oracle(sys_, out.cells), k
 
 
 def test_singular_system_raises_from_the_level_routes():

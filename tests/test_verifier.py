@@ -34,10 +34,12 @@ from porofractal.verifier import (
 )
 
 from conftest import (
+    VERIFY_INPUTS,
     min_distance_matrix,
     oracle_intersection_area,
     overlapping_complement_cantor,
     overlapping_complement_carpet,
+    report_json_oracle,
     segment_overlap_length_oracle,
     shrunk_complement_carpet,
     similarity_conjugate,
@@ -597,3 +599,15 @@ def test_checks_work_in_bounded_memory(name, depth, make_tree):
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) <= 3 * 2**20, {k: round(v / 2**20, 2) for k, v in peaks.items()}
+
+
+@pytest.mark.parametrize("name,depth", VERIFY_INPUTS)
+def test_report_chunks_join_to_the_dumps_oracle(name, depth, make_tree, monkeypatch):
+    # a report is one piece under the real budget; an 8-element budget cuts
+    # it after every encoder token, and the joined text stays the same
+    report = full_verify(make_tree(name, depth))
+    want = report_json_oracle(report)
+    assert report.to_json() == "".join(report.json_chunks()) == want
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", 8)
+    chunks = list(report.json_chunks())
+    assert len(chunks) > 100 and "".join(chunks) == want
