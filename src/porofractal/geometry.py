@@ -444,29 +444,36 @@ class PairDistanceEvaluator:
         """Bounding-box gaps of the index pairs: lower bounds on min_distance."""
         return _box_gaps(self.lo[ii], self.hi[ii], self.lo[jj], self.hi[jj])
 
-    def farthest_box_gaps(self) -> np.ndarray:
-        """max_j box_gaps(i, j) for every polygon i, a lower bound on its
-        largest min_distance to any polygon of the set.
+    def farthest_box_gaps(self, bounds: Sequence[int]) -> np.ndarray:
+        """max_j box_gaps(i, j) over the polygons j of i's span, span s being
+        bounds[s]:bounds[s + 1], for every polygon i: a lower bound on its
+        largest min_distance to any polygon of its span.
 
         Each gap is the largest of four functions, each convex and
         nondecreasing in one of the corner points (lo_x, lo_y), (lo_x, -hi_y),
         (-hi_x, lo_y), (-hi_x, -hi_y) of j.  So the maximum is reached on the
-        hull vertices of the Pareto-maximal points of those sets, and only
-        these few polygons are compared against every row.
+        hull vertices of the Pareto-maximal points of those sets in the
+        span; only these few are compared against its rows, in one step.
         """
         lo, hi = self.lo, self.hi
-        corners = [(lo[:, 0], lo[:, 1]), (lo[:, 0], -hi[:, 1]), (-hi[:, 0], lo[:, 1]), (-hi[:, 0], -hi[:, 1])]
+        fars = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            extreme = np.zeros(b - a, dtype=bool)
+            for u, v in [(lo[a:b, 0], lo[a:b, 1]), (lo[a:b, 0], -hi[a:b, 1]), (-hi[a:b, 0], lo[a:b, 1]), (-hi[a:b, 0], -hi[a:b, 1])]:
+                extreme[_maximal_hull(u, v)] = True
+            fars.append(a + np.flatnonzero(extreme))
+        # each span's extremes repeated cyclically to one width, which does
+        # not change a row's maximum
+        far = np.stack([np.resize(f, max(map(len, fars))) for f in fars])
         n = lo.shape[0]
-        extreme = np.zeros(n, dtype=bool)
-        for u, v in corners:
-            extreme[_maximal_hull(u, v)] = True
-        far = np.nonzero(extreme)[0]
         out = np.empty(n)
-        # the gap terms of a row of the chunk are (far, 2) arrays
-        step = _chunk_rows(2 * far.shape[0])
+        # a row's gap terms are (width, 2) arrays; `take` gathers them by a
+        # 2-D index far faster than indexing does
+        step = _chunk_rows(2 * far.shape[1])
         for a in range(0, n, step):
-            b = min(n, a + step)
-            out[a:b] = _box_gaps(lo[a:b, None], hi[a:b, None], lo[None, far], hi[None, far]).max(axis=1)
+            s = slice(a, a + step)
+            f = far[np.searchsorted(bounds, np.arange(a, min(n, a + step)), side="right") - 1]
+            out[s] = _box_gaps(lo[s, None], hi[s, None], np.take(lo, f, axis=0), np.take(hi, f, axis=0)).max(axis=1)
         return out
 
     def distances(self, ii, jj) -> np.ndarray:

@@ -77,8 +77,8 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
     s = t.scheme
     m, M = s.m, s.M
     per_depth = []
-    witnesses: list = []
     violators: list = []
+    # (value, (depth, row)): only the final extremes are decoded
     worst = (np.inf, None)
     best = (-np.inf, None)
     for n in range(1, t.depth + 1):
@@ -92,16 +92,16 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
         i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
         per_depth.append({"depth": n, "min": float(ratios[i_min]), "max": float(ratios[i_max])})
         if ratios[i_min] < worst[0]:
-            worst = (float(ratios[i_min]), str(t.address(n - 1, parents[i_min])))
+            worst = (float(ratios[i_min]), (n - 1, int(parents[i_min])))
         if ratios[i_max] > best[0]:
-            best = (float(ratios[i_max]), str(t.address(n - 1, parents[i_max])))
+            best = (float(ratios[i_max]), (n - 1, int(parents[i_max])))
         bad = ~np.isfinite(ratios) | (ratios <= tol.ratio)
         if expected is not None:
             bad |= np.abs(ratios - expected) > tol.ratio
         for i in np.nonzero(bad)[0][:_MAX_WITNESSES].tolist():
             violators.append(str(t.address(n - 1, parents[i])))
     status = "fail" if violators else "pass"
-    witnesses = violators if violators else [w for _, w in (worst, best) if w is not None]
+    witnesses = violators if violators else [str(t.address(*w)) for _, w in (worst, best) if w is not None]
     extremal = {
         "observed_r": worst[0],
         "observed_R": best[0],
@@ -117,31 +117,31 @@ def check_adjacency(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Condit
     s = t.scheme
     m, M = s.m, s.M
     n_comp = M - m
-    max_gap = -1.0
-    max_pair: tuple[str, str] | None = None
-    violators: list[tuple[str, str]] = []
-    for n in range(1, t.depth + 1):
-        ev = PairDistanceEvaluator(t.vertices[n])
-        n_par = len(t.vertices[n]) // M
+    per_kept, nearest = [], []
+    for ev, bounds in _depth_groups(t.vertices[1:]):
+        # a group's rows are whole blocks of M siblings, level after level
+        n_par = bounds[-1] // M
         base = np.repeat(np.arange(n_par) * M, m * n_comp)
         ii = base + np.tile(np.repeat(np.arange(m), n_comp), n_par)
         jj = base + np.tile(np.tile(np.arange(m, M), m), n_par)
         gaps = ev.distances(ii, jj).reshape(-1, n_comp)
-        per_kept = gaps.min(axis=1)
-        nearest = gaps.argmin(axis=1)
+        per_kept.append(gaps.min(axis=1))
+        nearest.append(gaps.argmin(axis=1))
+    per_kept, nearest = np.concatenate(per_kept), np.concatenate(nearest)
+    # kept cells of all levels in level order: level n starts at start[n - 1]
+    start = np.cumsum([0] + [len(v) // M * m for v in t.vertices[1:]])
 
-        def pair(r: int) -> tuple[str, str]:
-            return str(t.address(n, (r // m) * M + r % m)), str(t.address(n, (r // m) * M + m + int(nearest[r])))
+    def pair(r: int) -> tuple[str, str]:
+        n = int(np.searchsorted(start, r, side="right"))
+        p, j = divmod(r - int(start[n - 1]), m)
+        return str(t.address(n, p * M + j)), str(t.address(n, p * M + m + int(nearest[r])))
 
-        r = int(np.argmax(per_kept))
-        if per_kept[r] > max_gap:
-            max_gap, max_pair = float(per_kept[r]), pair(r)
-        for r in np.nonzero(per_kept > tol.geom)[0][: _MAX_WITNESSES - len(violators)].tolist():
-            violators.append(pair(r))
-    status = "fail" if max_gap > tol.geom else "pass"
-    extremal = {"max_gap": max_gap}
-    witnesses = tuple(violators) if violators else ((max_pair,) if max_pair else ())
-    return ConditionResult("adjacency", status, extremal, witnesses)
+    # the first largest gap, as a running maximum over the levels keeps it
+    r = int(np.argmax(per_kept))
+    violators = [pair(v) for v in np.nonzero(per_kept > tol.geom)[0][:_MAX_WITNESSES].tolist()]
+    status = "fail" if per_kept[r] > tol.geom else "pass"
+    extremal = {"max_gap": float(per_kept[r])}
+    return ConditionResult("adjacency", status, extremal, tuple(violators) if violators else (pair(r),))
 
 
 def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: Caps = DEFAULT_CAPS) -> ConditionResult:
@@ -190,17 +190,19 @@ def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Conditi
     """Maximal cell diameter must decay by a factor below one at every step."""
     _require_depth(t, 2)
     maxima = []
-    argmax_addr = []
+    argmax_rows = []
     for n in range(1, t.depth + 1):
         diams = diameters(t.vertices[n])
         i = int(np.argmax(diams))
         maxima.append(float(diams[i]))
-        argmax_addr.append(str(t.address(n, i)))
+        argmax_rows.append(i)
     # an affine image of a point is a point: a zero diameter stays zero
     factors = [maxima[i + 1] / maxima[i] if maxima[i] > 0.0 else 0.0 for i in range(len(maxima) - 1)]
     bad = [i for i, f in enumerate(factors) if f > tol.lambda_max]
     status = "fail" if bad else "pass"
-    witnesses = tuple(argmax_addr[i + 1] for i in bad[:_MAX_WITNESSES]) if bad else (argmax_addr[-1],)
+    # factor i compares depths i + 1 and i + 2; only the depths shown are decoded
+    shown = [i + 1 for i in bad[:_MAX_WITNESSES]] if bad else [len(maxima) - 1]
+    witnesses = tuple(str(t.address(k + 1, argmax_rows[k])) for k in shown)
     extremal = {
         "max_diameter_by_depth": maxima,
         "decay_factors": factors,
@@ -234,14 +236,48 @@ class _PairBudget:
         self.left -= n
 
 
-def _slack(ev: PairDistanceEvaluator) -> float:
+def _slack(lo: np.ndarray, hi: np.ndarray) -> float:
     # rounding allowance between the box/centroid bounds and the exact
     # kernel, so pruning never drops a pair that would tie the answer
-    return 64.0 * np.finfo(float).eps * max(float(np.abs(ev.lo).max()), float(np.abs(ev.hi).max()))
+    return 64.0 * np.finfo(float).eps * max(float(np.abs(lo).max()), float(np.abs(hi).max()))
 
 
-def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[float, int, int]:
-    """Exact min over distinct pairs and its smallest pair (i, j).
+def _depth_groups(stacks: Sequence[np.ndarray]) -> Iterator[tuple[PairDistanceEvaluator, list[int]]]:
+    """Runs of consecutive stacks whose cells fit one geometry chunk, each as
+    one evaluator over their concatenation and the row bounds of each stack
+    in it; a stack over the budget is a group of its own, not copied."""
+    start = 0
+    for end in range(1, len(stacks) + 1):
+        g = stacks[start : end + 1]  # an empty stack, refused by its evaluator, joins none
+        joins = end < len(stacks) and all(map(len, g)) and g[-1].shape[1] == g[0].shape[1]
+        if not (joins and sum(map(len, g)) <= _chunk_rows(2 * g[0].shape[1])):
+            g = g[: end - start]
+            yield PairDistanceEvaluator(g[0] if len(g) == 1 else np.concatenate(g)), np.cumsum([0] + [len(c) for c in g]).tolist()
+            start = end
+
+
+def _rounds(ev: PairDistanceEvaluator, sweeps: list) -> list:
+    """What each sweep returns.  A sweep is a generator that yields index
+    pairs (ii, jj) into the evaluator and is sent back their exact
+    distances; the requests of all sweeps in a round make one exact call."""
+    out, answers = [None] * len(sweeps), dict.fromkeys(range(len(sweeps)))
+    while answers:
+        asks = {}
+        for k, answer in answers.items():
+            try:
+                asks[k] = sweeps[k].send(answer)
+            except StopIteration as done:
+                out[k] = done.value
+        # no call when every request is empty
+        sizes = [i.shape[0] for i, _ in asks.values()]
+        d = ev.distances(*(np.concatenate(x) for x in zip(*asks.values()))) if sum(sizes) else np.empty(0)
+        answers = dict(zip(asks, np.split(d, np.cumsum(sizes)[:-1])))
+    return out
+
+
+def _pairwise_sweep(ev: PairDistanceEvaluator, a: int, b: int, budget: _PairBudget):
+    """Exact min over distinct pairs of the cells a..b-1, and its smallest
+    pair (i, j) counted from a.
 
     The address-consecutive pairs seed an upper bound; only the pairs
     whose bounding-box gap is within it can reach the minimum.  They are
@@ -251,14 +287,13 @@ def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[flo
     is no sweep at all when that pair is (0, 1).  With no 0 all k-1 seeds
     are evaluated and the bound is their minimum.
     """
-    k = ev.vertices.shape[0]
-    if k < 2:
+    if b - a < 2:
         return np.inf, 0, 0
     seeds = []
-    for a in range(0, k - 1, _SEED_CHUNK):
-        b = min(k - 1, a + _SEED_CHUNK)
-        budget.spend(b - a)
-        seeds.append(ev.distances(np.arange(a, b), np.arange(a + 1, b + 1)))
+    for c in range(a, b - 1, _SEED_CHUNK):
+        e = min(b - 1, c + _SEED_CHUNK)
+        budget.spend(e - c)
+        seeds.append((yield np.arange(c, e), np.arange(c + 1, e + 1)))
         if seeds[-1].min() == 0.0:
             break
     dists = np.concatenate(seeds)
@@ -267,52 +302,74 @@ def _depth_pairwise(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[flo
         return 0.0, 0, 1
     ii = np.arange(dists.shape[0])
     jj = ii + 1
-    bound = float(dists[first]) + _slack(ev)
-    stop = first if dists[first] == 0.0 else k
+    bound = float(dists[first]) + _slack(ev.lo[a:b], ev.hi[a:b])
+    stop = a + first if dists[first] == 0.0 else b
     # only pairs with ci < stop can change the answer, and their cj meet
     # the rows before stop: a box that meets one of them, grown by bound,
     # meets their union box grown by bound (the same rounded expression,
     # and rounding is monotone), so only those are swept; with no 0 the
     # union box holds every box and all of them are swept
-    lo, hi = ev.lo[:stop].min(axis=0), ev.hi[:stop].max(axis=0)
-    sub = np.flatnonzero(((np.minimum(ev.hi, hi) - np.maximum(ev.lo, lo)) >= -bound).all(axis=1))
+    lo, hi = ev.lo[a:stop].min(axis=0), ev.hi[a:stop].max(axis=0)
+    sub = a + np.flatnonzero(((np.minimum(ev.hi[a:b], hi) - np.maximum(ev.lo[a:b], lo)) >= -bound).all(axis=1))
     ci, cj = box_overlap_pairs(ev.lo[sub], ev.hi[sub], bound)
     ci, cj = sub[ci], sub[cj]
     near = (cj != ci + 1) & (ci < stop) & (ev.box_gaps(ci, cj) <= bound)
     ci, cj = ci[near], cj[near]
     budget.spend(ci.shape[0])
-    ii, jj = np.concatenate([ii, ci]), np.concatenate([jj, cj])
-    dists = np.concatenate([dists, ev.distances(ci, cj)])
+    ii, jj = np.concatenate([ii, ci - a]), np.concatenate([jj, cj - a])
+    dists = np.concatenate([dists, (yield ci, cj)])
     at = np.nonzero(dists == dists.min())[0]
     best = at[np.lexsort((jj[at], ii[at]))[0]]
     return float(dists[best]), int(ii[best]), int(jj[best])
 
 
-def _depth_forall_exists(ev: PairDistanceEvaluator, budget: _PairBudget) -> tuple[float, int, int]:
-    """Exact min over cells of the max partner distance, with its pair.
+def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.ndarray, budget: _PairBudget):
+    """Exact min over the cells a..b-1 of the max partner distance among
+    them, with its pair counted from a.
 
-    Each row's farthest bounding-box gap bounds its maximum from below, so
-    rows are visited in ascending order of that bound until it passes the
-    running minimum.  Centroid distances bound each distance from above, so
-    a visited row only evaluates the partners that can reach its bound.
+    Each row's farthest bounding-box gap (`lower`) bounds its maximum from
+    below, so rows are visited in ascending order of that bound until it
+    passes the running minimum.  Centroid distances bound each distance
+    from above, so a visited row only evaluates the partners that can reach
+    its bound.  The first row's maximum bounds the running minimum, so one
+    request takes it and one more every row whose bound is within it.
     """
-    slack = _slack(ev)
-    lower = ev.farthest_box_gaps()
-    running, pick = np.inf, (0, 0)
-    for i in np.argsort(lower, kind="stable").tolist():
+    slack = _slack(ev.lo[a:b], ev.hi[a:b])
+    order = a + np.argsort(lower[a:b], kind="stable")
+
+    def partners(i: int) -> np.ndarray:
+        c = ev.centroids[a:b] - ev.centroids[i]
+        cand = a + np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
+        return cand[cand != i]
+
+    cands = [partners(order[0])]
+    exact = [(yield np.full(cands[0].shape[0], order[0]), cands[0])]
+    rows = [int(order[0])] + order[1:][lower[order[1:]] - slack <= exact[0].max(initial=0.0)].tolist()
+    cands += [partners(i) for i in rows[1:]]
+    sizes = [c.shape[0] for c in cands[1:]]
+    more = yield np.repeat(np.array(rows[1:], dtype=np.intp), sizes), np.concatenate([np.empty(0, dtype=np.intp), *cands[1:]])
+    exact += np.split(more, np.cumsum(sizes)[:-1])
+    running, pick = np.inf, (a, a)
+    for i, cand, row in zip(rows, cands, exact):
         if lower[i] - slack > running:
             break
-        c = ev.centroids - ev.centroids[i]
-        cand = np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
-        cand = cand[cand != i]
         budget.spend(cand.shape[0])
-        exact = ev.distances(np.full(cand.shape[0], i), cand)
-        row_max = float(exact.max()) if cand.shape[0] else 0.0
+        row_max = float(row.max()) if cand.shape[0] else 0.0
         if row_max < running or (row_max == running and i < pick[0]):
             # a row of the full distance matrix holds 0 on its diagonal, so a
             # row of zeros reports its first column
-            running, pick = row_max, (i, int(cand[np.argmax(exact)]) if row_max > 0.0 else 0)
-    return running, pick[0], pick[1]
+            running, pick = row_max, (i, int(cand[np.argmax(row)]) if row_max > 0.0 else a)
+    return running, pick[0] - a, pick[1] - a
+
+
+def _per_depth(cells_by_depth: Sequence[np.ndarray], mode: SeparationMode, budget: _PairBudget) -> list[tuple[float, int, int]]:
+    # (value, i, j) of every depth, the sweeps of a depth group in rounds
+    out = []
+    for ev, bounds in _depth_groups(cells_by_depth):
+        lower = ev.farthest_box_gaps(bounds) if mode == "forall_exists" else None
+        spans = zip(bounds[:-1], bounds[1:])
+        out += _rounds(ev, [_pairwise_sweep(ev, a, b, budget) if lower is None else _forall_exists_sweep(ev, a, b, lower, budget) for a, b in spans])
+    return out
 
 
 def separation_sweep(
@@ -329,22 +386,21 @@ def separation_sweep(
     Ties break toward the smaller index pair, which is the lexicographically
     smaller address pair when cells arrive in address order.
 
-    Cost per depth of k cells: a broad phase on bounding boxes, then the
-    exact distance kernel on the pairs it keeps.  pairwise evaluates the
-    address-consecutive pairs in chunks until one touches (all k-1 if none
-    does), takes their minimum as a bound, and sort-and-sweeps the boxes
+    Consecutive depths whose cells fit one geometry chunk form a group with
+    one evaluator; each depth's sweep asks for its exact distances, and a
+    round of requests from all depths of a group makes one exact call.
+    pairwise evaluates the address-consecutive pairs in chunks until one
+    touches, takes their minimum as a bound and sort-and-sweeps the boxes
     for the pairs whose gap is within it.  forall_exists bounds every row
-    by its farthest box gap, read off the Pareto-maximal box corners, and
-    evaluates only the rows whose bound does not pass the running minimum.
-    The pair cap counts the exact evaluations over all depths: for
-    pairwise the seeding chunks it evaluated and the swept pairs, for
-    forall_exists the partners of each row it visits.
+    by its farthest box gap, asks for its least-bound row, then for every
+    row whose bound is within that row's maximum, and runs its visiting
+    loop over them.  The pair cap counts the exact evaluations over all
+    depths: for pairwise the seeding chunks and the swept pairs, for
+    forall_exists the partners of each row the visiting loop reaches.
     """
     if mode not in ("pairwise", "forall_exists"):
         raise ValueError(f"unknown separation mode {mode!r}")
-    fn = _depth_pairwise if mode == "pairwise" else _depth_forall_exists
-    budget = _PairBudget(caps.pairs)
-    per_depth = [fn(PairDistanceEvaluator(cells), budget) for cells in cells_by_depth]
+    per_depth = _per_depth(cells_by_depth, mode, _PairBudget(caps.pairs))
     values = [v for v, _, _ in per_depth]
     pick = int(np.argmin(values)) if mode == "pairwise" else int(np.argmax(values))
     value, i, j = per_depth[pick]

@@ -40,6 +40,7 @@ from conftest import (
     oracle_intersection_area,
     point_distance_oracle,
     segment_overlap_length_oracle,
+    similarity_conjugate,
     tree_cell,
 )
 
@@ -308,13 +309,32 @@ def test_kernels_do_not_depend_on_the_chunk_budget(name, depth, monkeypatch):
 
     def kernels():
         ev = PairDistanceEvaluator(stack)
-        return [ev.distances(ii, jj), ev.farthest_box_gaps(), *box_overlap_pairs(lo, hi, 1e-9), *box_overlap_pairs(lo, hi, 0.05)]
+        return [ev.distances(ii, jj), ev.farthest_box_gaps([0, 2 * k]), *box_overlap_pairs(lo, hi, 1e-9), *box_overlap_pairs(lo, hi, 0.05)]
 
     want = kernels()
     assert not want[0][:k].any()  # every nested pair reads 0
     for budget in (7, 64):
         monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
         assert [a.tobytes() for a in kernels()] == [a.tobytes() for a in want], budget
+
+
+@pytest.mark.parametrize("name,depth", [("koch", 8), ("carpet", 3), ("pascal3", 3), ("cantor", 6), ("carpet-tilted", 3)])
+def test_farthest_box_gaps_of_spans_match_separate_sets(name, depth):
+    # one evaluator over several levels reads each level's rows against
+    # that level only: bitwise the per-level evaluators, and the largest box
+    # gap over the level, which the few hull polygons reach up to rounding
+    s = similarity_conjugate(builtin("carpet"), similarity_map(1.3, 0.4, (0.2, 0.1))) if name == "carpet-tilted" else builtin(name)
+    t = build_tree(s, depth)
+    stacks = [t.vertices[n][t.kept_rows(n)] for n in range(1, depth + 1)]
+    bounds = np.cumsum([0] + [len(v) for v in stacks]).tolist()
+    ev = PairDistanceEvaluator(np.concatenate(stacks))
+    got = ev.farthest_box_gaps(bounds)
+    want = np.concatenate([PairDistanceEvaluator(v).farthest_box_gaps([0, len(v)]) for v in stacks])
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = ev.lo[a:b], ev.hi[a:b]
+        gaps = np.maximum(np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]), 0.0)
+        assert np.allclose(got[a:b], np.hypot(gaps[..., 0], gaps[..., 1]).max(axis=1), rtol=1e-13, atol=0.0)
 
 
 def test_point_distance():

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porofractal import geometry, verifier
 from porofractal.codespace import Address
-from porofractal.config import Caps
+from porofractal.config import Caps, Tolerances
 from porofractal.errors import CapExceededError, EmptyTreeError
 from porofractal.geometry import (
+    AffineMap2,
     ConvexPolygon,
     _chunk_rows,
     box_overlap_pairs,
@@ -20,7 +23,7 @@ from porofractal.geometry import (
     overlap_measures,
     similarity_map,
 )
-from porofractal.scheme import build_tree, builtin
+from porofractal.scheme import CellTree, Scheme, build_tree, builtin
 from porofractal.verifier import _MAX_WITNESSES
 from porofractal.verifier import (
     check_accumulation,
@@ -328,6 +331,10 @@ def test_separation_pairwise_tie_before_first_touching_consecutive_pair():
     assert (sweep.by_depth, a, b) == _full_matrix_sweep(cells, "pairwise")
 
 
+def _slack(ev):
+    return verifier._slack(ev.lo, ev.hi)
+
+
 def _depth_pairwise_oracle(ev, budget):
     # the pairwise depth sweep that runs box_overlap_pairs over every box
     # and drops the pairs with ci >= first afterwards
@@ -347,7 +354,7 @@ def _depth_pairwise_oracle(ev, budget):
         return 0.0, 0, 1
     ii = np.arange(dists.shape[0])
     jj = ii + 1
-    bound = float(dists[first]) + verifier._slack(ev)
+    bound = float(dists[first]) + _slack(ev)
     ci, cj = box_overlap_pairs(ev.lo, ev.hi, bound)
     near = (cj != ci + 1) & (ev.box_gaps(ci, cj) <= bound)
     if dists[first] == 0.0:
@@ -361,7 +368,98 @@ def _depth_pairwise_oracle(ev, budget):
     return float(dists[best]), int(ii[best]), int(jj[best])
 
 
-def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_gap, carpet_overlap):
+def _depth_pairwise(ev, budget):
+    # one depth of the pairwise sweep on its own evaluator, as it ran before
+    # depths were grouped: the union-box sweep, seed chunks and swept pairs
+    # each an exact call of their own
+    k = ev.vertices.shape[0]
+    if k < 2:
+        return np.inf, 0, 0
+    seeds = []
+    for a in range(0, k - 1, verifier._SEED_CHUNK):
+        b = min(k - 1, a + verifier._SEED_CHUNK)
+        budget.spend(b - a)
+        seeds.append(ev.distances(np.arange(a, b), np.arange(a + 1, b + 1)))
+        if seeds[-1].min() == 0.0:
+            break
+    dists = np.concatenate(seeds)
+    first = int(np.argmin(dists))
+    if dists[first] == 0.0 and first == 0:
+        return 0.0, 0, 1
+    ii = np.arange(dists.shape[0])
+    jj = ii + 1
+    bound = float(dists[first]) + _slack(ev)
+    stop = first if dists[first] == 0.0 else k
+    lo, hi = ev.lo[:stop].min(axis=0), ev.hi[:stop].max(axis=0)
+    sub = np.flatnonzero(((np.minimum(ev.hi, hi) - np.maximum(ev.lo, lo)) >= -bound).all(axis=1))
+    ci, cj = box_overlap_pairs(ev.lo[sub], ev.hi[sub], bound)
+    ci, cj = sub[ci], sub[cj]
+    near = (cj != ci + 1) & (ci < stop) & (ev.box_gaps(ci, cj) <= bound)
+    ci, cj = ci[near], cj[near]
+    budget.spend(ci.shape[0])
+    ii, jj = np.concatenate([ii, ci]), np.concatenate([jj, cj])
+    dists = np.concatenate([dists, ev.distances(ci, cj)])
+    at = np.nonzero(dists == dists.min())[0]
+    best = at[np.lexsort((jj[at], ii[at]))[0]]
+    return float(dists[best]), int(ii[best]), int(jj[best])
+
+
+def _maximal_hull(u, v):
+    # the Pareto-maximal points of one set, then the vertices of their hull
+    order = np.lexsort((-v, -u))
+    vs = v[order]
+    keep = np.ones(vs.shape[0], dtype=bool)
+    keep[1:] = vs[1:] > np.maximum.accumulate(vs)[:-1]
+    front = order[keep]
+    us, vs = u[front].tolist(), v[front].tolist()
+    hull = []
+    for p in range(len(us)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (us[a] - us[o]) * (vs[p] - vs[o]) - (vs[a] - vs[o]) * (us[p] - us[o]) > 0.0:
+                break
+            hull.pop()
+        hull.append(p)
+    return front[hull]
+
+
+def _farthest_box_gaps(ev):
+    # every row's largest box gap over the hull of the Pareto-maximal box
+    # corners of the whole set, one row at a time
+    lo, hi = ev.lo, ev.hi
+    extreme = np.zeros(lo.shape[0], dtype=bool)
+    for u, v in [(lo[:, 0], lo[:, 1]), (lo[:, 0], -hi[:, 1]), (-hi[:, 0], lo[:, 1]), (-hi[:, 0], -hi[:, 1])]:
+        extreme[_maximal_hull(u, v)] = True
+    far = np.nonzero(extreme)[0]
+    return np.array([geometry._box_gaps(lo[i], hi[i], lo[far], hi[far]).max() for i in range(lo.shape[0])])
+
+
+def _depth_forall_exists(ev, budget):
+    # one depth of the forall_exists sweep as it ran before depths were
+    # grouped: rows visited one by one, each with an exact call of its own
+    slack = _slack(ev)
+    lower = _farthest_box_gaps(ev)
+    running, pick = np.inf, (0, 0)
+    for i in np.argsort(lower, kind="stable").tolist():
+        if lower[i] - slack > running:
+            break
+        c = ev.centroids - ev.centroids[i]
+        cand = np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
+        cand = cand[cand != i]
+        budget.spend(cand.shape[0])
+        exact = ev.distances(np.full(cand.shape[0], i), cand)
+        row_max = float(exact.max()) if cand.shape[0] else 0.0
+        if row_max < running or (row_max == running and i < pick[0]):
+            running, pick = row_max, (i, int(cand[np.argmax(exact)]) if row_max > 0.0 else 0)
+    return running, pick[0], pick[1]
+
+
+def _grouped(stacks, mode, budget):
+    # the per-depth results of separation_sweep's grouped sweep
+    return verifier._per_depth(stacks, mode, budget)
+
+
+def _square_rows():
     # a row of 300 squares one apart, whose first touching seed (300, 301)
     # lies in the second seeding chunk; later in address order come squares
     # touching some of them from above, squares a rounding slack below
@@ -370,7 +468,13 @@ def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_g
     xs = [2.0 * i for i in range(300)] + [600.0, 601.0]
     squares = [(x, 0.0) for x in xs] + [(2.0 * i + 0.5, 1.0) for i in range(150, 300, 7)]
     squares += [(2.0 * i + 0.5, -1.0 - 3e-12) for i in range(0, 300, 11)] + [(5.0 * i, 40.0) for i in range(60)]
-    row = np.array([[[x, y], [x + 1, y], [x + 1, y + 1], [x, y + 1]] for x, y in squares])
+    return np.array([[[x, y], [x + 1, y], [x + 1, y + 1], [x, y + 1]] for x, y in squares])
+
+
+def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_gap, carpet_overlap):
+    # the square rows forwards, backwards and thinned, then the kept cells
+    # of some trees, each a sweep of one depth
+    row = _square_rows()
     stacks = [row, row[::-1].copy(), row[::2][:-1].copy()]
     trees = [build_tree(builtin(n), d) for n, d in [("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 5)]]
     trees += [build_tree(s, 3) for s in (carpet_gap, carpet_overlap, _rotated_carpet())]
@@ -385,11 +489,237 @@ def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_g
             ev = verifier.PairDistanceEvaluator(v)
             want_budget, got_budget = verifier._PairBudget(10**9), verifier._PairBudget(10**9)
             want = _depth_pairwise_oracle(ev, want_budget)
-            assert verifier._depth_pairwise(ev, got_budget) == want
+            assert _grouped([v], "pairwise", got_budget) == [want]
             assert got_budget.left == want_budget.left
             if want[0] == 0.0:
                 zero_at.append(want[1])
     assert max(zero_at) >= 2
+
+
+def _oracle_stacks(carpet_gap, carpet_overlap):
+    # (label, kept-cell stacks by depth): the built-ins, two seeded
+    # similarity conjugates of each, the gap and overlap carpets, and the
+    # square rows as the depths of one sweep
+    rng = np.random.default_rng(17)
+    schemes = [(builtin(n), d) for n, d in [("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 6)]]
+    for n, d in [("carpet", 3), ("pascal3", 3), ("koch", 7), ("cantor", 5)]:
+        for _ in range(2):
+            g = similarity_map(float(np.exp(rng.uniform(-1.4, 1.4))), float(rng.uniform(0.0, 2 * np.pi)), rng.uniform(-0.5, 0.5, 2))
+            schemes.append((similarity_conjugate(builtin(n), g), d))
+    schemes += [(carpet_gap, 3), (carpet_overlap, 3)]
+    cases = []
+    for k, (s, d) in enumerate(schemes):
+        t = build_tree(s, d)
+        cases.append((f"{k}: {s.name}-d{d}", [t.vertices[n][t.kept_rows(n)] for n in range(1, d + 1)]))
+    row = _square_rows()
+    cases.append(("square rows", [row[:1], row[::-1].copy(), row[::2][:-1].copy(), row[300:303], row]))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [7, 2**40], ids=["group-per-depth", "one-group"])
+def test_grouped_sweep_matches_per_depth_oracle(budget, monkeypatch, carpet_gap, carpet_overlap):
+    # every depth's value and pair, and the pair cap left over, equal the
+    # per-depth sweeps that ran one exact call per seed chunk and per row;
+    # a budget of 7 makes every depth a group of its own, 2**40 puts all
+    # depths of a sweep in one group
+    cases = _oracle_stacks(carpet_gap, carpet_overlap)
+    want = {}
+    for label, stacks in cases:
+        for mode, fn in (("pairwise", _depth_pairwise), ("forall_exists", _depth_forall_exists)):
+            b = verifier._PairBudget(10**9)
+            want[label, mode] = ([fn(verifier.PairDistanceEvaluator(v), b) for v in stacks], b.left)
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+    groups = []
+    for label, stacks in cases:
+        groups.append(len(list(verifier._depth_groups(stacks))))
+        for mode in ("pairwise", "forall_exists"):
+            b = verifier._PairBudget(10**9)
+            assert (_grouped(stacks, mode, b), b.left) == want[label, mode], (label, mode)
+    assert groups == ([len(s) for _, s in cases] if budget == 7 else [1] * len(cases))
+
+
+def _adjacency_per_level(t, tol):
+    # check_adjacency as it ran before levels were grouped: one evaluator and
+    # one exact call per level, addresses decoded as the maximum improves
+    m, M = t.scheme.m, t.scheme.M
+    n_comp = M - m
+    max_gap, max_pair, violators = -1.0, None, []
+    for n in range(1, t.depth + 1):
+        ev = verifier.PairDistanceEvaluator(t.vertices[n])
+        n_par = len(t.vertices[n]) // M
+        base = np.repeat(np.arange(n_par) * M, m * n_comp)
+        ii = base + np.tile(np.repeat(np.arange(m), n_comp), n_par)
+        jj = base + np.tile(np.tile(np.arange(m, M), m), n_par)
+        gaps = ev.distances(ii, jj).reshape(-1, n_comp)
+        per_kept, nearest = gaps.min(axis=1), gaps.argmin(axis=1)
+
+        def pair(r):
+            return str(t.address(n, (r // m) * M + r % m)), str(t.address(n, (r // m) * M + m + int(nearest[r])))
+
+        r = int(np.argmax(per_kept))
+        if per_kept[r] > max_gap:
+            max_gap, max_pair = float(per_kept[r]), pair(r)
+        for r in np.nonzero(per_kept > tol.geom)[0][: _MAX_WITNESSES - len(violators)].tolist():
+            violators.append(pair(r))
+    status = "fail" if max_gap > tol.geom else "pass"
+    return verifier.ConditionResult("adjacency", status, {"max_gap": max_gap}, tuple(violators) if violators else (max_pair,))
+
+
+@pytest.mark.parametrize("budget", [7, 2**40], ids=["group-per-depth", "one-group"])
+def test_grouped_adjacency_matches_per_level_oracle(budget, monkeypatch, carpet_gap, carpet_overlap):
+    # the grouped check reports the same gap, status and witnesses, with one
+    # level per group and with all levels in one group
+    rng = np.random.default_rng(5)
+    schemes = [(builtin(n), d) for n, d in [("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 6)]]
+    schemes += [(similarity_conjugate(builtin(n), similarity_map(0.7, float(rng.uniform(0, 6.3)), (0.1, -0.2))), 3) for n in ("carpet", "koch")]
+    schemes += [(carpet_gap, 3), (carpet_overlap, 3), (shrunk_complement_carpet(), 2)]
+    trees = [build_tree(s, d) for s, d in schemes]
+    want = [_adjacency_per_level(t, Tolerances()) for t in trees]
+    monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+    for t, w in zip(trees, want):
+        assert check_adjacency(t) == w, t.scheme.name
+    assert any(not w.passed for w in want)
+
+
+def _greedy_groups(sizes, V):
+    # how many runs of consecutive stacks fit the chunk budget together
+    groups, rows = 0, None
+    for k in sizes:
+        if rows is None or rows + k > _chunk_rows(2 * V):
+            groups, rows = groups + 1, 0
+        rows += k
+    return groups
+
+
+@pytest.mark.parametrize("name,depth", [("koch", 9), ("carpet", 3)])
+def test_exact_calls_per_depth_group(name, depth, make_tree, monkeypatch):
+    # one full_verify makes at most two exact distance calls per depth group
+    # in forall_exists, and one in adjacency: calls per row or per depth
+    # would show here as many more
+    t = make_tree(name, depth)
+    active, log = [None], []
+
+    class Counted(verifier.PairDistanceEvaluator):
+        def __init__(self, vertices):
+            super().__init__(vertices)
+            log.append((active[0], "group"))
+
+        def distances(self, ii, jj):
+            log.append((active[0], "call"))
+            return super().distances(ii, jj)
+
+    def labelled(label, fn):
+        def run(*args, **kwargs):
+            active[0] = label(*args)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[0] = None
+
+        return run
+
+    want = full_verify(t).to_json()
+    monkeypatch.setattr(verifier, "PairDistanceEvaluator", Counted)
+    monkeypatch.setattr(verifier, "check_adjacency", labelled(lambda *a: "adjacency", check_adjacency))
+    monkeypatch.setattr(verifier, "check_separation", labelled(lambda t, mode, *a: mode, check_separation))
+    assert full_verify(t).to_json() == want
+    V = t.vertices[1].shape[1]
+    kept = [len(t.kept_rows(n)) for n in range(1, depth + 1)]
+    groups = {
+        "adjacency": _greedy_groups([len(v) for v in t.vertices[1:]], V),
+        "pairwise": _greedy_groups(kept, V),
+        "forall_exists": _greedy_groups(kept, V),
+    }
+    for label, n_groups in groups.items():
+        assert log.count((label, "group")) == n_groups, label
+    calls = {label: log.count((label, "call")) for label in groups}
+    assert calls["adjacency"] <= groups["adjacency"]
+    assert calls["forall_exists"] <= 2 * groups["forall_exists"]
+    assert calls["pairwise"] <= 2 * groups["pairwise"]
+    assert sum(groups.values()) < 3 * depth
+
+
+def test_witness_addresses_are_decoded_once(make_tree, carpet_gap, monkeypatch):
+    # ratio and adjacency decode only the addresses they report, not the
+    # extremes of every depth on the way
+    decoded = []
+    address = CellTree.address
+
+    def counted(self, depth, row):
+        decoded.append(depth)
+        return address(self, depth, row)
+
+    monkeypatch.setattr(CellTree, "address", counted)
+    for t in (make_tree("koch", 9), make_tree("pascal3", 4), build_tree(carpet_gap, 3)):
+        decoded.clear()
+        res = check_ratio(t)
+        assert res.passed and len(decoded) == 2, t.scheme.name
+        decoded.clear()
+        res = check_adjacency(t)
+        assert len(decoded) == 2 * len(res.witnesses), t.scheme.name
+
+
+def _lattice_gaps(a, b):
+    # box gaps between the unit lattice squares with lower-left corners a
+    # and b, (k, 2) integer arrays, all pairs
+    d = np.maximum(np.abs(a[:, None] - b[None]) - 1, 0)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+@st.composite
+def _grid_schemes(draw):
+    # a dyadic grid scheme: the unit square cut into its 4x4 grid squares, in
+    # a drawn child order, of which the first m are kept; with the depth
+    depth = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 15 if depth < 3 else 10))
+    cells = draw(st.permutations([(x, y) for x in range(4) for y in range(4)]))
+    maps = tuple(AffineMap2(np.eye(2) / 4.0, np.array(c, dtype=float) / 4.0) for c in cells)
+    square = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    return Scheme("grid", m, 16, square, maps), np.array(cells), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_schemes())
+def test_grouped_checks_match_dyadic_lattice_oracle(case):
+    # at depth n the kept cells are lattice squares of side 4^-n: both
+    # separations are lattice box gaps times 4^-n (cell vertices are exact
+    # dyadic numbers, so only the final hypot rounds), and a kept cell touches
+    # a complement sibling exactly when the two are Chebyshev neighbours
+    s, cells, depth = case
+    t = build_tree(s, depth)
+    kept = cells[: s.m]
+    corners = [kept]
+    for _ in range(depth - 1):
+        corners.append((4 * corners[-1][:, None] + kept[None]).reshape(-1, 2))
+    pairwise, forall_exists = [], []
+    for n, c in enumerate(corners, start=1):
+        gaps = _lattice_gaps(c, c) / 4.0**n
+        np.fill_diagonal(gaps, np.inf)
+        pairwise.append(gaps.min())
+        np.fill_diagonal(gaps, 0.0)
+        forall_exists.append(gaps.max(axis=1).min())
+    for mode, want in (("pairwise", pairwise), ("forall_exists", forall_exists)):
+        got = kept_separation(t, mode)[0].by_depth
+        assert np.all(np.abs(np.array(got) - want) <= np.spacing(np.array(want))), (mode, got, want)
+    sibling = _lattice_gaps(kept, cells[s.m :])
+    touching = (np.abs(kept[:, None] - cells[None, s.m :]).max(axis=2) <= 1).any(axis=1)
+    res = check_adjacency(t)
+    assert res.passed == bool(touching.all())
+    assert res.extremal["max_gap"] == pytest.approx(sibling.min(axis=1).max() / 4.0, rel=0, abs=1e-15)
+
+
+def test_depths_share_an_evaluator_only_with_equal_vertex_counts():
+    # triangles, squares, then triangles again: each depth reads as it does
+    # alone, and an empty depth is refused as a depth of its own is
+    koch, carpet = build_tree(builtin("koch"), 3), build_tree(builtin("carpet"), 1)
+    stacks = [koch.vertices[n][koch.kept_rows(n)] for n in (1, 2)] + [carpet.vertices[1][carpet.kept_rows(1)]]
+    stacks.append(koch.vertices[3][koch.kept_rows(3)])
+    for mode in ("pairwise", "forall_exists"):
+        alone = [separation_sweep([v], mode) for v in stacks]
+        got = separation_sweep(stacks, mode)
+        assert got.by_depth == tuple(a.value for a in alone) and got.pair == alone[got.depth - 1].pair
+        with pytest.raises(ValueError, match="at least one polygon"):
+            separation_sweep([stacks[0], stacks[0][:0], stacks[1]], mode)
 
 
 def test_separation_single_cell_depth():
