@@ -350,10 +350,13 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
     Ea, Eb = ta.shape[0], tb.shape[0]
     (ax, ay), (bx, by) = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
-    da, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
-    db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
     P = A.shape[0]
-    d = np.minimum(da.reshape(-1, P).min(axis=0), db.reshape(-1, P).min(axis=0))
+    # each distance table is reduced before the next is made, which bounds
+    # the working memory and leaves the minimum unchanged
+    d, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
+    d = d.reshape(-1, P).min(axis=0)
+    db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
+    d = np.minimum(d, db.reshape(-1, P).min(axis=0))
     crossing = (oa[:Ea] * oa[ta] < 0.0) & (ob[:Eb] * ob[tb] < 0.0).transpose(1, 0, 2)
     i, j, k = np.nonzero(crossing)
     if k.shape[0]:
@@ -498,7 +501,8 @@ class PairDistanceEvaluator:
 
 def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     """Euclidean gaps between axis-aligned boxes (broadcasting, last axis xy)."""
-    d = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+    d = lo_b - hi_a
+    np.maximum(np.maximum(d, lo_a - hi_b, out=d), 0.0, out=d)
     return np.hypot(d[..., 0], d[..., 1])
 
 

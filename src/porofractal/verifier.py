@@ -190,19 +190,17 @@ def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> Conditi
     """Maximal cell diameter must decay by a factor below one at every step."""
     _require_depth(t, 2)
     maxima = []
-    argmax_rows = []
+    argmax_addr = []
     for n in range(1, t.depth + 1):
         diams = diameters(t.vertices[n])
         i = int(np.argmax(diams))
         maxima.append(float(diams[i]))
-        argmax_rows.append(i)
+        argmax_addr.append(str(t.address(n, i)))
     # an affine image of a point is a point: a zero diameter stays zero
     factors = [maxima[i + 1] / maxima[i] if maxima[i] > 0.0 else 0.0 for i in range(len(maxima) - 1)]
     bad = [i for i, f in enumerate(factors) if f > tol.lambda_max]
     status = "fail" if bad else "pass"
-    # factor i compares depths i + 1 and i + 2; only the depths shown are decoded
-    shown = [i + 1 for i in bad[:_MAX_WITNESSES]] if bad else [len(maxima) - 1]
-    witnesses = tuple(str(t.address(k + 1, argmax_rows[k])) for k in shown)
+    witnesses = tuple(argmax_addr[i + 1] for i in bad[:_MAX_WITNESSES]) if bad else (argmax_addr[-1],)
     extremal = {
         "max_diameter_by_depth": maxima,
         "decay_factors": factors,
@@ -259,7 +257,8 @@ def _depth_groups(stacks: Sequence[np.ndarray]) -> Iterator[tuple[PairDistanceEv
 def _rounds(ev: PairDistanceEvaluator, sweeps: list) -> list:
     """What each sweep returns.  A sweep is a generator that yields index
     pairs (ii, jj) into the evaluator and is sent back their exact
-    distances; the requests of all sweeps in a round make one exact call."""
+    distances; the requests of all sweeps in a round make one exact call,
+    and none when they are all empty."""
     out, answers = [None] * len(sweeps), dict.fromkeys(range(len(sweeps)))
     while answers:
         asks = {}
@@ -268,7 +267,6 @@ def _rounds(ev: PairDistanceEvaluator, sweeps: list) -> list:
                 asks[k] = sweeps[k].send(answer)
             except StopIteration as done:
                 out[k] = done.value
-        # no call when every request is empty
         sizes = [i.shape[0] for i, _ in asks.values()]
         d = ev.distances(*(np.concatenate(x) for x in zip(*asks.values()))) if sum(sizes) else np.empty(0)
         answers = dict(zip(asks, np.split(d, np.cumsum(sizes)[:-1])))
@@ -331,11 +329,12 @@ def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.nd
     below, so rows are visited in ascending order of that bound until it
     passes the running minimum.  Centroid distances bound each distance
     from above, so a visited row only evaluates the partners that can reach
-    its bound.  The first row's maximum bounds the running minimum, so one
-    request takes it and one more every row whose bound is within it.
+    its bound.  One request takes the first row, whose maximum bounds the
+    running minimum, and one more the rows whose bound is within it, as far
+    as the pair cap left allows and one row past it, where the loop raises.
     """
     slack = _slack(ev.lo[a:b], ev.hi[a:b])
-    order = a + np.argsort(lower[a:b], kind="stable")
+    order = (a + np.argsort(lower[a:b], kind="stable")).tolist()
 
     def partners(i: int) -> np.ndarray:
         c = ev.centroids[a:b] - ev.centroids[i]
@@ -343,33 +342,28 @@ def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.nd
         return cand[cand != i]
 
     cands = [partners(order[0])]
+    budget.spend(cands[0].shape[0])
     exact = [(yield np.full(cands[0].shape[0], order[0]), cands[0])]
-    rows = [int(order[0])] + order[1:][lower[order[1:]] - slack <= exact[0].max(initial=0.0)].tolist()
-    cands += [partners(i) for i in rows[1:]]
+    top, asked = exact[0].max(initial=0.0), 0
+    for i in order[1:]:
+        if lower[i] - slack > top or asked > budget.left:
+            break
+        cands.append(partners(i))
+        asked += cands[-1].shape[0]
     sizes = [c.shape[0] for c in cands[1:]]
-    more = yield np.repeat(np.array(rows[1:], dtype=np.intp), sizes), np.concatenate([np.empty(0, dtype=np.intp), *cands[1:]])
+    more = yield np.repeat(np.array(order[1 : len(cands)], dtype=np.intp), sizes), np.concatenate([np.empty(0, dtype=np.intp), *cands[1:]])
     exact += np.split(more, np.cumsum(sizes)[:-1])
     running, pick = np.inf, (a, a)
-    for i, cand, row in zip(rows, cands, exact):
+    for k, (i, cand, row) in enumerate(zip(order, cands, exact)):
         if lower[i] - slack > running:
             break
-        budget.spend(cand.shape[0])
+        budget.spend(cand.shape[0] if k else 0)
         row_max = float(row.max()) if cand.shape[0] else 0.0
         if row_max < running or (row_max == running and i < pick[0]):
             # a row of the full distance matrix holds 0 on its diagonal, so a
             # row of zeros reports its first column
             running, pick = row_max, (i, int(cand[np.argmax(row)]) if row_max > 0.0 else a)
     return running, pick[0] - a, pick[1] - a
-
-
-def _per_depth(cells_by_depth: Sequence[np.ndarray], mode: SeparationMode, budget: _PairBudget) -> list[tuple[float, int, int]]:
-    # (value, i, j) of every depth, the sweeps of a depth group in rounds
-    out = []
-    for ev, bounds in _depth_groups(cells_by_depth):
-        lower = ev.farthest_box_gaps(bounds) if mode == "forall_exists" else None
-        spans = zip(bounds[:-1], bounds[1:])
-        out += _rounds(ev, [_pairwise_sweep(ev, a, b, budget) if lower is None else _forall_exists_sweep(ev, a, b, lower, budget) for a, b in spans])
-    return out
 
 
 def separation_sweep(
@@ -387,20 +381,23 @@ def separation_sweep(
     smaller address pair when cells arrive in address order.
 
     Consecutive depths whose cells fit one geometry chunk form a group with
-    one evaluator; each depth's sweep asks for its exact distances, and a
-    round of requests from all depths of a group makes one exact call.
-    pairwise evaluates the address-consecutive pairs in chunks until one
-    touches, takes their minimum as a bound and sort-and-sweeps the boxes
-    for the pairs whose gap is within it.  forall_exists bounds every row
-    by its farthest box gap, asks for its least-bound row, then for every
-    row whose bound is within that row's maximum, and runs its visiting
-    loop over them.  The pair cap counts the exact evaluations over all
-    depths: for pairwise the seeding chunks and the swept pairs, for
-    forall_exists the partners of each row the visiting loop reaches.
+    one evaluator, and a round of exact requests from all its depths makes
+    one call.  pairwise evaluates the address-consecutive pairs in chunks
+    until one touches, takes their minimum as a bound and sort-and-sweeps
+    the boxes for the pairs whose gap is within it.  forall_exists bounds
+    every row by its farthest box gap, asks for its least-bound row, then
+    for the rows whose bound is within that row's maximum, and visits them.
+    The pair cap counts the exact evaluations over all depths: for pairwise
+    the seeding chunks and the swept pairs, for forall_exists the partners
+    of each row visited; a depth asks for at most one row past the cap.
     """
     if mode not in ("pairwise", "forall_exists"):
         raise ValueError(f"unknown separation mode {mode!r}")
-    per_depth = _per_depth(cells_by_depth, mode, _PairBudget(caps.pairs))
+    budget, per_depth = _PairBudget(caps.pairs), []
+    for ev, bounds in _depth_groups(cells_by_depth):
+        lower = ev.farthest_box_gaps(bounds) if mode == "forall_exists" else None
+        spans = zip(bounds[:-1], bounds[1:])
+        per_depth += _rounds(ev, [_pairwise_sweep(ev, a, b, budget) if lower is None else _forall_exists_sweep(ev, a, b, lower, budget) for a, b in spans])
     values = [v for v, _, _ in per_depth]
     pick = int(np.argmin(values)) if mode == "pairwise" else int(np.argmax(values))
     value, i, j = per_depth[pick]

@@ -454,9 +454,27 @@ def _depth_forall_exists(ev, budget):
     return running, pick[0], pick[1]
 
 
-def _grouped(stacks, mode, budget):
-    # the per-depth results of separation_sweep's grouped sweep
-    return verifier._per_depth(stacks, mode, budget)
+def _sweep_per_depth(monkeypatch, stacks, mode):
+    # separation_sweep under a 10**9 pair cap, read at its seams: every
+    # depth's (value, i, j) as its group's rounds return them, and the pair
+    # cap it leaves
+    depths, budgets, rounds = [], [], verifier._rounds
+
+    def recorded(ev, sweeps):
+        depths.extend(rounds(ev, sweeps))
+        return depths[len(depths) - len(sweeps) :]
+
+    class Recorded(verifier._PairBudget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_rounds", recorded)
+        patch.setattr(verifier, "_PairBudget", Recorded)
+        sweep = separation_sweep(stacks, mode, Caps(pairs=10**9))
+    assert sweep.by_depth == tuple(v for v, _, _ in depths) and len(budgets) == 1
+    return depths, budgets[0].left
 
 
 def _square_rows():
@@ -487,10 +505,9 @@ def test_pairwise_sweeps_only_boxes_near_rows_before_first(monkeypatch, carpet_g
         monkeypatch.setattr(verifier, "_SEED_CHUNK", chunk)
         for v in stacks:
             ev = verifier.PairDistanceEvaluator(v)
-            want_budget, got_budget = verifier._PairBudget(10**9), verifier._PairBudget(10**9)
+            want_budget = verifier._PairBudget(10**9)
             want = _depth_pairwise_oracle(ev, want_budget)
-            assert _grouped([v], "pairwise", got_budget) == [want]
-            assert got_budget.left == want_budget.left
+            assert _sweep_per_depth(monkeypatch, [v], "pairwise") == ([want], want_budget.left)
             if want[0] == 0.0:
                 zero_at.append(want[1])
     assert max(zero_at) >= 2
@@ -533,8 +550,7 @@ def test_grouped_sweep_matches_per_depth_oracle(budget, monkeypatch, carpet_gap,
     for label, stacks in cases:
         groups.append(len(list(verifier._depth_groups(stacks))))
         for mode in ("pairwise", "forall_exists"):
-            b = verifier._PairBudget(10**9)
-            assert (_grouped(stacks, mode, b), b.left) == want[label, mode], (label, mode)
+            assert _sweep_per_depth(monkeypatch, stacks, mode) == want[label, mode], (label, mode)
     assert groups == ([len(s) for _, s in cases] if budget == 7 else [1] * len(cases))
 
 
@@ -755,6 +771,37 @@ def test_separation_cap_thresholds(name, depth, forall_exists, pairwise, make_tr
     if name == "cantor":
         with pytest.raises(CapExceededError):
             check_separation(t, "pairwise", caps=Caps(pairs=pairwise - 1))
+
+
+@pytest.mark.parametrize("cap", [500, 1799, 1800])
+def test_forall_exists_asks_for_at_most_one_row_past_the_cap(cap, monkeypatch):
+    # two clumps of 30 equal squares nine apart: every row's bound ties the
+    # first row's maximum, so the visiting loop reaches all 60 rows of 30
+    # partners each, 1800 pairs; under a smaller cap it raises at the row
+    # that passes it, and the exact pairs asked for stay within cap + 30
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cells = np.array([square] * 30 + [square + [10.0, 0.0]] * 30)
+    budget = verifier._PairBudget(cap)
+    if cap < 1800:
+        with pytest.raises(CapExceededError):
+            _depth_forall_exists(verifier.PairDistanceEvaluator(cells), budget)
+    else:
+        assert _depth_forall_exists(verifier.PairDistanceEvaluator(cells), budget) == (9.0, 0, 30)
+    asked = []
+
+    class Counted(verifier.PairDistanceEvaluator):
+        def distances(self, ii, jj):
+            asked.append(len(ii))
+            return super().distances(ii, jj)
+
+    monkeypatch.setattr(verifier, "PairDistanceEvaluator", Counted)
+    if cap < 1800:
+        with pytest.raises(CapExceededError):
+            separation_sweep([cells], "forall_exists", Caps(pairs=cap))
+        assert sum(asked) <= cap + 30 and len(asked) == 2
+    else:
+        sweep = separation_sweep([cells], "forall_exists", Caps(pairs=cap))
+        assert (sweep.value, sweep.pair, asked) == (9.0, (0, 30), [30, 1770])
 
 
 # ---------------------------------------------------------------------------
