@@ -22,7 +22,7 @@ def separator(M: int) -> str:
     return "." if M > 9 else ""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Address:
     """Finite word i1 i2 ... in over {1..M} with split index m carried along."""
 
@@ -61,7 +61,7 @@ class Address:
         return all(s <= self.m for s in self.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Code:
     """Infinite (or finite-horizon) word over the kept alphabet {1..m}.
 

@@ -32,7 +32,7 @@ def realization_bound(s: Scheme, depth: int) -> float:
     return s.max_kept_norm() ** depth * diameter(s.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationEstimate:
     """A positive separation distance with the cell pair achieving it."""
 
@@ -70,7 +70,7 @@ def estimate_separation(
 # periodic density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicWitness:
     cylinder: Address
     code: Code
@@ -116,7 +116,7 @@ def periodic_density_witnesses(
 # transitivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitivityWitness:
     code: Code
     prefix_length: int
@@ -162,7 +162,7 @@ def transitivity_witness(s: Scheme, n: int, caps: Caps = DEFAULT_CAPS) -> Transi
 # sensitivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensitivityWitness:
     cylinder: Address
     k: int
@@ -222,7 +222,7 @@ def sensitivity_witnesses(
 # proximal-but-separating pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiYorkeWitness:
     code_u: Code
     code_v: Code
@@ -316,6 +316,13 @@ def li_yorke_witness(
 # assembled report
 
 
+class _Dicts(list):
+    """Witnesses read as their `to_dict()`s, each made as `for value in lst` in the JSON encoder reaches it."""
+
+    def __iter__(self) -> Iterator[dict]:
+        return (w.to_dict() for w in super().__iter__())
+
+
 @dataclass(frozen=True)
 class ChaosWitnessReport:
     scheme: str
@@ -336,22 +343,25 @@ class ChaosWitnessReport:
             and self.li_yorke.achieved
         )
 
-    def to_dict(self) -> dict:
+    def _doc(self, dicts) -> dict:
         return {
             "scheme": self.scheme,
             "n": self.n,
             "horizon": self.horizon,
             "epsilon0": self.separation.epsilon0,
             "separation": self.separation.to_dict(),
-            "periodic": [w.to_dict() for w in self.periodic],
+            "periodic": dicts(self.periodic),
             "transitivity": self.transitivity.to_dict(),
-            "sensitivity": [w.to_dict() for w in self.sensitivity],
+            "sensitivity": dicts(self.sensitivity),
             "li_yorke": self.li_yorke.to_dict(),
             "all_verified": self.all_verified,
         }
 
+    def to_dict(self) -> dict:
+        return self._doc(lambda ws: [w.to_dict() for w in ws])
+
     def json_chunks(self) -> Iterator[str]:
-        return _json_chunks(self.to_dict())
+        return _json_chunks(self._doc(_Dicts))
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())

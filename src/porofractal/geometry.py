@@ -33,7 +33,7 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     """A point of the plane with finite coordinates."""
 
@@ -194,13 +194,15 @@ def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[n
     of the rows of `words` (W, n) over `_stack_maps` arrays, first symbol
     outermost: the first column's maps, then build_tree's step per column,
     as `reduce(compose, ...)` goes, so each row is bitwise that composition.
-    A call costs n stacked steps whatever W is; the caller checks symbols."""
+    A call costs n stacked steps whatever W is, gathering the maps (six values
+    a row) of `_chunk_rows(6·W)` columns at a time; the caller checks symbols."""
     if not words.size:
         return np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
-    lins, trs = children[0][words.T - 1], children[1][words.T - 1]
-    L, T = lins[0], trs[0, ..., 0]
-    for lin, tr in zip(lins[1:], trs[1:]):
-        L, T = _step(L, T, lin, tr)
+    L, cols = None, _chunk_rows(6 * words.shape[0])
+    for a in range(0, words.shape[1], cols):
+        index = words[:, a : a + cols].T - 1
+        for lin, tr in zip(children[0][index], children[1][index]):
+            L, T = (lin, tr[..., 0]) if L is None else _step(L, T, lin, tr)
     return L, T
 
 
@@ -465,18 +467,20 @@ class PairDistanceEvaluator:
             for u, v in [(lo[a:b, 0], lo[a:b, 1]), (lo[a:b, 0], -hi[a:b, 1]), (-hi[a:b, 0], lo[a:b, 1]), (-hi[a:b, 0], -hi[a:b, 1])]:
                 extreme[_maximal_hull(u, v)] = True
             fars.append(a + np.flatnonzero(extreme))
-        # each span's extremes repeated cyclically to one width, which does
-        # not change a row's maximum
-        far = np.stack([np.resize(f, max(map(len, fars))) for f in fars])
-        n = lo.shape[0]
-        out = np.empty(n)
-        # a row's gap terms are (width, 2) arrays; `take` gathers them by a
-        # 2-D index far faster than indexing does
-        step = _chunk_rows(2 * far.shape[1])
-        for a in range(0, n, step):
-            s = slice(a, a + step)
-            f = far[np.searchsorted(bounds, np.arange(a, min(n, a + step)), side="right") - 1]
-            out[s] = _box_gaps(lo[s, None], hi[s, None], np.take(lo, f, axis=0), np.take(hi, f, axis=0)).max(axis=1)
+        # each row meets its own span's extremes only, in one flat (row, extreme)
+        # list taken from four coordinate planes; they start at `first` in `far`
+        counts = [len(f) for f in fars]
+        width, first = np.repeat([counts, np.cumsum([0] + counts[:-1])], np.diff(bounds), axis=1)
+        far = np.concatenate(fars)
+        planes = np.concatenate([lo, hi], axis=1).T.copy()
+        out = np.empty(lo.shape[0])
+        step = _chunk_rows(4 * max(counts))
+        for a in range(0, lo.shape[0], step):
+            w = width[a : a + step]
+            starts = np.cumsum(w) - w
+            A = np.take(planes, np.repeat(np.arange(a, a + w.shape[0]), w), axis=1)
+            B = np.take(planes, far[np.repeat(first[a : a + step] - starts, w) + np.arange(w.sum())], axis=1)
+            out[a : a + step] = np.maximum.reduceat(_box_gaps(A[:2].T, A[2:].T, B[:2].T, B[2:].T), starts)
         return out
 
     def distances(self, ii, jj) -> np.ndarray:

@@ -9,6 +9,7 @@ carry the addresses of the symbolic code space.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -387,7 +388,7 @@ def realize_points(s: Scheme, codes: Sequence[Code], depth: int, caps: Caps = DE
         raise ValueError("depth must be at least 1")
     if depth > caps.words:
         raise CapExceededError(f"realization depth {depth} exceeds the word cap {caps.words}")
-    words = np.array([c.prefix(depth) for c in codes], dtype=np.intp)
+    words = np.fromiter(itertools.chain.from_iterable(c.prefix(depth) for c in codes), np.intp, len(codes) * depth).reshape(-1, depth)
     if words.size and words.max() > s.m:
         raise ValueError("code symbols must be kept indices of the scheme")
     # unflipped: the centroid adds the vertices in AffineMap2.transform order

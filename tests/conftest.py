@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -30,6 +31,18 @@ def make_tree():
         return cache[key]
 
     return _make
+
+
+def traced(fn):
+    """Call fn under tracemalloc: its result, the peak of the memory it
+    allocated, and the part of it still held on return, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def clip_by_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:

@@ -1,14 +1,16 @@
+import dataclasses
 import math
+import pickle
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from porofractal import geometry
-from porofractal.codespace import Address, Code, finite_code, periodic_code, shift
+from porofractal.codespace import Address, Code, enumerate_words, finite_code, periodic_code, shift
 from porofractal.dynamics import (
     DEFAULT_REALIZE_DEPTH,
+    ChaosWitnessReport,
     chaos_report,
     estimate_separation,
     li_yorke_witness,
@@ -18,11 +20,11 @@ from porofractal.dynamics import (
     transitivity_witness,
 )
 from porofractal.errors import NoSeparationError
-from porofractal.geometry import AffineMap2, ConvexPolygon, point_in_polygon
+from porofractal.geometry import AffineMap2, ConvexPolygon, Point2, point_in_polygon
 from porofractal.ifs import SetApproximation, compose_word, from_scheme, iterate_attractor, separation_from_maps
 from porofractal.scheme import BUILTIN_NAMES, Scheme, address_polygon, builtin, realize_point, realize_points
 
-from conftest import WITNESS_INPUTS, point_distance_oracle, report_json_oracle, symbol_at_oracle
+from conftest import WITNESS_INPUTS, point_distance_oracle, report_json_oracle, symbol_at_oracle, traced
 
 
 def code_from_dict(d, m):
@@ -346,17 +348,65 @@ def test_witness_encoding_memory_is_bounded(witness_reports):
     # tokens and the joined text, not the encoder's whole token list (which
     # is about 5.8 MiB for this 840 KB document)
     report = witness_reports("pascal3", 4)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        doc = report.to_dict()
-        held = tracemalloc.get_traced_memory()[0] - base
-        del doc
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        size = len(report.to_json())
-        peak = tracemalloc.get_traced_memory()[1] - base - held
-    finally:
-        tracemalloc.stop()
+    _, _, held = traced(report.to_dict)
+    size, peak, _ = traced(lambda: len(report.to_json()))
+    peak -= held
     assert size > 800_000
     assert peak <= 2 * 2**20, peak / 2**20
+
+
+def test_witness_dicts_are_made_as_the_encoder_reaches_them(witness_reports, monkeypatch):
+    # the encoder holds one witness's dict at a time, so to_json's peak above
+    # the held report is about the text in pieces and joined, with no dict
+    # of the document subtracted
+    report = witness_reports("pascal3", 4)
+    text, peak, _ = traced(report.to_json)
+    assert len(text) > 800_000
+    assert peak <= 1.8 * 2**20, peak / 2**20
+    # the stream never builds the eager document
+    monkeypatch.setattr(ChaosWitnessReport, "to_dict", None)
+    assert "".join(report.json_chunks()) == text
+
+
+def test_realizing_sensitivity_codes_works_in_bounded_memory():
+    # 2 592 codes take six map values a row, within one chunk, so the fold
+    # gathers one column of maps at a time, not all twelve; each per-code
+    # array is at most six values a code, so above the (W, depth) symbol
+    # matrix the peak is a few chunks
+    s = builtin("pascal3")
+    sep = estimate_separation(s, 4)
+    words = enumerate_words(s.m, 4, M=s.M)
+    codes = [Code(w.symbols, x.symbols, s.m) for x in (sep.word_a, sep.word_b) for w in words]
+    assert 6 * len(codes) <= geometry._CHUNK_ELEMENTS
+    _, peak, _ = traced(lambda: realize_points(s, codes, DEFAULT_REALIZE_DEPTH))
+    symbols = len(codes) * DEFAULT_REALIZE_DEPTH * np.dtype(np.intp).itemsize
+    assert peak <= symbols + 4 * 8 * geometry._CHUNK_ELEMENTS, peak / 2**20
+
+
+def test_slotted_values_keep_their_api(witness_reports):
+    # slots change what pickling, dataclasses.replace, equality and the
+    # ordering of addresses go through; each must work as before
+    report = witness_reports("cantor", 8)
+    p = report.periodic[0]
+    values = [p.cylinder, p.code, p.point, p, report.separation, report.transitivity, report.sensitivity[0], report.li_yorke]
+    assert [type(v).__name__ for v in values] == [
+        "Address", "Code", "Point2", "PeriodicWitness", "SeparationEstimate",
+        "TransitivityWitness", "SensitivityWitness", "LiYorkeWitness",
+    ]
+    for v in values:
+        assert not hasattr(v, "__dict__"), type(v)
+        assert pickle.loads(pickle.dumps(v)) == v and dataclasses.replace(v) == v
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, dataclasses.fields(v)[0].name, None)
+    for v in values[:4]:
+        assert hash(pickle.loads(pickle.dumps(v))) == hash(v)
+    assert dataclasses.replace(p, gap=1.0) != p and dataclasses.replace(p, gap=1.0).gap == 1.0
+    assert dataclasses.replace(p.point, y=2.0) == Point2(p.point.x, 2.0) != p.point
+    with pytest.raises(ValueError):
+        dataclasses.replace(p.point, x=math.inf)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p.cylinder, m=0)
+    assert Code((1,), (2,), 2) == Code((1,), (2,), 2) != Code((), (1, 2), 2)
+    addresses = [Address(w, 2, 3) for w in [(2,), (1, 2), (1,), (), (1, 1), (2, 3)]] + [Address((1,), 2, 2)]
+    assert sorted(addresses) == sorted(addresses, key=lambda a: (a.symbols, a.m, a.M))
+    assert Address((1, 2), 2, 3) < Address((2,), 2, 3) and not Address((1,), 2, 3) < Address((1,), 2, 3)

@@ -1,4 +1,3 @@
-import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from porofractal.geometry import similarity_map
 from porofractal.render import _order, render_construction, svg_chunks
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin
 
-from conftest import similarity_conjugate
+from conftest import similarity_conjugate, traced
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,14 +220,7 @@ def test_rejected_arguments_raise_before_any_chunk(make_tree):
 def test_streaming_memory_is_bounded_by_a_chunk(name, depth, limit_mib):
     # the pieces are consumed as they come: working memory above the tree is
     # one integer per emitted cell plus one chunk, not the document
-    tracemalloc.start()
-    try:
-        t = build_tree(builtin(name), depth)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        size = sum(len(chunk) for chunk in svg_chunks(t, depth))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    t = build_tree(builtin(name), depth)
+    size, peak, _ = traced(lambda: sum(len(chunk) for chunk in svg_chunks(t, depth)))
     assert size > 4 * 2**20 if name == "carpet" else size > 2**20
     assert peak <= limit_mib * 2**20, peak / 2**20

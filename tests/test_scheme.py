@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from porofractal import geometry
 from porofractal.codespace import Address, Code, periodic_code
 from porofractal.config import Caps
 from porofractal.errors import (
@@ -17,6 +18,7 @@ from porofractal.errors import (
     ValidationError,
 )
 from porofractal.geometry import AffineMap2, Point2, apply, measure, overlap_measures, similarity_map
+from porofractal.ifs import compose_word, from_scheme
 from porofractal.scheme import (
     BUILTIN_NAMES,
     Cell,
@@ -436,6 +438,31 @@ def test_address_vertices_bitwise_matches_per_symbol_oracle():
                 # checks the bits
                 acc, oracle = accumulated_map(s, w.symbols), accumulated_map_oracle(s, w.symbols)
                 assert np.array_equal(acc.linear, oracle.linear) and np.array_equal(acc.translation, oracle.translation)
+
+
+def test_fold_does_not_depend_on_the_chunk_budget(monkeypatch):
+    # the fold gathers the maps of `_chunk_rows(6·W)` columns at a time, and
+    # every column is the same stacked step however many are gathered: one
+    # column per chunk (budget 7), all at once (2**40), and in between (the
+    # real budget cuts 300 twenty-symbol rows into chunks of nine columns)
+    rng = np.random.default_rng(19)
+    g = similarity_map(rng.uniform(0.25, 4.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(-0.5, 0.5, 2))
+    cases = []
+    for s in fold_cases() + [similarity_conjugate(builtin("carpet"), g)]:
+        words = [Address(tuple(w), s.m, s.M) for w in rng.integers(1, s.m + 1, size=(300, 20)).tolist()]
+        cases.append((s, words, [Code(w.symbols[:7], (2, 1), s.m) for w in words]))
+
+    def outputs():
+        out = []
+        for s, words, codes in cases:
+            out += [*realize_points(s, codes, 20), *realize_points(s, codes[:1], 20), address_vertices(s, words)]
+            out += [address_vertices(s, words[:1]), compose_word(from_scheme(s), words[0]).vertices]
+        return [a.tobytes() for a in out]
+
+    want = outputs()
+    for budget in (7, 2**40):
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+        assert outputs() == want, budget
 
 
 def test_accumulated_map_bitwise_matches_per_symbol_oracle():

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -46,6 +45,7 @@ from conftest import (
     segment_overlap_length_oracle,
     shrunk_complement_carpet,
     similarity_conjugate,
+    traced,
     tree_cell,
 )
 
@@ -684,32 +684,38 @@ def _lattice_gaps(a, b):
 
 @st.composite
 def _grid_schemes(draw):
-    # a dyadic grid scheme: the unit square cut into its 4x4 grid squares, in
-    # a drawn child order, of which the first m are kept; with the depth
-    depth = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 15 if depth < 3 else 10))
-    cells = draw(st.permutations([(x, y) for x in range(4) for y in range(4)]))
-    maps = tuple(AffineMap2(np.eye(2) / 4.0, np.array(c, dtype=float) / 4.0) for c in cells)
+    # a dyadic grid scheme: the unit square cut into its p x p grid squares
+    # (p = 2 or 4), in a drawn child order, of which the first m are kept;
+    # with the depth
+    p = draw(st.sampled_from([2, 4]))
+    depth = draw(st.integers(1, 5 if p == 2 else 3))
+    m = draw(st.integers(2, 3 if p == 2 else 15 if depth < 3 else 10))
+    cells = draw(st.permutations([(x, y) for x in range(p) for y in range(p)]))
+    maps = tuple(AffineMap2(np.eye(2) / p, np.array(c, dtype=float) / p) for c in cells)
     square = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    return Scheme("grid", m, 16, square, maps), np.array(cells), depth
+    return Scheme("grid", m, p * p, square, maps), np.array(cells), p, depth
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_grid_schemes())
 def test_grouped_checks_match_dyadic_lattice_oracle(case):
-    # at depth n the kept cells are lattice squares of side 4^-n: both
-    # separations are lattice box gaps times 4^-n (cell vertices are exact
+    # at depth n the kept cells are lattice squares of side p^-n: both
+    # separations are lattice box gaps times p^-n (cell vertices are exact
     # dyadic numbers, so only the final hypot rounds), and a kept cell touches
-    # a complement sibling exactly when the two are Chebyshev neighbours
-    s, cells, depth = case
+    # a complement sibling exactly when the two are Chebyshev neighbours.
+    # Every measure is an exact power of two, so each ratio is the one
+    # rounding of m / (p^2 - m); each diameter is a power of two times the
+    # same rounded sqrt(2), so each decay factor is exactly 1/p; and complement
+    # squares meet at most in edges, so no overlap has any area.
+    s, cells, p, depth = case
     t = build_tree(s, depth)
     kept = cells[: s.m]
     corners = [kept]
     for _ in range(depth - 1):
-        corners.append((4 * corners[-1][:, None] + kept[None]).reshape(-1, 2))
+        corners.append((p * corners[-1][:, None] + kept[None]).reshape(-1, 2))
     pairwise, forall_exists = [], []
     for n, c in enumerate(corners, start=1):
-        gaps = _lattice_gaps(c, c) / 4.0**n
+        gaps = _lattice_gaps(c, c) / float(p) ** n
         np.fill_diagonal(gaps, np.inf)
         pairwise.append(gaps.min())
         np.fill_diagonal(gaps, 0.0)
@@ -721,7 +727,16 @@ def test_grouped_checks_match_dyadic_lattice_oracle(case):
     touching = (np.abs(kept[:, None] - cells[None, s.m :]).max(axis=2) <= 1).any(axis=1)
     res = check_adjacency(t)
     assert res.passed == bool(touching.all())
-    assert res.extremal["max_gap"] == pytest.approx(sibling.min(axis=1).max() / 4.0, rel=0, abs=1e-15)
+    assert res.extremal["max_gap"] == pytest.approx(sibling.min(axis=1).max() / p, rel=0, abs=1e-15)
+    ratio = s.m / (p * p - s.m)
+    res = check_ratio(t)
+    assert res.passed and res.extremal["observed_r"] == res.extremal["observed_R"] == ratio
+    assert [(d["min"], d["max"]) for d in res.extremal["per_depth"]] == [(ratio, ratio)] * depth
+    if depth > 1:
+        res = check_diameter(t)
+        assert res.passed and res.extremal["decay_factors"] == [1 / p] * (depth - 1)
+    res = check_accumulation(t)
+    assert res.passed and res.extremal["max_overlap"] == 0.0 and res.witnesses == ()
 
 
 def test_depths_share_an_evaluator_only_with_equal_vertex_counts():
@@ -965,16 +980,7 @@ def test_checks_work_in_bounded_memory(name, depth, make_tree):
         "pairwise": lambda: check_separation(t, "pairwise"),
         "forall_exists": lambda: check_separation(t, "forall_exists"),
     }
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for label, check in checks.items():
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            check()
-            peaks[label] = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    peaks = {label: traced(check)[1] for label, check in checks.items()}
     assert max(peaks.values()) <= 3 * 2**20, {k: round(v / 2**20, 2) for k, v in peaks.items()}
 
 
