@@ -351,7 +351,8 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     sides of the other's line: two sign products of table entries."""
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
     Ea, Eb = ta.shape[0], tb.shape[0]
-    (ax, ay), (bx, by) = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
+    Ap, Bp = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
+    (ax, ay), (bx, by) = Ap, Bp
     P = A.shape[0]
     # each distance table is reduced before the next is made, which bounds
     # the working memory and leaves the minimum unchanged
@@ -365,9 +366,9 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         # a proper crossing lies in both bounding boxes; requiring them to
         # meet keeps rounding noise in the orientations of collinear
         # disjoint segments from reading as a crossing
-        a1, a2, b1, b2 = A[k, i], A[k, ta[i]], B[k, j], B[k, tb[j]]
+        a1, a2, b1, b2 = Ap[:, i, k], Ap[:, ta[i], k], Bp[:, j, k], Bp[:, tb[j], k]
         meet = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2)) >= np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
-        d[k[meet.all(axis=1)]] = 0.0
+        d[k[meet[0] & meet[1]]] = 0.0
     return d
 
 
@@ -379,8 +380,9 @@ def _zero_nested(d: np.ndarray, a: tuple, b: tuple) -> None:
     where one box holds the other, and only those pairs are gathered."""
     (va, lo_a, hi_a, ra), (vb, lo_b, hi_b, rb) = a, b
     pos = np.nonzero(d > 0.0)[0]
-    la, ha, lb, hb = lo_a[ra[pos]], hi_a[ra[pos]], lo_b[rb[pos]], hi_b[rb[pos]]
-    k = pos[((la >= lb) & (ha <= hb)).all(axis=1) | ((lb >= la) & (hb <= ha)).all(axis=1)]
+    box = [(lo_a[ra[pos], x], hi_a[ra[pos], x], lo_b[rb[pos], x], hi_b[rb[pos], x]) for x in range(2)]
+    held = [((la >= lb) & (ha <= hb), (lb >= la) & (hb <= ha)) for la, ha, lb, hb in box]
+    k = pos[(held[0][0] & held[1][0]) | (held[0][1] & held[1][1])]
     if k.shape[0]:
         pa, pb = va[ra[k]], vb[rb[k]]
         d[k[_inside(pa[:, 0], pb, 0.0) | _inside(pb[:, 0], pa, 0.0)]] = 0.0
@@ -555,11 +557,8 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
     scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
     # rounding margins, so that no pair the exact predicate accepts is missed
     reach = pad + 16.0 * np.finfo(float).eps * (scale + pad)
-    height = max((float((hi[:, b] - lo[:, b]).max()) + reach) * (1.0 + 1e-6), 1e-6 * scale)
-    if height > 0.0:
-        strip = np.floor((lo[:, b] - lo[:, b].min()) / height).astype(np.int64)
-    else:
-        strip = np.zeros(n, dtype=np.int64)
+    height = max((float((hi[:, b] - lo[:, b]).max()) + reach) * (1.0 + 1e-6), 1e-6 * scale, np.finfo(float).tiny)
+    strip = np.floor((lo[:, b] - lo[:, b].min()) / height).astype(np.int64)
     # integer keys (dense strip id, rank of the low end along a) sort the
     # boxes by strip, then along a, and turn every window into a key range
     by_a = np.argsort(lo[:, a], kind="stable")
@@ -578,25 +577,27 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
         start = np.searchsorted(keys, near * n + r + 1)
         count = np.searchsorted(keys, near * n + upto) - start
         starts.append(start)
-        counts.append(np.where(levels[near] == s + step, np.maximum(count, 0), 0))
+        counts.append(np.where(levels[near] == s + step, count, 0))
+    # window w is the box's at sorted position w mod n; only those that hold a box are expanded
     starts, counts = np.concatenate(starts), np.concatenate(counts)
+    keep = np.flatnonzero(counts > 0)
+    box, starts, counts = order[keep % n], starts[keep], counts[keep]
     ends = np.cumsum(counts)
-    # each accepted pair is kept as one key i * n + j (i < j), so one sort
-    # of the keys gives the lexicographic order
-    found = []
-    # the largest work arrays hold both coordinates of each candidate
-    batch = _chunk_rows(2)
+    # each accepted pair is one integer key i * n + j (i < j): one sort gives the lexicographic order
+    found = [np.empty(0, dtype=np.intp)]
+    batch = _chunk_rows(1)  # the work arrays hold one value per candidate
     w = 0
-    while w < starts.shape[0]:
-        # windows w..t-1 expand to at most `batch` candidates (or one window);
-        # window w belongs to the box at sorted position w mod n
+    while w < counts.shape[0]:
+        # windows w..t-1 expand to at most `batch` candidates (or one window)
         done = int(ends[w - 1]) if w else 0
         t = max(w + 1, int(np.searchsorted(ends, done + batch, side="right")))
         c = counts[w:t]
-        at = np.repeat(np.arange(w, t) % n, c)
-        to = np.repeat(starts[w:t] - (np.cumsum(c) - c), c) + np.arange(at.shape[0])
-        i, j = order[at], order[to]
-        ok = ((np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j])) >= -pad).all(axis=1)
+        j = order[np.repeat(starts[w:t] - (np.cumsum(c) - c), c) + np.arange(int(ends[t - 1]) - done)]
+        # the box test one axis at a time on 1-D columns: first across the
+        # strips, where most candidates fail, with box i's ends taken once a window
+        ok = np.minimum(np.repeat(hi[box[w:t], b], c), hi[j, b]) - np.maximum(np.repeat(lo[box[w:t], b], c), lo[j, b]) >= -pad
+        i, j = np.repeat(box[w:t], c)[ok], j[ok]
+        ok = np.minimum(hi[i, a], hi[j, a]) - np.maximum(lo[i, a], lo[j, a]) >= -pad
         i, j = i[ok], j[ok]
         found.append(np.minimum(i, j) * n + np.maximum(i, j))
         w = t
@@ -604,7 +605,7 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
     del found
     pairs.sort()
     ii = pairs // n
-    pairs -= ii * n
+    pairs %= n
     return ii, pairs
 
 
@@ -618,11 +619,13 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     S is a (P, Vs, 2) stack of subject polygons and C a (P, Vc, 2) stack of
     convex ccw clip polygons; every area is 0 when either has fewer than 3
     vertices.  Sutherland-Hodgman runs on all pairs at once, one clip edge
-    at a time: each clipped polygon is a padded row with its own vertex
-    count.  Crossings are computed parametrically on the subject edge, so
-    every emitted point lies on that edge; sign noise at shared vertices can
-    only produce degenerate slivers, never far-away intersection artifacts.
-    Each area is `measures` of the rows clipped to one vertex count, whose
+    at a time, on flat x and y arrays that hold the clipped polygons one
+    after another, with no padding; predecessors, crossings and kept
+    vertices are gathered and scattered by flat index.  Crossings are
+    computed parametrically on the subject edge, so every emitted point
+    lies on that edge; sign noise at shared vertices can only produce
+    degenerate slivers, never far-away intersection artifacts.  Each area
+    is `measures` of the polygons clipped to one vertex count, whose
     shoelace sums numpy adds pairwise along the row as it adds a 1-D array,
     so it is bitwise the area of that clipped polygon.
     """
@@ -632,37 +635,35 @@ def overlap_areas(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     out = np.zeros(P)
     if P == 0 or S.shape[1] < 3 or nc < 3:
         return out
-    pts = S
-    count = np.full(P, S.shape[1])
-    rows = np.arange(P)[:, None]
+    # polygon k's vertices are x, y[start[k] : start[k] + count[k]]
+    x, y = S[..., 0].ravel(), S[..., 1].ravel()
+    cx, cy = np.ascontiguousarray(C[..., 0].T), np.ascontiguousarray(C[..., 1].T)
+    start, count = np.arange(P) * S.shape[1], np.full(P, S.shape[1])
     for i in range(nc):
-        cp1 = C[:, i]
-        edge = C[:, (i + 1) % nc] - cp1
-        col = np.arange(pts.shape[1])[None, :]
-        valid = col < count[:, None]
-        d = edge[:, :1] * (pts[..., 1] - cp1[:, 1:]) - edge[:, 1:] * (pts[..., 0] - cp1[:, :1])
-        # each vertex e follows s, the previous vertex of its row (cyclically)
-        prev = np.where(col == 0, count[:, None] - 1, col - 1)
-        ds = d[rows, prev]
-        inside = (d >= 0.0) & valid
-        cross = ((d >= 0.0) != (ds >= 0.0)) & valid
-        # e emits the crossing on (s, e) if any, then itself if inside
-        ends = np.cumsum(cross.astype(np.intp) + inside, axis=1)
-        count = ends[:, -1]
-        width = int(count.max())
-        if width == 0:
-            return out
-        nxt = np.zeros((P, width, 2))
-        r, c = np.nonzero(cross)
-        s, e = pts[r, prev[r, c]], pts[r, c]
-        t = ds[r, c] / (ds[r, c] - d[r, c])
-        nxt[r, ends[r, c] - inside[r, c] - 1] = s + t[:, None] * (e - s)
-        r, c = np.nonzero(inside)
-        nxt[r, ends[r, c] - 1] = pts[r, c]
-        pts = nxt
+        ex, ey = cx[(i + 1) % nc] - cx[i], cy[(i + 1) % nc] - cy[i]
+        d = np.repeat(ex, count) * (y - np.repeat(cy[i], count)) - np.repeat(ey, count) * (x - np.repeat(cx[i], count))
+        # each vertex e follows s, the previous vertex of its polygon (cyclically)
+        prev = np.arange(-1, d.shape[0] - 1)
+        prev[start[count > 0]] += count[count > 0]
+        inside = d >= 0.0
+        cross = inside != inside[prev]
+        # e emits the crossing on (s, e) if any, then itself if inside, from
+        # flat position at[e] of the next arrays on
+        at = np.zeros(d.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.add(cross, inside, dtype=np.intp), out=at[1:])
+        start, count = at[start], at[start + count] - at[start]
+        nx, ny = np.empty(at[-1]), np.empty(at[-1])
+        s, e = prev[cross], np.flatnonzero(cross)
+        t = d[s] / (d[s] - d[e])
+        nx[at[e]] = x[s] + t * (x[e] - x[s])
+        ny[at[e]] = y[s] + t * (y[e] - y[s])
+        e = np.flatnonzero(inside)
+        nx[at[e] + cross[e]], ny[at[e] + cross[e]] = x[e], y[e]
+        x, y = nx, ny
     for k in sorted(set(count[count >= 3].tolist())):
         r = np.nonzero(count == k)[0]
-        out[r] = measures(pts[r, :k], "area")
+        v = start[r, None] + np.arange(k)
+        out[r] = measures(np.stack([x[v], y[v]], axis=-1), "area")
     return out
 
 

@@ -166,12 +166,10 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
         raise CapExceededError(f"{ii.shape[0]} candidate complement pairs exceed the pair cap {caps.pairs}")
     overlaps = np.empty(ii.shape[0])
     # subject and clip polygon are both complement cells (Vs = Vc = V), and
-    # a clipped row holds up to Vs + Vc vertices of two coordinates
-    V = verts.shape[1]
-    batch = _chunk_rows(2 * (V + V))
+    # a clipped polygon holds up to Vs + Vc vertices of two coordinates
+    batch = _chunk_rows(2 * (verts.shape[1] + verts.shape[1]))
     for a in range(0, ii.shape[0], batch):
-        b = a + batch
-        overlaps[a:b] = overlap_measures(verts[ii[a:b]], verts[jj[a:b]], t.scheme.measure_kind, tol.geom)
+        overlaps[a : a + batch] = overlap_measures(verts[ii[a : a + batch]], verts[jj[a : a + batch]], t.scheme.measure_kind, tol.geom)
 
     def pair(k: int) -> tuple[str, str]:
         return tuple(str(t.address(int(order[c]), int(row[c]))) for c in (ii[k], jj[k]))
@@ -308,7 +306,8 @@ def _pairwise_sweep(ev: PairDistanceEvaluator, a: int, b: int, budget: _PairBudg
     # and rounding is monotone), so only those are swept; with no 0 the
     # union box holds every box and all of them are swept
     lo, hi = ev.lo[a:stop].min(axis=0), ev.hi[a:stop].max(axis=0)
-    sub = a + np.flatnonzero(((np.minimum(ev.hi[a:b], hi) - np.maximum(ev.lo[a:b], lo)) >= -bound).all(axis=1))
+    meet = [np.minimum(ev.hi[a:b, x], hi[x]) - np.maximum(ev.lo[a:b, x], lo[x]) >= -bound for x in range(2)]
+    sub = a + np.flatnonzero(meet[0] & meet[1])
     ci, cj = box_overlap_pairs(ev.lo[sub], ev.hi[sub], bound)
     ci, cj = sub[ci], sub[cj]
     near = (cj != ci + 1) & (ci < stop) & (ev.box_gaps(ci, cj) <= bound)

@@ -9,7 +9,7 @@ import pytest
 
 from porofractal.codespace import Address, Code
 from porofractal.dynamics import chaos_report
-from porofractal.geometry import AffineMap2, ConvexPolygon, apply, compose, diameters, measure
+from porofractal.geometry import AffineMap2, ConvexPolygon, _chunk_rows, apply, compose, diameters, measure, measures
 from porofractal.geometry import min_distance, similarity_map
 from porofractal.scheme import BUILTIN_NAMES, Cell, CellTree, Scheme, build_tree, builtin
 
@@ -80,6 +80,137 @@ def oracle_intersection_area(subject: np.ndarray, clip: np.ndarray) -> float:
         return 0.0
     x, y = clipped[:, 0], clipped[:, 1]
     return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
+
+
+def box_overlap_pairs_oracle(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j, in lexicographic order, of boxes that overlap once
+    grown by pad: min(hi_i, hi_j) - max(lo_i, lo_j) >= -pad on both axes.
+    The oracle for geometry.box_overlap_pairs: the same strips, windows and
+    keys, with every window expanded and each candidate's two boxes
+    gathered as (k, 2) rows and tested by `.all(axis=1)`.
+
+    Strips and sweep: the boxes are cut into strips across one axis, each a
+    little taller than the tallest box plus pad, so two overlapping boxes
+    lie in one strip or in adjacent ones.  Each box is paired with the
+    boxes of its own and the two adjacent strips whose low end along the
+    other axis comes after its own and within its reach.  For boxes of
+    similar size the cost is about the number of nearby pairs, not
+    n(n-1)/2, and it never exceeds that of a sweep along one axis.
+    """
+    n = lo.shape[0]
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    a = int(np.argmax((lo + hi).var(axis=0)))  # sweep where the boxes spread most
+    b = 1 - a
+    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+    # rounding margins, so that no pair the exact predicate accepts is missed
+    reach = pad + 16.0 * np.finfo(float).eps * (scale + pad)
+    height = max((float((hi[:, b] - lo[:, b]).max()) + reach) * (1.0 + 1e-6), 1e-6 * scale)
+    if height > 0.0:
+        strip = np.floor((lo[:, b] - lo[:, b].min()) / height).astype(np.int64)
+    else:
+        strip = np.zeros(n, dtype=np.int64)
+    # integer keys (dense strip id, rank of the low end along a) sort the
+    # boxes by strip, then along a, and turn every window into a key range
+    by_a = np.argsort(lo[:, a], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_a] = np.arange(n)
+    levels = np.sort(strip)
+    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
+    dense = np.searchsorted(levels, strip)
+    order = np.argsort(dense * n + rank)
+    keys = (dense * n + rank)[order]
+    d, r, s = dense[order], rank[order], strip[order]
+    upto = np.searchsorted(lo[by_a, a], hi[order, a] + reach, side="right")
+    starts, counts = [], []
+    for step in (-1, 0, 1):
+        near = np.clip(d + step, 0, levels.shape[0] - 1)
+        start = np.searchsorted(keys, near * n + r + 1)
+        count = np.searchsorted(keys, near * n + upto) - start
+        starts.append(start)
+        counts.append(np.where(levels[near] == s + step, np.maximum(count, 0), 0))
+    starts, counts = np.concatenate(starts), np.concatenate(counts)
+    ends = np.cumsum(counts)
+    # each accepted pair is kept as one key i * n + j (i < j), so one sort
+    # of the keys gives the lexicographic order
+    found = []
+    # the largest work arrays hold both coordinates of each candidate
+    batch = _chunk_rows(2)
+    w = 0
+    while w < starts.shape[0]:
+        # windows w..t-1 expand to at most `batch` candidates (or one window);
+        # window w belongs to the box at sorted position w mod n
+        done = int(ends[w - 1]) if w else 0
+        t = max(w + 1, int(np.searchsorted(ends, done + batch, side="right")))
+        c = counts[w:t]
+        at = np.repeat(np.arange(w, t) % n, c)
+        to = np.repeat(starts[w:t] - (np.cumsum(c) - c), c) + np.arange(at.shape[0])
+        i, j = order[at], order[to]
+        ok = ((np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j])) >= -pad).all(axis=1)
+        i, j = i[ok], j[ok]
+        found.append(np.minimum(i, j) * n + np.maximum(i, j))
+        w = t
+    pairs = np.concatenate(found)
+    del found
+    pairs.sort()
+    ii = pairs // n
+    pairs -= ii * n
+    return ii, pairs
+
+
+def overlap_areas_oracle(S: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Areas of the intersections S[k] ∩ C[k] of stacked convex polygons,
+    on padded (P, w, 2) rows: the oracle for geometry.overlap_areas.
+
+    S is a (P, Vs, 2) stack of subject polygons and C a (P, Vc, 2) stack of
+    convex ccw clip polygons; every area is 0 when either has fewer than 3
+    vertices.  Sutherland-Hodgman runs on all pairs at once, one clip edge
+    at a time: each clipped polygon is a padded row with its own vertex
+    count.  Crossings are computed parametrically on the subject edge, so
+    every emitted point lies on that edge; sign noise at shared vertices can
+    only produce degenerate slivers, never far-away intersection artifacts.
+    Each area is `measures` of the rows clipped to one vertex count, whose
+    shoelace sums numpy adds pairwise along the row as it adds a 1-D array,
+    so it is bitwise the area of that clipped polygon.
+    """
+    S = np.asarray(S, dtype=float)
+    C = np.asarray(C, dtype=float)
+    P, nc = S.shape[0], C.shape[1]
+    out = np.zeros(P)
+    if P == 0 or S.shape[1] < 3 or nc < 3:
+        return out
+    pts = S
+    count = np.full(P, S.shape[1])
+    rows = np.arange(P)[:, None]
+    for i in range(nc):
+        cp1 = C[:, i]
+        edge = C[:, (i + 1) % nc] - cp1
+        col = np.arange(pts.shape[1])[None, :]
+        valid = col < count[:, None]
+        d = edge[:, :1] * (pts[..., 1] - cp1[:, 1:]) - edge[:, 1:] * (pts[..., 0] - cp1[:, :1])
+        # each vertex e follows s, the previous vertex of its row (cyclically)
+        prev = np.where(col == 0, count[:, None] - 1, col - 1)
+        ds = d[rows, prev]
+        inside = (d >= 0.0) & valid
+        cross = ((d >= 0.0) != (ds >= 0.0)) & valid
+        # e emits the crossing on (s, e) if any, then itself if inside
+        ends = np.cumsum(cross.astype(np.intp) + inside, axis=1)
+        count = ends[:, -1]
+        width = int(count.max())
+        if width == 0:
+            return out
+        nxt = np.zeros((P, width, 2))
+        r, c = np.nonzero(cross)
+        s, e = pts[r, prev[r, c]], pts[r, c]
+        t = ds[r, c] / (ds[r, c] - d[r, c])
+        nxt[r, ends[r, c] - inside[r, c] - 1] = s + t[:, None] * (e - s)
+        r, c = np.nonzero(inside)
+        nxt[r, ends[r, c] - 1] = pts[r, c]
+        pts = nxt
+    for k in sorted(set(count[count >= 3].tolist())):
+        r = np.nonzero(count == k)[0]
+        out[r] = measures(pts[r, :k], "area")
+    return out
 
 
 def image_oracle(m: AffineMap2, v: np.ndarray) -> np.ndarray:

@@ -32,12 +32,15 @@ from porofractal.geometry import (
 from porofractal.scheme import build_tree, builtin
 
 from conftest import (
+    box_overlap_pairs_oracle,
     clip_by_convex,
     contains_oracle,
     image_oracle,
     min_distance_matrix,
     min_distance_oracle,
     oracle_intersection_area,
+    overlap_areas_oracle,
+    overlapping_complement_carpet,
     point_distance_oracle,
     segment_overlap_length_oracle,
     similarity_conjugate,
@@ -291,6 +294,106 @@ def test_box_overlap_pairs_matches_outer_predicate():
         want_i, want_j = np.nonzero(np.triu(ok, k=1))
         got_i, got_j = box_overlap_pairs(lo, hi, pad)
         assert got_i.tolist() == want_i.tolist() and got_j.tolist() == want_j.tolist()
+
+
+def _same_pairs(lo, hi, pad):
+    got, want = box_overlap_pairs(lo, hi, pad), box_overlap_pairs_oracle(lo, hi, pad)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    return got
+
+
+def _complement_cases():
+    # complement cells of every order, as check_accumulation stacks them:
+    # koch d10 and pascal3 d4 (triangles), the overlap carpet d3 (squares
+    # that share interior), and seeded similarity conjugates of each
+    rng = np.random.default_rng(20)
+    cases = [("koch", builtin("koch"), 10), ("pascal3", builtin("pascal3"), 4), ("carpet-overlap", overlapping_complement_carpet(), 3)]
+    for name, s, depth in list(cases):
+        for _ in range(2):
+            g = similarity_map(rng.uniform(0.25, 4.0), rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5, 2), reflect=bool(rng.integers(2)))
+            cases.append((f"{name}-conj", similarity_conjugate(s, g), depth - 1))
+    for name, s, depth in cases:
+        t = build_tree(s, depth)
+        yield name, np.concatenate([t.vertices[n][t.complement_rows(n)] for n in range(1, depth + 1)])
+
+
+def test_flat_kernels_match_the_kernels_they_replaced_on_complement_cells():
+    # the candidate pairs are the same arrays, and every clipped area the
+    # same bits, in one call and in the chunks check_accumulation uses
+    for name, verts in _complement_cases():
+        lo, hi = verts.min(axis=1), verts.max(axis=1)
+        for pad in (1e-9, 0.05):
+            _same_pairs(lo, hi, pad)
+        ii, jj = _same_pairs(lo, hi, 1e-9)
+        assert ii.shape[0], name
+        S, C = verts[ii], verts[jj]
+        assert overlap_areas(S, C).tobytes() == overlap_areas_oracle(S, C).tobytes(), name
+        assert overlap_areas(C, S).tobytes() == overlap_areas_oracle(C, S).tobytes(), name
+        step = 100
+        got = np.concatenate([overlap_areas(S[a : a + step], C[a : a + step]) for a in range(0, len(S), step)])
+        assert got.tobytes() == overlap_areas_oracle(S, C).tobytes(), name
+        if name.startswith("carpet-overlap"):
+            assert got.max() > 1e-4, name  # cells of two orders share interior
+
+
+def test_box_overlap_pairs_matches_the_replaced_kernel_on_mixed_orders():
+    # boxes of sizes 4^0 .. 4^-9 in one strip (the largest box sets its
+    # height), many windows far longer than others, and sets whose windows
+    # are all empty, so no candidate is ever expanded
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        n = 400
+        side = 4.0 ** -rng.integers(0, 10, n)
+        side[0] = 1.0
+        lo = rng.uniform(0.0, 1.0, (n, 2)) * (1.0 - side[:, None])
+        if trial % 2:
+            lo = np.round(lo * 64.0) / 64.0  # shared edges and corners
+        hi = lo + side[:, None] * rng.uniform(0.5, 1.0, (n, 2))
+        assert len(set(np.log2(side).tolist())) >= 8
+        for pad in (0.0, 1e-9, 1e-3):
+            _same_pairs(lo, hi, pad)
+    # a row of boxes whose gaps along the sweep pass pad by 0 to 15 ulps:
+    # the window's rounding margin takes them in, the exact test decides
+    pad = 2.0**-10
+    lo = np.column_stack([np.arange(64) / 64.0, np.zeros(64)])
+    hi = np.column_stack([lo[1:, 0] - pad, np.full(63, 1 / 128)])
+    hi[:, 0] -= np.arange(63) % 16 * np.spacing(hi[:, 0])
+    _same_pairs(lo[:63], hi, pad)
+    for n in (2, 3, 50):
+        lo = np.arange(n)[:, None] * np.array([10.0, 7.0])
+        for pad in (0.0, 1e-9):
+            ii, jj = _same_pairs(lo, lo + 1.0, pad)
+            assert ii.shape == jj.shape == (0,)
+    for n in (0, 1):
+        lo = np.zeros((n, 2))
+        ii, jj = _same_pairs(lo, lo + 1.0, 1e-9)
+        assert ii.shape == jj.shape == (0,) and ii.dtype == jj.dtype == np.intp
+
+
+def test_overlap_areas_matches_the_replaced_kernel_on_mixed_batches():
+    # different vertex counts per side, pairs that miss, touch, nest or
+    # overlap in one batch; a batch in which every pair misses; and the
+    # degenerate and empty inputs
+    rng = np.random.default_rng(22)
+    for vs, vc in [(3, 3), (4, 3), (3, 5), (6, 4)]:
+        S, C = [], []
+        while len(S) < 200:
+            a, b = rng.uniform(-1.0, 1.0, (12, 2)), rng.uniform(-1.0, 1.0, (12, 2)) + rng.integers(-2, 3, 2)
+            ha, hb = ConvexHull(a).vertices, ConvexHull(b).vertices
+            if len(ha) >= vs and len(hb) >= vc:
+                S.append(a[ha[:vs]])
+                C.append(b[hb[:vc]] if len(S) % 5 else 0.5 * a[ha[:vc]] if vc <= len(ha) else b[hb[:vc]])
+        S, C = np.stack(S), np.stack(C)
+        S[::7] = np.round(S[::7] * 4.0) / 4.0  # shared vertices and edges
+        C[::7] = np.round(C[::7] * 4.0) / 4.0
+        for A, B in [(S, C), (S[:1], C[:1]), (S, S[::-1]), (S + 10.0, C)]:
+            want = overlap_areas_oracle(A, B)
+            assert overlap_areas(A, B).tobytes() == want.tobytes(), (vs, vc)
+        assert not overlap_areas(S + 10.0, C).any()
+    sq = UNIT_SQUARE.vertices[None]
+    for A, B in [(SEGMENT.vertices[None], sq), (sq, POINT.vertices[None]), (np.empty((0, 4, 2)), np.empty((0, 3, 2)))]:
+        assert overlap_areas(A, B).tobytes() == overlap_areas_oracle(A, B).tobytes()
 
 
 @pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 8), ("pascal3", 3), ("cantor", 6)])

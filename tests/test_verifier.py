@@ -1,12 +1,15 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from porofractal import geometry, verifier
@@ -17,7 +20,9 @@ from porofractal.geometry import (
     AffineMap2,
     ConvexPolygon,
     _chunk_rows,
+    apply,
     box_overlap_pairs,
+    compose,
     min_distance,
     overlap_measures,
     similarity_map,
@@ -682,23 +687,43 @@ def _lattice_gaps(a, b):
     return np.hypot(d[..., 0], d[..., 1])
 
 
+def _dyadic_conjugate(s, turns, reflect, e, shift):
+    # s moved by g: x -> 2^e R x + shift, R a rotation by turns quarter
+    # turns, after a reflection across the x-axis if asked; every entry of
+    # g, of its inverse and of the conjugated maps is a short dyadic number,
+    # so the moved cells are exact
+    R = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), turns) @ np.diag([1.0, -1.0 if reflect else 1.0])
+    g, g_inv = AffineMap2(2.0**e * R, shift), AffineMap2(2.0**-e * R.T, -(2.0**-e * R.T) @ shift)
+    return dataclasses.replace(s, base=apply(g, s.base), child_maps=tuple(compose(g, compose(w, g_inv)) for w in s.child_maps))
+
+
 @st.composite
 def _grid_schemes(draw):
     # a dyadic grid scheme: the unit square cut into its p x p grid squares
-    # (p = 2 or 4), in a drawn child order, of which the first m are kept;
-    # with the depth
+    # (p = 2 or 4), in a drawn child order, of which the first m are kept,
+    # moved by a drawn dyadic similarity (quarter turns, a reflection, a
+    # scale 2^e and a shift in quarters); with the depth and the scale
     p = draw(st.sampled_from([2, 4]))
     depth = draw(st.integers(1, 5 if p == 2 else 3))
     m = draw(st.integers(2, 3 if p == 2 else 15 if depth < 3 else 10))
     cells = draw(st.permutations([(x, y) for x in range(p) for y in range(p)]))
     maps = tuple(AffineMap2(np.eye(2) / p, np.array(c, dtype=float) / p) for c in cells)
     square = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    return Scheme("grid", m, p * p, square, maps), np.array(cells), p, depth
+    turns, reflect, e = draw(st.integers(0, 3)), draw(st.booleans()), draw(st.integers(-2, 2))
+    shift = np.array(draw(st.tuples(st.integers(-8, 8), st.integers(-8, 8))), dtype=float) / 4.0
+    s = _dyadic_conjugate(Scheme("grid", m, p * p, square, maps), turns, reflect, e, shift)
+    return s, np.array(cells), p, depth, 2.0**e
 
 
-@settings(max_examples=200, deadline=None)
-@given(_grid_schemes())
-def test_grouped_checks_match_dyadic_lattice_oracle(case):
+def _lattice_box_pairs(lo, hi, reach):
+    # pairs of integer boxes whose lattice gap is at most reach on both axes
+    ok = np.ones((lo.shape[0],) * 2, dtype=bool)
+    for x in range(2):
+        ok &= np.minimum.outer(hi[:, x], hi[:, x]) - np.maximum.outer(lo[:, x], lo[:, x]) >= -reach
+    return int(np.triu(ok, k=1).sum())
+
+
+def _check_grid_case(case):
     # at depth n the kept cells are lattice squares of side p^-n: both
     # separations are lattice box gaps times p^-n (cell vertices are exact
     # dyadic numbers, so only the final hypot rounds), and a kept cell touches
@@ -706,16 +731,22 @@ def test_grouped_checks_match_dyadic_lattice_oracle(case):
     # Every measure is an exact power of two, so each ratio is the one
     # rounding of m / (p^2 - m); each diameter is a power of two times the
     # same rounded sqrt(2), so each decay factor is exactly 1/p; and complement
-    # squares meet at most in edges, so no overlap has any area.
-    s, cells, p, depth = case
+    # squares meet at most in edges, so no overlap has any area.  The moved
+    # scheme reads the same times the scale.  Accumulation's candidates are
+    # the complement squares of all orders whose boxes, grown by the geometric
+    # tolerance, meet: in units of the finest cell, those at lattice gap 0
+    # under the default tolerance and at gap at most 1 when the tolerance is
+    # one unit.  The count is taken in the unmoved frame, so it is the same
+    # under every rotation and reflection, where the sweep takes its other axis.
+    s, cells, p, depth, scale = case
     t = build_tree(s, depth)
-    kept = cells[: s.m]
+    kept, comp = cells[: s.m], cells[s.m :]
     corners = [kept]
     for _ in range(depth - 1):
         corners.append((p * corners[-1][:, None] + kept[None]).reshape(-1, 2))
     pairwise, forall_exists = [], []
     for n, c in enumerate(corners, start=1):
-        gaps = _lattice_gaps(c, c) / float(p) ** n
+        gaps = _lattice_gaps(c, c) * (scale / float(p) ** n)
         np.fill_diagonal(gaps, np.inf)
         pairwise.append(gaps.min())
         np.fill_diagonal(gaps, 0.0)
@@ -723,11 +754,11 @@ def test_grouped_checks_match_dyadic_lattice_oracle(case):
     for mode, want in (("pairwise", pairwise), ("forall_exists", forall_exists)):
         got = kept_separation(t, mode)[0].by_depth
         assert np.all(np.abs(np.array(got) - want) <= np.spacing(np.array(want))), (mode, got, want)
-    sibling = _lattice_gaps(kept, cells[s.m :])
-    touching = (np.abs(kept[:, None] - cells[None, s.m :]).max(axis=2) <= 1).any(axis=1)
+    sibling = _lattice_gaps(kept, comp)
+    touching = (np.abs(kept[:, None] - comp[None]).max(axis=2) <= 1).any(axis=1)
     res = check_adjacency(t)
     assert res.passed == bool(touching.all())
-    assert res.extremal["max_gap"] == pytest.approx(sibling.min(axis=1).max() / p, rel=0, abs=1e-15)
+    assert res.extremal["max_gap"] == pytest.approx(sibling.min(axis=1).max() * scale / p, rel=0, abs=1e-15)
     ratio = s.m / (p * p - s.m)
     res = check_ratio(t)
     assert res.passed and res.extremal["observed_r"] == res.extremal["observed_R"] == ratio
@@ -735,8 +766,46 @@ def test_grouped_checks_match_dyadic_lattice_oracle(case):
     if depth > 1:
         res = check_diameter(t)
         assert res.passed and res.extremal["decay_factors"] == [1 / p] * (depth - 1)
-    res = check_accumulation(t)
-    assert res.passed and res.extremal["max_overlap"] == 0.0 and res.witnesses == ()
+    lows = [comp * p ** (depth - 1)] + [(p * c[:, None] + comp[None]).reshape(-1, 2) * p ** (depth - n) for n, c in enumerate(corners[:-1], start=2)]
+    lo = np.concatenate(lows)
+    hi = lo + np.repeat([p ** (depth - n) for n in range(1, depth + 1)], [len(c) for c in lows])[:, None]
+    for tol, reach in ((Tolerances(), 0), (Tolerances(geom=scale / float(p) ** depth), 1)):
+        res = check_accumulation(t, tol)
+        assert res.passed and res.extremal["max_overlap"] == 0.0 and res.witnesses == ()
+        assert res.extremal["pairs_examined"] == _lattice_box_pairs(lo, hi, reach), reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_schemes())
+def test_grouped_checks_match_dyadic_lattice_oracle(case):
+    _check_grid_case(case)
+
+
+# each mutation is the named source edit of one function, made in a copy of
+# its module's namespace and bound wherever the function is looked up
+_MUTATIONS = {
+    "box sweep without its pad": (geometry, "box_overlap_pairs", [(">= -pad", ">= 0.0"), ("reach = pad + ", "reach = ")]),
+    "box sweep with > for >=": (geometry, "box_overlap_pairs", [(">= -pad", "> -pad")]),
+    "adjacency sibling block off by one": (verifier, "check_adjacency", [("np.arange(m, M)", "np.arange(m - 1, M - 1)")]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_dyadic_lattice_oracle_catches_mutations(mutation, monkeypatch):
+    module, name, edits = _MUTATIONS[mutation]
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    for old, new in edits:
+        assert old in source, (mutation, old)
+        source = source.replace(old, new)
+    scope = dict(vars(module))
+    exec(compile(source, module.__file__, "exec"), scope)
+    for m in (geometry, verifier, sys.modules[__name__]):
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, scope[name])
+    run = settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.generate], report_multiple_bugs=False)(given(_grid_schemes())(_check_grid_case))
+    with pytest.raises(AssertionError):
+        run()
 
 
 def test_depths_share_an_evaluator_only_with_equal_vertex_counts():
@@ -982,6 +1051,17 @@ def test_checks_work_in_bounded_memory(name, depth, make_tree):
     }
     peaks = {label: traced(check)[1] for label, check in checks.items()}
     assert max(peaks.values()) <= 3 * 2**20, {k: round(v / 2**20, 2) for k, v in peaks.items()}
+
+
+@pytest.mark.parametrize("name,depth,row_kernels_kib", [("koch", 12, 2015), ("pascal3", 6, 10938)])
+def test_accumulation_peaks_no_higher_than_with_the_row_kernels(name, depth, row_kernels_kib, make_tree):
+    # the flat-array sweep and clip hold no whole-array copy the (k, 2) row
+    # kernels did not: check_accumulation's traced peak stays at or under
+    # the one it had with them (pascal3 d6 has 27 993 complement cells and
+    # 133 965 candidates)
+    t = make_tree(name, depth)
+    _, peak, _ = traced(lambda: check_accumulation(t))
+    assert peak <= row_kernels_kib * 1024, round(peak / 1024)
 
 
 @pytest.mark.parametrize("name,depth", VERIFY_INPUTS)
