@@ -1,7 +1,8 @@
 """Command-line entry point with CI-friendly exit codes.
 
 Exit codes: 0 success or pass, 1 verification or witness failure, 2 usage
-error, 3 malformed scheme (including a singular child map), 4 unmet
+error, 3 malformed scheme (including a singular child map, cell coordinates
+that reach the overflow bound 1e75, or an empty render view box), 4 unmet
 dynamics prerequisite, 5 any other library error, 6 an output (the --out
 file or stdout) could not be written, 7 internal error (a bug).  Files are
 written atomically (temp file, then rename) and are deterministic.  The
@@ -28,6 +29,7 @@ from .codespace import Address
 from .config import DEFAULT_CAPS, Caps, Tolerances
 from .errors import (
     CapExceededError,
+    CoordinateRangeError,
     DepthOutOfRangeError,
     EmptyTreeError,
     FractalError,
@@ -221,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, SingularMapError) as exc:
+    except (ParseError, ValidationError, SingularMapError, CoordinateRangeError) as exc:
         print(f"malformed scheme: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except NoSeparationError as exc:

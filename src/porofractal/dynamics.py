@@ -19,7 +19,7 @@ import numpy as np
 
 from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, separator, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
-from .errors import NoSeparationError
+from .errors import CoordinateRangeError, NoSeparationError
 from .geometry import Point2, _json_chunks, diameter, point_distances
 from .scheme import Scheme, address_vertices, build_tree, realize_points
 from .verifier import SeparationMode, kept_separation
@@ -28,7 +28,10 @@ DEFAULT_REALIZE_DEPTH = 12
 
 
 def realization_bound(s: Scheme, depth: int) -> float:
-    """Upper bound on any kept depth-n cell diameter: (max norm)^n * diam(base)."""
+    """Upper bound on any kept depth-n cell diameter: (max norm)^n * diam(base);
+    CoordinateRangeError where (max norm)^n reaches the overflow bound 1e75."""
+    if depth * np.log10(s.max_kept_norm()) >= 75.0:
+        raise CoordinateRangeError(f"the kept maps' largest norm to the power {depth} reaches the overflow bound 1e75")
     return s.max_kept_norm() ** depth * diameter(s.base)
 
 

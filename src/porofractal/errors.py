@@ -9,6 +9,11 @@ class SingularMapError(FractalError):
     """Affine map is numerically singular and cannot transform a polygon."""
 
 
+class CoordinateRangeError(FractalError):
+    """Cell coordinates reach the overflow bound 1e75 in magnitude, below
+    which every product of up to four stays finite, or a view box is empty."""
+
+
 class CapExceededError(FractalError):
     """A requested enumeration or build would exceed a configured cap."""
 

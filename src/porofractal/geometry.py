@@ -19,7 +19,7 @@ from typing import Literal
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import SingularMapError
+from .errors import CoordinateRangeError, SingularMapError
 
 MeasureKind = Literal["area", "length"]
 
@@ -63,8 +63,8 @@ class ConvexPolygon:
         v = _frozen(self.vertices)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a (k, 2) array with k >= 1")
-        if not np.isfinite(v).all():
-            raise ValueError("vertices must be finite")
+        if not (np.abs(v) < 1e75).all():
+            raise ValueError("vertices must be finite and below the overflow bound 1e75")
         k = v.shape[0]
         if k > 1:
             diff = v[:, None, :] - v[None, :, :]
@@ -185,8 +185,10 @@ def _stack_maps(maps: Sequence[AffineMap2]) -> tuple[np.ndarray, np.ndarray]:
 
 def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (L, T) o (lin, tr) in the operand order of `compose`, so that stacked
-    # products are bitwise the per-map ones
-    return L @ lin, (L @ tr)[..., 0] + T
+    # products are bitwise the per-map ones; one past the float range is
+    # refused by `_images`
+    with np.errstate(over="ignore", invalid="ignore"):
+        return L @ lin, (L @ tr)[..., 0] + T
 
 
 def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,14 +224,18 @@ def _levels(children: tuple[np.ndarray, np.ndarray], m: int, depth: int) -> Iter
 def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) -> np.ndarray:
     """The base's vertices under each map (L[k], T[k]), (N, V, 2), in the
     operand order of `AffineMap2.transform`, read-only; with ccw, reversed
-    where the map reverses orientation."""
-    v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
-    if ccw and base.shape[0] >= 3:
+    where the map reverses orientation.  Raises CoordinateRangeError when a
+    coordinate reaches 1e75 in magnitude or is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
         # det < 0, compared without the subtraction: a difference of two
         # floats is negative exactly when the first is the smaller
         flip = L[:, 0, 0] * L[:, 1, 1] < L[:, 0, 1] * L[:, 1, 0]
-        if flip.any():
-            v[flip] = v[flip, ::-1]
+    # nan fails both comparisons
+    if not -1e75 < v.min(initial=0.0) <= v.max(initial=0.0) < 1e75:
+        raise CoordinateRangeError("cell coordinates reach the overflow bound 1e75")
+    if ccw and base.shape[0] >= 3 and flip.any():
+        v[flip] = v[flip, ::-1]
     v.setflags(write=False)
     return v
 
@@ -301,9 +307,13 @@ def _vertex_edge(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
     ex, ey = bx - ax, by - ay
     wx, wy = px - ax, py - ay
     denom = ex * ex + ey * ey
-    t = np.clip((wx * ex + wy * ey) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
-    d = np.hypot(px - (ax + t * ex), py - (ay + t * ey))
-    return d, ex * wy - ey * wx
+    # the full-size steps run in place, in the same float operations
+    t = wx * ex
+    t += wy * ey
+    t /= np.where(denom > 0.0, denom, 1.0)
+    u, v = np.clip(t, 0.0, 1.0, out=t) * ex, t * ey
+    d = np.hypot(np.subtract(px, np.add(u, ax, out=u), out=u), np.subtract(py, np.add(v, ay, out=v), out=v), out=t)
+    return d, np.subtract(np.multiply(wy, ex, out=wy), np.multiply(wx, ey, out=wx), out=wy)
 
 
 def _inside(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
@@ -317,7 +327,8 @@ def _inside(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
     e = cells[:, t] - cells
     w = points[:, None] - cells
     cross = e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
-    return (cross / np.hypot(e[..., 0], e[..., 1]) >= -tol).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an edge that rounds to a point holds nothing
+        return (cross / np.hypot(e[..., 0], e[..., 1]) >= -tol).all(axis=1)
 
 
 def point_in_polygon(point, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> bool:
@@ -343,24 +354,30 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Two edges are apart by the least distance from an end of one to the
     other, unless they cross.  Each such term belongs to one vertex and one
     edge, so it is computed once: a (Va, Eb, P) table of A's vertices
-    against B's edges, a (Vb, Ea, P) table of B's against A's, each with
-    the orientations.  Both stacks are first laid out as contiguous x and y
-    planes (2, V, P), so the pairs run along the last axis and every step
+    against B's edges and a (Vb, Ea, P) table of B's against A's, each with
+    the orientations; stacks that share V make both tables in one
+    `_vertex_edge` call.  The stacks are first laid out as contiguous x and
+    y planes (2, V, P), so the pairs run along the last axis and every step
     is one long loop; each entry takes the same float operations as a
     scalar query.  Edges cross when the ends of each lie strictly on both
     sides of the other's line: two sign products of table entries."""
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
-    Ea, Eb = ta.shape[0], tb.shape[0]
-    Ap, Bp = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
-    (ax, ay), (bx, by) = Ap, Bp
     P = A.shape[0]
-    # each distance table is reduced before the next is made, which bounds
-    # the working memory and leaves the minimum unchanged
-    d, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
+
+    def table(p, q, t):
+        # the vertices of the planes p against the edges, ending at t, of q
+        b = q[..., t, :]
+        return _vertex_edge(p[..., 0, :, None, :], p[..., 1, :, None, :], q[..., 0, None, : t.shape[0], :], q[..., 1, None, : t.shape[0], :], b[..., 0, None, :, :], b[..., 1, None, :, :])
+
+    if A.shape[1] == B.shape[1]:
+        S = np.ascontiguousarray(np.stack([A, B]).transpose(0, 3, 2, 1))
+        (Ap, Bp), (d, (oa, ob)) = S, table(S, S[::-1], ta)
+    else:
+        Ap, Bp = (np.ascontiguousarray(X.transpose(2, 1, 0)) for X in (A, B))
+        (da, oa), (db, ob) = table(Ap, Bp, tb), table(Bp, Ap, ta)
+        d = np.concatenate([da.reshape(-1, P), db.reshape(-1, P)])
     d = d.reshape(-1, P).min(axis=0)
-    db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
-    d = np.minimum(d, db.reshape(-1, P).min(axis=0))
-    crossing = (oa[:Ea] * oa[ta] < 0.0) & (ob[:Eb] * ob[tb] < 0.0).transpose(1, 0, 2)
+    crossing = (oa[: ta.shape[0]] * oa[ta] < 0.0) & (ob[: tb.shape[0]] * ob[tb] < 0.0).transpose(1, 0, 2)
     i, j, k = np.nonzero(crossing)
     if k.shape[0]:
         # a proper crossing lies in both bounding boxes; requiring them to
@@ -380,9 +397,9 @@ def _zero_nested(d: np.ndarray, a: tuple, b: tuple) -> None:
     where one box holds the other, and only those pairs are gathered."""
     (va, lo_a, hi_a, ra), (vb, lo_b, hi_b, rb) = a, b
     pos = np.nonzero(d > 0.0)[0]
-    box = [(lo_a[ra[pos], x], hi_a[ra[pos], x], lo_b[rb[pos], x], hi_b[rb[pos], x]) for x in range(2)]
-    held = [((la >= lb) & (ha <= hb), (lb >= la) & (hb <= ha)) for la, ha, lb, hb in box]
-    k = pos[(held[0][0] & held[1][0]) | (held[0][1] & held[1][1])]
+    la, ha, lb, hb = lo_a[ra[pos]], hi_a[ra[pos]], lo_b[rb[pos]], hi_b[rb[pos]]
+    a_in_b, b_in_a = (la >= lb) & (ha <= hb), (lb >= la) & (hb <= ha)
+    k = pos[(a_in_b[:, 0] & a_in_b[:, 1]) | (b_in_a[:, 0] & b_in_a[:, 1])]
     if k.shape[0]:
         pa, pb = va[ra[k]], vb[rb[k]]
         d[k[_inside(pa[:, 0], pb, 0.0) | _inside(pb[:, 0], pa, 0.0)]] = 0.0
@@ -452,37 +469,35 @@ class PairDistanceEvaluator:
         return _box_gaps(self.lo[ii], self.hi[ii], self.lo[jj], self.hi[jj])
 
     def farthest_box_gaps(self, bounds: Sequence[int]) -> np.ndarray:
-        """max_j box_gaps(i, j) over the polygons j of i's span, span s being
-        bounds[s]:bounds[s + 1], for every polygon i: a lower bound on its
-        largest min_distance to any polygon of its span.
+        """max_j box_gaps(i, j) over eight polygons j of i's span, span s
+        being bounds[s]:bounds[s + 1], for every polygon i: a lower bound on
+        its largest min_distance to any polygon of its span.
 
-        Each gap is the largest of four functions, each convex and
-        nondecreasing in one of the corner points (lo_x, lo_y), (lo_x, -hi_y),
-        (-hi_x, lo_y), (-hi_x, -hi_y) of j.  So the maximum is reached on the
-        hull vertices of the Pareto-maximal points of those sets in the
-        span; only these few are compared against its rows, in one step.
+        The eight are the span's directional extremes, each the first box
+        where one key is largest: lo_x, lo_y, -hi_x, -hi_y, and the sums of
+        an x key and a y key.  A farthest point of a set lies at a hull
+        vertex, and directional extremes are hull vertices (Preparata and
+        Shamos, Computational Geometry, 1985): on the built-ins and their
+        similarity conjugates these eight reach every row's farthest gap in
+        its span, elsewhere the bound may be lower, which only prunes less.
         """
-        lo, hi = self.lo, self.hi
-        fars = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            extreme = np.zeros(b - a, dtype=bool)
-            for u, v in [(lo[a:b, 0], lo[a:b, 1]), (lo[a:b, 0], -hi[a:b, 1]), (-hi[a:b, 0], lo[a:b, 1]), (-hi[a:b, 0], -hi[a:b, 1])]:
-                extreme[_maximal_hull(u, v)] = True
-            fars.append(a + np.flatnonzero(extreme))
-        # each row meets its own span's extremes only, in one flat (row, extreme)
-        # list taken from four coordinate planes; they start at `first` in `far`
-        counts = [len(f) for f in fars]
-        width, first = np.repeat([counts, np.cumsum([0] + counts[:-1])], np.diff(bounds), axis=1)
-        far = np.concatenate(fars)
-        planes = np.concatenate([lo, hi], axis=1).T.copy()
-        out = np.empty(lo.shape[0])
-        step = _chunk_rows(4 * max(counts))
-        for a in range(0, lo.shape[0], step):
-            w = width[a : a + step]
-            starts = np.cumsum(w) - w
-            A = np.take(planes, np.repeat(np.arange(a, a + w.shape[0]), w), axis=1)
-            B = np.take(planes, far[np.repeat(first[a : a + step] - starts, w) + np.arange(w.sum())], axis=1)
-            out[a : a + step] = np.maximum.reduceat(_box_gaps(A[:2].T, A[2:].T, B[:2].T, B[2:].T), starts)
+        # the steps of `_box_gaps` on contiguous (8, rows) coordinate planes
+        lx, ly, hx, hy = np.stack([self.lo[:, 0], self.lo[:, 1], self.hi[:, 0], self.hi[:, 1]])
+        starts, sizes = np.asarray(bounds[:-1]), np.diff(bounds)
+        xs, ys = (lx, -hx), (ly, -hy)
+        far = np.empty((8, starts.shape[0]), dtype=np.intp)
+        for k, key in enumerate(itertools.chain(xs, ys, (x + y for x in xs for y in ys))):
+            top = np.flatnonzero(key == np.repeat(np.maximum.reduceat(key, starts), sizes))
+            far[k] = top[np.searchsorted(top, starts)]
+        out = np.empty(lx.shape[0])
+        step = _chunk_rows(8)
+        for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            f = far[:, s, None]
+            for r in range(a, b, step):
+                e = min(r + step, b)
+                dx = np.maximum(np.maximum(lx[f] - hx[r:e], lx[r:e] - hx[f]), 0.0)
+                dy = np.maximum(np.maximum(ly[f] - hy[r:e], ly[r:e] - hy[f]), 0.0)
+                out[r:e] = np.hypot(dx, dy).max(axis=0)
         return out
 
     def distances(self, ii, jj) -> np.ndarray:
@@ -494,9 +509,9 @@ class PairDistanceEvaluator:
         n = ii.shape[0]
         out = np.empty(n)
         V = self.vertices.shape[1]
-        # a pair takes V·E table entries per direction, and its two gathered
-        # stacks are laid out as 2·V coordinates each
-        step = _chunk_rows(V * max(_edge_ends(V).shape[0], 2))
+        # a pair takes V·E entries per direction in the one table of both
+        # directions, and its two gathered stacks take 2·V coordinates each
+        step = _chunk_rows(2 * V * max(_edge_ends(V).shape[0], 2))
         for lo in range(0, n, step):
             a, b = ii[lo : lo + step], jj[lo : lo + step]
             d = out[lo : lo + step]
@@ -510,31 +525,6 @@ def _box_gaps(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
     d = lo_b - hi_a
     np.maximum(np.maximum(d, lo_a - hi_b, out=d), 0.0, out=d)
     return np.hypot(d[..., 0], d[..., 1])
-
-
-def _maximal_hull(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Indices of the points (u, v) that are Pareto-maximal and vertices of
-    the convex hull of the Pareto-maximal points.
-
-    A function convex and nondecreasing in u and v takes its maximum over
-    all the points at one of them.
-    """
-    order = np.lexsort((-v, -u))
-    vs = v[order]
-    keep = np.ones(vs.shape[0], dtype=bool)
-    keep[1:] = vs[1:] > np.maximum.accumulate(vs)[:-1]
-    front = order[keep]
-    us, vs = u[front].tolist(), v[front].tolist()
-    # the front runs with u falling and v rising; its hull chain turns left
-    hull: list[int] = []
-    for p in range(len(us)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            if (us[a] - us[o]) * (vs[p] - vs[o]) - (vs[a] - vs[o]) * (us[p] - us[o]) > 0.0:
-                break
-            hull.pop()
-        hull.append(p)
-    return front[hull]
 
 
 def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.ndarray, np.ndarray]:
@@ -562,26 +552,23 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
     # integer keys (dense strip id, rank of the low end along a) sort the
     # boxes by strip, then along a, and turn every window into a key range
     by_a = np.argsort(lo[:, a], kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_a] = np.arange(n)
+    rank = np.argsort(by_a)
     levels = np.sort(strip)
     levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
     dense = np.searchsorted(levels, strip)
-    order = np.argsort(dense * n + rank)
-    keys = (dense * n + rank)[order]
+    keys = dense * n + rank
+    order = np.argsort(keys)
+    keys = keys[order]
     d, r, s = dense[order], rank[order], strip[order]
     upto = np.searchsorted(lo[by_a, a], hi[order, a] + reach, side="right")
-    starts, counts = [], []
-    for step in (-1, 0, 1):
-        near = np.clip(d + step, 0, levels.shape[0] - 1)
-        start = np.searchsorted(keys, near * n + r + 1)
-        count = np.searchsorted(keys, near * n + upto) - start
-        starts.append(start)
-        counts.append(np.where(levels[near] == s + step, count, 0))
+    # the windows of the strips below, at and above each box's, in one step
+    step = np.array([[-1], [0], [1]])
+    near = np.minimum(np.maximum(d + step, 0), levels.shape[0] - 1)
+    starts = np.searchsorted(keys, near * n + r + 1)
+    counts = np.where(levels[near] == s + step, np.searchsorted(keys, near * n + upto) - starts, 0)
     # window w is the box's at sorted position w mod n; only those that hold a box are expanded
-    starts, counts = np.concatenate(starts), np.concatenate(counts)
     keep = np.flatnonzero(counts > 0)
-    box, starts, counts = order[keep % n], starts[keep], counts[keep]
+    box, starts, counts = order[keep % n], starts.ravel()[keep], counts.ravel()[keep]
     ends = np.cumsum(counts)
     # each accepted pair is one integer key i * n + j (i < j): one sort gives the lexicographic order
     found = [np.empty(0, dtype=np.intp)]

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .codespace import Address
-from .errors import DepthOutOfRangeError, UnknownAddressError
+from .errors import CoordinateRangeError, DepthOutOfRangeError, UnknownAddressError
 from .geometry import _chunk_rows
 from .scheme import CellTree
 
@@ -125,6 +125,9 @@ def svg_chunks(t: CellTree, depth: int, prefix: Address | None = None) -> Iterat
             raise UnknownAddressError(f"subfractal prefixes are nonempty kept words, got {prefix!s}")
         if len(prefix) > depth:
             raise DepthOutOfRangeError(f"prefix of length {len(prefix)} exceeds render depth {depth}")
+    x0, y0, x1, y1 = t.scheme.base.bbox()
+    if not 0.0 < max(x1 - x0, y1 - y0) < np.inf:
+        raise CoordinateRangeError(f"the view box of the base's bounding box {(x0, y0, x1, y1)} is empty or not finite")
     return _chunks(t, depth, None if prefix is None else prefix.symbols)
 
 

@@ -8,7 +8,7 @@ the depth it was checked to.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -187,18 +187,18 @@ def check_accumulation(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, caps: 
 def check_diameter(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES) -> ConditionResult:
     """Maximal cell diameter must decay by a factor below one at every step."""
     _require_depth(t, 2)
-    maxima = []
-    argmax_addr = []
+    maxima, rows = [], []
     for n in range(1, t.depth + 1):
         diams = diameters(t.vertices[n])
-        i = int(np.argmax(diams))
-        maxima.append(float(diams[i]))
-        argmax_addr.append(str(t.address(n, i)))
+        rows.append(int(np.argmax(diams)))
+        maxima.append(float(diams[rows[-1]]))
     # an affine image of a point is a point: a zero diameter stays zero
     factors = [maxima[i + 1] / maxima[i] if maxima[i] > 0.0 else 0.0 for i in range(len(maxima) - 1)]
     bad = [i for i, f in enumerate(factors) if f > tol.lambda_max]
     status = "fail" if bad else "pass"
-    witnesses = tuple(argmax_addr[i + 1] for i in bad[:_MAX_WITNESSES]) if bad else (argmax_addr[-1],)
+    # only the widest cells of the depths reported are decoded
+    shown = [i + 1 for i in bad[:_MAX_WITNESSES]] if bad else [len(rows) - 1]
+    witnesses = tuple(str(t.address(k + 1, rows[k])) for k in shown)
     extremal = {
         "max_diameter_by_depth": maxima,
         "decay_factors": factors,
@@ -329,31 +329,40 @@ def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.nd
     passes the running minimum.  Centroid distances bound each distance
     from above, so a visited row only evaluates the partners that can reach
     its bound.  One request takes the first row, whose maximum bounds the
-    running minimum, and one more the rows whose bound is within it, as far
-    as the pair cap left allows and one row past it, where the loop raises.
+    running minimum, and one more the rows whose bound is within it, their
+    partners selected a chunk of rows at a time, as far as the pair cap left
+    allows and one row past it, where the loop raises.
     """
     slack = _slack(ev.lo[a:b], ev.hi[a:b])
-    order = (a + np.argsort(lower[a:b], kind="stable")).tolist()
+    order = a + np.argsort(lower[a:b], kind="stable")
+    cx, cy = ev.centroids[a:b, 0], ev.centroids[a:b, 1]
 
-    def partners(i: int) -> np.ndarray:
-        c = ev.centroids[a:b] - ev.centroids[i]
-        cand = a + np.nonzero(np.hypot(c[:, 0], c[:, 1]) >= lower[i] - slack)[0]
-        return cand[cand != i]
+    def partners(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # flat (row, partner) pairs, partners ascending, and each row's count
+        near = np.hypot(cx - ev.centroids[rows, None, 0], cy - ev.centroids[rows, None, 1]) >= (lower[rows] - slack)[:, None]
+        near[np.arange(rows.shape[0]), rows - a] = False
+        r, j = np.nonzero(near)
+        return rows[r], a + j, np.count_nonzero(near, axis=1)
 
-    cands = [partners(order[0])]
-    budget.spend(cands[0].shape[0])
-    exact = [(yield np.full(cands[0].shape[0], order[0]), cands[0])]
-    top, asked = exact[0].max(initial=0.0), 0
-    for i in order[1:]:
-        if lower[i] - slack > top or asked > budget.left:
+    asked = [partners(order[:1])]
+    budget.spend(asked[0][1].shape[0])
+    exact = yield asked[0][:2]
+    within = order[1 : 1 + np.searchsorted(lower[order[1:]] - slack, exact.max(initial=0.0), side="right")]
+    left, step = budget.left, _chunk_rows(b - a)
+    for s in range(0, within.shape[0], step):
+        i, j, n = partners(within[s : s + step])
+        # a row is asked for while the pairs asked before it are within the cap
+        take = int(np.searchsorted(np.cumsum(n) - n, left, side="right"))
+        asked.append((i[: n[:take].sum()], j[: n[:take].sum()], n[:take]))
+        left -= n[:take].sum()
+        if take < n.shape[0]:
             break
-        cands.append(partners(i))
-        asked += cands[-1].shape[0]
-    sizes = [c.shape[0] for c in cands[1:]]
-    more = yield np.repeat(np.array(order[1 : len(cands)], dtype=np.intp), sizes), np.concatenate([np.empty(0, dtype=np.intp), *cands[1:]])
-    exact += np.split(more, np.cumsum(sizes)[:-1])
+    i, j, n = map(np.concatenate, zip(*asked))
+    exact = np.concatenate([exact, (yield i[exact.shape[0] :], j[exact.shape[0] :])])
+    rows, ends = np.concatenate([order[:1], within]).tolist(), np.cumsum(n)[:-1]
+    cands, exact = np.split(j, ends), np.split(exact, ends)
     running, pick = np.inf, (a, a)
-    for k, (i, cand, row) in enumerate(zip(order, cands, exact)):
+    for k, (i, cand, row) in enumerate(zip(rows, cands, exact)):
         if lower[i] - slack > running:
             break
         budget.spend(cand.shape[0] if k else 0)
@@ -428,12 +437,7 @@ def check_separation(
     _require_depth(t, 1)
     sweep, a, b = kept_separation(t, mode, caps)
     status = "pass" if sweep.value >= tol.sep else "fail"
-    extremal = {
-        "mode": mode,
-        "epsilon0": sweep.value,
-        "depth": sweep.depth,
-        "by_depth": list(sweep.by_depth),
-    }
+    extremal = {"mode": mode, "epsilon0": sweep.value, "depth": sweep.depth, "by_depth": list(sweep.by_depth)}
     return ConditionResult("separation", status, extremal, ((str(a), str(b)),))
 
 
@@ -460,12 +464,7 @@ def full_verify(
     counted = list(conditions)
     for mode in ("pairwise", "forall_exists"):
         res = check_separation(t, mode, tol, caps)
-        res = ConditionResult(
-            res.condition,
-            res.status,
-            {**res.extremal, "counted": mode == separation_mode},
-            res.witnesses,
-        )
+        res = replace(res, extremal={**res.extremal, "counted": mode == separation_mode})
         conditions.append(res)
         if mode == separation_mode:
             counted.append(res)

@@ -1,12 +1,15 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from porofractal import render
 from porofractal.cli import main
@@ -482,6 +485,90 @@ def test_full_device_exits_6_without_a_trace():
         )
     assert proc.returncode == 6
     assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
+
+
+def _altered(name: str, where: tuple, value: float) -> dict:
+    # the built-in's document with one coefficient set: ("base", vertex,
+    # axis), or (map, "linear", row, column) or (map, "translation", axis)
+    doc = to_document(builtin(name))
+    *path, last = where
+    node = doc["base"] if path[0] == "base" else doc["maps"][path[0]]
+    for key in path[1:]:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _run_altered(doc: dict, args: list, tmp_path) -> tuple[int, str]:
+    # one CLI run on the document, with its exit code, stderr and output
+    path, out = tmp_path / "scheme.json", tmp_path / "out.txt"
+    path.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    code = run([args[0], "--scheme", str(path), "--depth", str(args[1]), "--out", str(out)] if args[0] != "separation" else [args[0], "--scheme", str(path), "--depth", str(args[1])])
+    return code, out.read_text() if out.exists() else ""
+
+
+@pytest.mark.parametrize(
+    "name,where,value,args",
+    [
+        ("carpet", (0, "linear", 0, 0), 1e308, ["verify", 3]),
+        ("carpet", (0, "linear", 0, 0), 1e200, ["separation", 3]),
+        ("carpet", (0, "linear", 0, 0), 1e308, ["separation", 3]),
+        ("carpet", (0, "translation", 0), 1e308, ["verify", 3]),
+        ("cantor", ("base", 1, 0), 1e308, ["render", 2]),
+    ],
+)
+def test_overflowing_schemes_exit_3(name, where, value, args, tmp_path, capsys):
+    # coordinates past the overflow bound are refused as a malformed scheme:
+    # no crash (exit 7), no verdict read from infinities, no Infinity or NaN
+    code, text = _run_altered(_altered(name, where, value), args, tmp_path)
+    out, err = capsys.readouterr()
+    assert code == 3 and err.startswith("malformed scheme:") and "1e75" in err
+    assert "Traceback" not in err and not re.search(r"\b(-?inf|nan|Infinity|NaN)\b", out + text)
+
+
+def test_render_refuses_an_empty_view_box(tmp_path, capsys):
+    # a point base has a zero-size view box
+    doc = _altered("cantor", ("base", 1, 0), 0.0)
+    doc["base"] = doc["base"][:1]
+    assert _run_altered(doc, ["render", 2], tmp_path) == (3, "")
+    assert "view box" in capsys.readouterr().err
+
+
+_COEFFICIENTS = st.one_of(
+    st.tuples(st.just("base"), st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.integers(0, 1), st.just("linear"), st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.integers(0, 1), st.just("translation"), st.integers(0, 1)),
+)
+# extreme finite magnitudes of either sign: subnormal, large but below the
+# overflow bound 1e75, at it (as given and as three kept children put it),
+# and past it up to the largest float
+_EXTREMES = st.builds(
+    lambda sign, v: sign * v,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(5e-324, 1e-300), st.floats(1e20, 1e75), st.sampled_from([1e75, 3e75]), st.floats(1e75, 1.7976931348623157e308)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(BUILTIN_NAMES),
+    where=_COEFFICIENTS,
+    value=_EXTREMES,
+    args=st.tuples(st.sampled_from(["verify", "separation", "render", "dynamics"]), st.integers(2, 3)).map(list),
+)
+def test_extreme_coefficients_never_crash_or_print_nonfinite_values(name, where, value, args, tmp_path, capsys):
+    # one coefficient of a built-in set to an extreme finite value: the run
+    # gives a verdict (0 or 1), or refuses the scheme (3) or its dynamics
+    # prerequisite (4), and prints no non-finite number but the ratio's
+    # documented inf for a complement of measure 0
+    code, text = _run_altered(_altered(name, where, value), args, tmp_path)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 3, 4) and "Traceback" not in err, err
+    if args[0] == "verify" and text:
+        doc = json.loads(text)
+        text = json.dumps([c for c in doc["conditions"] if c["condition"] != "ratio"])
+    assert not re.search(r"\b(-?inf|nan|Infinity|NaN)\b", out + text)
 
 
 def test_unexpected_exception_exits_7(monkeypatch, capsys):

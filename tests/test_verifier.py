@@ -559,6 +559,59 @@ def test_grouped_sweep_matches_per_depth_oracle(budget, monkeypatch, carpet_gap,
     assert groups == ([len(s) for _, s in cases] if budget == 7 else [1] * len(cases))
 
 
+def test_farthest_box_gaps_stay_below_the_span_maximum():
+    # random sets of unequal boxes, some with tied keys, cut into spans:
+    # every row's bound is at most its largest box gap to a box of its own
+    # span, found by brute force
+    rng = np.random.default_rng(23)
+    for k in (1, 2, 7, 40, 300):
+        for scale in (1e-3, 1.0, 100.0):
+            lo = scale * (rng.integers(-4, 5, (k, 2)) if k == 40 else rng.uniform(-5.0, 5.0, (k, 2)))
+            hi = lo + scale * rng.exponential(1.0, (k, 2)) * rng.uniform(0.0, 3.0, (k, 1))
+            cells = np.stack([lo, np.stack([hi[:, 0], lo[:, 1]], axis=1), hi, np.stack([lo[:, 0], hi[:, 1]], axis=1)], axis=1)
+            ev = verifier.PairDistanceEvaluator(cells)
+            bounds = [0, *sorted(rng.choice(np.arange(1, k), min(k - 1, 3), replace=False).tolist()), k]
+            got = ev.farthest_box_gaps(bounds)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                brute = geometry._box_gaps(ev.lo[a:b, None], ev.hi[a:b, None], ev.lo[None, a:b], ev.hi[None, a:b]).max(axis=1)
+                assert np.all((0.0 <= got[a:b]) & (got[a:b] <= brute)), (k, scale)
+
+
+def test_farthest_box_gaps_equal_the_hull_oracle():
+    # on the kept cells of the built-ins at depths 1-5 and of ten seeded
+    # similarity conjugates, the eight directional extremes reach the bound
+    # of the hull of the Pareto-maximal corners bitwise, with each depth on
+    # its own evaluator and with depths grouped in one
+    rng = np.random.default_rng(31)
+    trees = [build_tree(builtin(n), 5) for n in ("carpet", "pascal3", "koch", "cantor")]
+    for k in range(10):
+        name, depth = [("carpet", 3), ("pascal3", 3), ("koch", 7)][k % 3]
+        g = similarity_map(float(np.exp(rng.uniform(-1.4, 1.4))), float(rng.uniform(0.0, 2 * np.pi)), rng.uniform(-0.5, 0.5, 2))
+        trees.append(build_tree(similarity_conjugate(builtin(name), g), depth))
+    for t in trees:
+        stacks = [t.vertices[n][t.kept_rows(n)] for n in range(1, t.depth + 1)]
+        want = [_farthest_box_gaps(verifier.PairDistanceEvaluator(v)) for v in stacks]
+        got = [verifier.PairDistanceEvaluator(v).farthest_box_gaps([0, len(v)]) for v in stacks]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), t.scheme.name
+        grouped = [ev.farthest_box_gaps(bounds) for ev, bounds in verifier._depth_groups(stacks)]
+        assert np.array_equal(np.concatenate(grouped), np.concatenate(want)), t.scheme.name
+
+
+@pytest.mark.parametrize("name,depth,pairs", [("carpet", 4, 136), ("koch", 12, 216), ("pascal3", 5, 80), ("cantor", 9, 18)])
+def test_forall_exists_asks_for_a_fixed_number_of_pairs(name, depth, pairs, make_tree, monkeypatch):
+    # the exact pairs one forall_exists check asks for over all its depths
+    asked = []
+
+    class Counted(verifier.PairDistanceEvaluator):
+        def distances(self, ii, jj):
+            asked.append(len(ii))
+            return super().distances(ii, jj)
+
+    monkeypatch.setattr(verifier, "PairDistanceEvaluator", Counted)
+    check_separation(make_tree(name, depth), "forall_exists")
+    assert sum(asked) == pairs
+
+
 def _adjacency_per_level(t, tol):
     # check_adjacency as it ran before levels were grouped: one evaluator and
     # one exact call per level, addresses decoded as the maximum improves
@@ -661,8 +714,8 @@ def test_exact_calls_per_depth_group(name, depth, make_tree, monkeypatch):
 
 
 def test_witness_addresses_are_decoded_once(make_tree, carpet_gap, monkeypatch):
-    # ratio and adjacency decode only the addresses they report, not the
-    # extremes of every depth on the way
+    # ratio, adjacency and diameter decode only the addresses they report,
+    # not the extremes of every depth on the way
     decoded = []
     address = CellTree.address
 
@@ -678,6 +731,12 @@ def test_witness_addresses_are_decoded_once(make_tree, carpet_gap, monkeypatch):
         decoded.clear()
         res = check_adjacency(t)
         assert len(decoded) == 2 * len(res.witnesses), t.scheme.name
+        # a passing check reports the last depth's widest cell; one whose
+        # every factor exceeds the bound reports each depth's from the second
+        for tol, shown in ((Tolerances(), 1), (Tolerances(lambda_max=0.1), t.depth - 1)):
+            decoded.clear()
+            res = check_diameter(t, tol)
+            assert len(res.witnesses) == len(decoded) == shown, t.scheme.name
 
 
 def _lattice_gaps(a, b):
@@ -754,6 +813,11 @@ def _check_grid_case(case):
     for mode, want in (("pairwise", pairwise), ("forall_exists", forall_exists)):
         got = kept_separation(t, mode)[0].by_depth
         assert np.all(np.abs(np.array(got) - want) <= np.spacing(np.array(want))), (mode, got, want)
+    # and forall_exists is the per-depth sweep's, value and pair
+    stacks = [t.vertices[n][t.kept_rows(n)] for n in range(1, depth + 1)]
+    per_depth = [_depth_forall_exists(verifier.PairDistanceEvaluator(v), verifier._PairBudget(10**9)) for v in stacks]
+    sweep = separation_sweep(stacks, "forall_exists")
+    assert (sweep.by_depth, sweep.pair) == (tuple(v for v, _, _ in per_depth), per_depth[sweep.depth - 1][1:])
     sibling = _lattice_gaps(kept, comp)
     touching = (np.abs(kept[:, None] - comp[None]).max(axis=2) <= 1).any(axis=1)
     res = check_adjacency(t)
