@@ -311,7 +311,7 @@ def _vertex_edge(px, py, ax, ay, bx, by) -> tuple[np.ndarray, np.ndarray]:
     t = wx * ex
     t += wy * ey
     t /= np.where(denom > 0.0, denom, 1.0)
-    u, v = np.clip(t, 0.0, 1.0, out=t) * ex, t * ey
+    u, v = np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t) * ex, t * ey
     d = np.hypot(np.subtract(px, np.add(u, ax, out=u), out=u), np.subtract(py, np.add(v, ay, out=v), out=v), out=t)
     return d, np.subtract(np.multiply(wy, ex, out=wy), np.multiply(wx, ey, out=wx), out=wy)
 
@@ -370,7 +370,7 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _vertex_edge(p[..., 0, :, None, :], p[..., 1, :, None, :], q[..., 0, None, : t.shape[0], :], q[..., 1, None, : t.shape[0], :], b[..., 0, None, :, :], b[..., 1, None, :, :])
 
     if A.shape[1] == B.shape[1]:
-        S = np.ascontiguousarray(np.stack([A, B]).transpose(0, 3, 2, 1))
+        S = np.ascontiguousarray(np.concatenate([A, B]).reshape(2, *A.shape).transpose(0, 3, 2, 1))
         (Ap, Bp), (d, (oa, ob)) = S, table(S, S[::-1], ta)
     else:
         Ap, Bp = (np.ascontiguousarray(X.transpose(2, 1, 0)) for X in (A, B))

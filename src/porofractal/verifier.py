@@ -357,20 +357,21 @@ def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.nd
         left -= n[:take].sum()
         if take < n.shape[0]:
             break
-    i, j, n = map(np.concatenate, zip(*asked))
-    exact = np.concatenate([exact, (yield i[exact.shape[0] :], j[exact.shape[0] :])])
-    rows, ends = np.concatenate([order[:1], within]).tolist(), np.cumsum(n)[:-1]
-    cands, exact = np.split(j, ends), np.split(exact, ends)
+    ii, jj, n = map(np.concatenate, zip(*asked))
+    exact = np.concatenate([exact, (yield ii[exact.shape[0] :], jj[exact.shape[0] :])])
+    rows = np.concatenate([order[:1], within])[: n.shape[0]]
+    # row k's partners and distances are jj and exact at s:e
+    ends = np.cumsum(n).tolist()
     running, pick = np.inf, (a, a)
-    for k, (i, cand, row) in enumerate(zip(rows, cands, exact)):
-        if lower[i] - slack > running:
+    for k, (i, reach, s, e) in enumerate(zip(rows.tolist(), (lower[rows] - slack).tolist(), [0] + ends, ends)):
+        if reach > running:
             break
-        budget.spend(cand.shape[0] if k else 0)
-        row_max = float(row.max()) if cand.shape[0] else 0.0
+        budget.spend(e - s if k else 0)
+        row_max = float(exact[s:e].max()) if e > s else 0.0
         if row_max < running or (row_max == running and i < pick[0]):
             # a row of the full distance matrix holds 0 on its diagonal, so a
             # row of zeros reports its first column
-            running, pick = row_max, (i, int(cand[np.argmax(row)]) if row_max > 0.0 else a)
+            running, pick = row_max, (i, int(jj[s + np.argmax(exact[s:e])]) if row_max > 0.0 else a)
     return running, pick[0] - a, pick[1] - a
 
 
