@@ -354,30 +354,24 @@ def _pair_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Two edges are apart by the least distance from an end of one to the
     other, unless they cross.  Each such term belongs to one vertex and one
     edge, so it is computed once: a (Va, Eb, P) table of A's vertices
-    against B's edges and a (Vb, Ea, P) table of B's against A's, each with
-    the orientations; stacks that share V make both tables in one
-    `_vertex_edge` call.  The stacks are first laid out as contiguous x and
-    y planes (2, V, P), so the pairs run along the last axis and every step
+    against B's edges, a (Vb, Ea, P) table of B's against A's, each with
+    the orientations.  Both stacks are first laid out as contiguous x and y
+    planes (2, V, P), so the pairs run along the last axis and every step
     is one long loop; each entry takes the same float operations as a
     scalar query.  Edges cross when the ends of each lie strictly on both
     sides of the other's line: two sign products of table entries."""
     ta, tb = _edge_ends(A.shape[1]), _edge_ends(B.shape[1])
+    Ea, Eb = ta.shape[0], tb.shape[0]
+    Ap, Bp = np.ascontiguousarray(A.transpose(2, 1, 0)), np.ascontiguousarray(B.transpose(2, 1, 0))
+    (ax, ay), (bx, by) = Ap, Bp
     P = A.shape[0]
-
-    def table(p, q, t):
-        # the vertices of the planes p against the edges, ending at t, of q
-        b = q[..., t, :]
-        return _vertex_edge(p[..., 0, :, None, :], p[..., 1, :, None, :], q[..., 0, None, : t.shape[0], :], q[..., 1, None, : t.shape[0], :], b[..., 0, None, :, :], b[..., 1, None, :, :])
-
-    if A.shape[1] == B.shape[1]:
-        S = np.ascontiguousarray(np.concatenate([A, B]).reshape(2, *A.shape).transpose(0, 3, 2, 1))
-        (Ap, Bp), (d, (oa, ob)) = S, table(S, S[::-1], ta)
-    else:
-        Ap, Bp = (np.ascontiguousarray(X.transpose(2, 1, 0)) for X in (A, B))
-        (da, oa), (db, ob) = table(Ap, Bp, tb), table(Bp, Ap, ta)
-        d = np.concatenate([da.reshape(-1, P), db.reshape(-1, P)])
+    # each distance table is reduced before the next is made, which bounds
+    # the working memory and leaves the minimum unchanged
+    d, oa = _vertex_edge(ax[:, None], ay[:, None], bx[:Eb], by[:Eb], bx[tb], by[tb])
     d = d.reshape(-1, P).min(axis=0)
-    crossing = (oa[: ta.shape[0]] * oa[ta] < 0.0) & (ob[: tb.shape[0]] * ob[tb] < 0.0).transpose(1, 0, 2)
+    db, ob = _vertex_edge(bx[:, None], by[:, None], ax[:Ea], ay[:Ea], ax[ta], ay[ta])
+    d = np.minimum(d, db.reshape(-1, P).min(axis=0))
+    crossing = (oa[:Ea] * oa[ta] < 0.0) & (ob[:Eb] * ob[tb] < 0.0).transpose(1, 0, 2)
     i, j, k = np.nonzero(crossing)
     if k.shape[0]:
         # a proper crossing lies in both bounding boxes; requiring them to
@@ -509,9 +503,9 @@ class PairDistanceEvaluator:
         n = ii.shape[0]
         out = np.empty(n)
         V = self.vertices.shape[1]
-        # a pair takes V·E entries per direction in the one table of both
-        # directions, and its two gathered stacks take 2·V coordinates each
-        step = _chunk_rows(2 * V * max(_edge_ends(V).shape[0], 2))
+        # a pair takes V·E table entries per direction, and its two gathered
+        # stacks are laid out as 2·V coordinates each
+        step = _chunk_rows(V * max(_edge_ends(V).shape[0], 2))
         for lo in range(0, n, step):
             a, b = ii[lo : lo + step], jj[lo : lo + step]
             d = out[lo : lo + step]
