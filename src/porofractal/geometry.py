@@ -185,10 +185,9 @@ def _stack_maps(maps: Sequence[AffineMap2]) -> tuple[np.ndarray, np.ndarray]:
 
 def _step(L: np.ndarray, T: np.ndarray, lin: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (L, T) o (lin, tr) in the operand order of `compose`, so that stacked
-    # products are bitwise the per-map ones; one past the float range is
-    # refused by `_images`
-    with np.errstate(over="ignore", invalid="ignore"):
-        return L @ lin, (L @ tr)[..., 0] + T
+    # products are bitwise the per-map ones; the callers let a product past
+    # the float range become inf or nan, which `_images` refuses
+    return L @ lin, (L @ tr)[..., 0] + T
 
 
 def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +200,11 @@ def _fold(children: tuple[np.ndarray, np.ndarray], words: np.ndarray) -> tuple[n
     if not words.size:
         return np.broadcast_to(np.eye(2), (words.shape[0], 2, 2)), np.zeros((words.shape[0], 2))
     L, cols = None, _chunk_rows(6 * words.shape[0])
-    for a in range(0, words.shape[1], cols):
-        index = words[:, a : a + cols].T - 1
-        for lin, tr in zip(children[0][index], children[1][index]):
-            L, T = (lin, tr[..., 0]) if L is None else _step(L, T, lin, tr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, words.shape[1], cols):
+            index = words[:, a : a + cols].T - 1
+            for lin, tr in zip(children[0][index], children[1][index]):
+                L, T = (lin, tr[..., 0]) if L is None else _step(L, T, lin, tr)
     return L, T
 
 
@@ -217,7 +217,8 @@ def _levels(children: tuple[np.ndarray, np.ndarray], m: int, depth: int) -> Iter
     L, T = lin, tr[..., 0]
     for n in range(depth):
         if n:
-            L, T = _step(L[..., :m, None, :, :], T[..., :m, None, :], lin, tr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                L, T = _step(L[..., :m, None, :, :], T[..., :m, None, :], lin, tr)
         yield L.reshape(-1, 2, 2), T.reshape(-1, 2)
 
 
@@ -230,11 +231,11 @@ def _images(base: np.ndarray, L: np.ndarray, T: np.ndarray, ccw: bool = True) ->
         v = base[None] @ L.transpose(0, 2, 1) + T[:, None]
         # det < 0, compared without the subtraction: a difference of two
         # floats is negative exactly when the first is the smaller
-        flip = L[:, 0, 0] * L[:, 1, 1] < L[:, 0, 1] * L[:, 1, 0]
+        flip = L[:, 0, 0] * L[:, 1, 1] < L[:, 0, 1] * L[:, 1, 0] if ccw and base.shape[0] >= 3 else None
     # nan fails both comparisons
     if not -1e75 < v.min(initial=0.0) <= v.max(initial=0.0) < 1e75:
         raise CoordinateRangeError("cell coordinates reach the overflow bound 1e75")
-    if ccw and base.shape[0] >= 3 and flip.any():
+    if flip is not None and flip.any():
         v[flip] = v[flip, ::-1]
     v.setflags(write=False)
     return v
@@ -660,7 +661,7 @@ def _overlap_lengths(S: np.ndarray, C: np.ndarray, tol: float) -> np.ndarray:
         return np.zeros(S.shape[0])
     p0, d = S[:, 0], S[:, 1] - S[:, 0]
     la = np.hypot(d[:, 0], d[:, 1])
-    u = d / la[:, None]
+    u = d / np.where(la > 0.0, la, 1.0)[:, None]  # a segment that rounds to a point has u = 0
     w = C - p0[:, None]
     off = (np.abs(u[:, None, 0] * w[..., 1] - u[:, None, 1] * w[..., 0]) > tol).any(axis=1)
     s = (w[..., None, :] @ u[:, None, :, None])[..., 0, 0]

@@ -438,7 +438,12 @@ def check_separation(
     _require_depth(t, 1)
     sweep, a, b = kept_separation(t, mode, caps)
     status = "pass" if sweep.value >= tol.sep else "fail"
-    extremal = {"mode": mode, "epsilon0": sweep.value, "depth": sweep.depth, "by_depth": list(sweep.by_depth)}
+    extremal = {
+        "mode": mode,
+        "epsilon0": sweep.value,
+        "depth": sweep.depth,
+        "by_depth": list(sweep.by_depth),
+    }
     return ConditionResult("separation", status, extremal, ((str(a), str(b)),))
 
 
