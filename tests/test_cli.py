@@ -500,7 +500,7 @@ def _altered(name: str, where: tuple, value: float) -> dict:
 
 
 def _run_altered(doc: dict, args: list, tmp_path) -> tuple[int, str]:
-    # one CLI run on the document, with its exit code, stderr and output
+    # one CLI run on the document: its exit code and what it wrote to --out
     path, out = tmp_path / "scheme.json", tmp_path / "out.txt"
     path.write_text(json.dumps(doc))
     out.unlink(missing_ok=True)
@@ -541,8 +541,7 @@ _COEFFICIENTS = st.one_of(
     st.tuples(st.integers(0, 1), st.just("translation"), st.integers(0, 1)),
 )
 # extreme finite magnitudes of either sign: subnormal, large but below the
-# overflow bound 1e75, at it (as given and as three kept children put it),
-# and past it up to the largest float
+# overflow bound 1e75, at and just past it, and up to the largest float
 _EXTREMES = st.builds(
     lambda sign, v: sign * v,
     st.sampled_from([1.0, -1.0]),
