@@ -164,38 +164,26 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    caps = _caps(args)
-    s = _resolve_scheme(args.scheme, tol)
+def _cmd_verify(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
     tree = build_tree(s, args.depth, caps)
     report = verifier.full_verify(tree, tol, caps, expected_ratio=args.expect_ratio, separation_mode=_mode(args))
     _emit(report.json_chunks(), args.out)
     return EXIT_OK if report.overall == "pass" else EXIT_FAIL
 
 
-def _cmd_separation(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    caps = _caps(args)
-    s = _resolve_scheme(args.scheme, tol)
+def _cmd_separation(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
     est = dynamics.estimate_separation(s, args.depth, _mode(args), tol, caps)
     _emit([f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}"], None)
     return EXIT_OK if est.epsilon0 >= tol.sep else EXIT_FAIL
 
 
-def _cmd_dynamics(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    caps = _caps(args)
-    s = _resolve_scheme(args.scheme, tol)
+def _cmd_dynamics(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
     report = dynamics.chaos_report(s, args.depth, args.horizon, mode=_mode(args), tol=tol, caps=caps)
     _emit(report.json_chunks(), args.out)
     return EXIT_OK if report.all_verified else EXIT_FAIL
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    caps = _caps(args)
-    s = _resolve_scheme(args.scheme, tol)
+def _cmd_render(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
     tree = build_tree(s, args.depth, caps)
     prefix = None
     if args.subfractal is not None:
@@ -209,17 +197,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "scheme": _cmd_scheme,
-        "verify": _cmd_verify,
-        "separation": _cmd_separation,
-        "dynamics": _cmd_dynamics,
-        "render": _cmd_render,
-    }
+    args = build_parser().parse_args(argv)
+    handlers = {"verify": _cmd_verify, "separation": _cmd_separation, "dynamics": _cmd_dynamics, "render": _cmd_render}
     try:
-        return handlers[args.command](args)
+        if args.command == "scheme":
+            return _cmd_scheme(args)
+        tol, caps = _tolerances(args), _caps(args)
+        return handlers[args.command](args, _resolve_scheme(args.scheme, tol), tol, caps)
     except (_UsageError, UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

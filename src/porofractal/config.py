@@ -38,7 +38,9 @@ class Caps:
 
     cells: maximum kept-cell count a tree build may reach.
     words: maximum number of symbols an enumeration or code prefix may produce.
-    pairs: maximum polygon-pair count a quadratic sweep may examine.
+    pairs: maximum polygon-pair count a check may pass to an exact kernel;
+        every sweep charges the pairs it asks for before it asks, so none
+        is evaluated past the cap.
     """
 
     cells: int = 1_000_000

@@ -544,23 +544,21 @@ def box_overlap_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> tuple[np.nd
     reach = pad + 16.0 * np.finfo(float).eps * (scale + pad)
     height = max((float((hi[:, b] - lo[:, b]).max()) + reach) * (1.0 + 1e-6), 1e-6 * scale, np.finfo(float).tiny)
     strip = np.floor((lo[:, b] - lo[:, b].min()) / height).astype(np.int64)
-    # integer keys (dense strip id, rank of the low end along a) sort the
-    # boxes by strip, then along a, and turn every window into a key range
+    # integer keys (strip, rank of the low end along a) sort the boxes by
+    # strip, then along a, and turn every window into a key range, which is
+    # empty in an empty strip; a strip is at least 1e-6 of the scale tall,
+    # so strips number below 2e6 and the keys fit int64 with room to spare
     by_a = np.argsort(lo[:, a], kind="stable")
     rank = np.argsort(by_a)
-    levels = np.sort(strip)
-    levels = levels[np.concatenate([[True], levels[1:] != levels[:-1]])]
-    dense = np.searchsorted(levels, strip)
-    keys = dense * n + rank
+    keys = strip * n + rank
     order = np.argsort(keys)
     keys = keys[order]
-    d, r, s = dense[order], rank[order], strip[order]
+    r, s = rank[order], strip[order]
     upto = np.searchsorted(lo[by_a, a], hi[order, a] + reach, side="right")
     # the windows of the strips below, at and above each box's, in one step
-    step = np.array([[-1], [0], [1]])
-    near = np.minimum(np.maximum(d + step, 0), levels.shape[0] - 1)
+    near = s + np.array([[-1], [0], [1]])
     starts = np.searchsorted(keys, near * n + r + 1)
-    counts = np.where(levels[near] == s + step, np.searchsorted(keys, near * n + upto) - starts, 0)
+    counts = np.searchsorted(keys, near * n + upto) - starts
     # window w is the box's at sorted position w mod n; only those that hold a box are expanded
     keep = np.flatnonzero(counts > 0)
     box, starts, counts = order[keep % n], starts.ravel()[keep], counts.ravel()[keep]

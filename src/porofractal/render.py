@@ -96,7 +96,7 @@ def _chunks(t: CellTree, depth: int, prefix: tuple[int, ...] | None) -> Iterator
         level = np.searchsorted(first, ids, side="right") - 1
         rows = ids - first[level]
         verts = np.empty((ids.shape[0], V, 2))
-        for n in np.unique(level).tolist():
+        for n in range(depth + 1):
             at = level == n
             verts[at] = t.vertices[n][rows[at]]
         kept = (level == depth) & (rows % M < m)

@@ -66,6 +66,12 @@ def _require_depth(t: CellTree, depth: int) -> None:
         raise EmptyTreeError(f"tree of depth {t.depth} is too shallow (need {depth})")
 
 
+def _finite(x: float) -> float | None:
+    # JSON has no inf: a ratio that is not finite, as over a complement of
+    # measure 0, reads null
+    return float(x) if np.isfinite(x) else None
+
+
 def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: float | None = None) -> ConditionResult:
     """Kept-to-complement measure ratio within every subdivision.
 
@@ -90,7 +96,7 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
             ratios = np.where(comp > 0.0, kept / np.where(comp > 0.0, comp, 1.0), np.inf)
         parents = t.kept_rows(n - 1)
         i_min, i_max = int(np.argmin(ratios)), int(np.argmax(ratios))
-        per_depth.append({"depth": n, "min": float(ratios[i_min]), "max": float(ratios[i_max])})
+        per_depth.append({"depth": n, "min": _finite(ratios[i_min]), "max": _finite(ratios[i_max])})
         if ratios[i_min] < worst[0]:
             worst = (float(ratios[i_min]), (n - 1, int(parents[i_min])))
         if ratios[i_max] > best[0]:
@@ -103,8 +109,8 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
     status = "fail" if violators else "pass"
     witnesses = violators if violators else [str(t.address(*w)) for _, w in (worst, best) if w is not None]
     extremal = {
-        "observed_r": worst[0],
-        "observed_R": best[0],
+        "observed_r": _finite(worst[0]),
+        "observed_R": _finite(best[0]),
         "per_depth": per_depth,
         "expected": expected,
     }
@@ -330,43 +336,35 @@ def _forall_exists_sweep(ev: PairDistanceEvaluator, a: int, b: int, lower: np.nd
     from above, so a visited row only evaluates the partners that can reach
     its bound.  One request takes the first row, whose maximum bounds the
     running minimum, and one more the rows whose bound is within it, their
-    partners selected a chunk of rows at a time, as far as the pair cap left
-    allows and one row past it, where the loop raises.
+    partners selected and charged to the pair cap a chunk of rows at a time.
     """
     slack = _slack(ev.lo[a:b], ev.hi[a:b])
     order = a + np.argsort(lower[a:b], kind="stable")
     cx, cy = ev.centroids[a:b, 0], ev.centroids[a:b, 1]
 
     def partners(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # flat (row, partner) pairs, partners ascending, and each row's count
+        # flat (row, partner) pairs, partners ascending, and each row's
+        # count, charged to the pair cap before they are asked for
         near = np.hypot(cx - ev.centroids[rows, None, 0], cy - ev.centroids[rows, None, 1]) >= (lower[rows] - slack)[:, None]
         near[np.arange(rows.shape[0]), rows - a] = False
         r, j = np.nonzero(near)
+        budget.spend(j.shape[0])
         return rows[r], a + j, np.count_nonzero(near, axis=1)
 
     asked = [partners(order[:1])]
-    budget.spend(asked[0][1].shape[0])
     exact = yield asked[0][:2]
     within = order[1 : 1 + np.searchsorted(lower[order[1:]] - slack, exact.max(initial=0.0), side="right")]
-    left, step = budget.left, _chunk_rows(b - a)
-    for s in range(0, within.shape[0], step):
-        i, j, n = partners(within[s : s + step])
-        # a row is asked for while the pairs asked before it are within the cap
-        take = int(np.searchsorted(np.cumsum(n) - n, left, side="right"))
-        asked.append((i[: n[:take].sum()], j[: n[:take].sum()], n[:take]))
-        left -= n[:take].sum()
-        if take < n.shape[0]:
-            break
+    step = _chunk_rows(b - a)
+    asked += [partners(within[s : s + step]) for s in range(0, within.shape[0], step)]
     ii, jj, n = map(np.concatenate, zip(*asked))
     exact = np.concatenate([exact, (yield ii[exact.shape[0] :], jj[exact.shape[0] :])])
-    rows = np.concatenate([order[:1], within])[: n.shape[0]]
+    rows = np.concatenate([order[:1], within])
     # row k's partners and distances are jj and exact at s:e
     ends = np.cumsum(n).tolist()
     running, pick = np.inf, (a, a)
-    for k, (i, reach, s, e) in enumerate(zip(rows.tolist(), (lower[rows] - slack).tolist(), [0] + ends, ends)):
+    for i, reach, s, e in zip(rows.tolist(), (lower[rows] - slack).tolist(), [0] + ends, ends):
         if reach > running:
             break
-        budget.spend(e - s if k else 0)
         row_max = float(exact[s:e].max()) if e > s else 0.0
         if row_max < running or (row_max == running and i < pick[0]):
             # a row of the full distance matrix holds 0 on its diagonal, so a
@@ -396,9 +394,8 @@ def separation_sweep(
     the boxes for the pairs whose gap is within it.  forall_exists bounds
     every row by its farthest box gap, asks for its least-bound row, then
     for the rows whose bound is within that row's maximum, and visits them.
-    The pair cap counts the exact evaluations over all depths: for pairwise
-    the seeding chunks and the swept pairs, for forall_exists the partners
-    of each row visited; a depth asks for at most one row past the cap.
+    Every sweep charges the pairs it asks for to the pair cap, summed over
+    all depths, before it asks, so none is evaluated past the cap.
     """
     if mode not in ("pairwise", "forall_exists"):
         raise ValueError(f"unknown separation mode {mode!r}")

@@ -385,13 +385,27 @@ def test_console_script_runs():
     assert "carpet" in proc.stdout
 
 
-def test_verify_leaves_numpy_ma_unimported():
-    # numpy.ma costs about 12 ms of import; an area accumulation check must
-    # not pull it in on every CLI verify
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "list"],
+        ["verify", "--scheme", "koch", "--depth", "4"],
+        ["separation", "--scheme", "koch", "--depth", "4"],
+        ["dynamics", "--scheme", "koch", "--depth", "4", "--out", "{out}"],
+        ["render", "--scheme", "koch", "--depth", "4", "--subfractal", "12", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_leaves_numpy_ma_unimported(argv, tmp_path):
+    # numpy.ma costs about 12 ms of import, and np.unique and its like
+    # import it on first use; no CLI command, each run in a fresh
+    # interpreter, may pull it in (an area accumulation check and the
+    # render's per-level gather once did)
+    argv = [a.format(out=tmp_path / "out") for a in argv]
     code = (
         "import sys\n"
         "from porofractal.cli import main\n"
-        "status = main(['verify', '--scheme', 'koch', '--depth', '4'])\n"
+        f"status = main({argv!r})\n"
         "print('numpy.ma' in sys.modules, status, file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
@@ -559,15 +573,24 @@ _EXTREMES = st.builds(
 def test_extreme_coefficients_never_crash_or_print_nonfinite_values(name, where, value, args, tmp_path, capsys):
     # one coefficient of a built-in set to an extreme finite value: the run
     # gives a verdict (0 or 1), or refuses the scheme (3) or its dynamics
-    # prerequisite (4), and prints no non-finite number but the ratio's
-    # documented inf for a complement of measure 0
+    # prerequisite (4), and prints no non-finite number
     code, text = _run_altered(_altered(name, where, value), args, tmp_path)
     out, err = capsys.readouterr()
     assert code in (0, 1, 3, 4) and "Traceback" not in err, err
-    if args[0] == "verify" and text:
-        doc = json.loads(text)
-        text = json.dumps([c for c in doc["conditions"] if c["condition"] != "ratio"])
     assert not re.search(r"\b(-?inf|nan|Infinity|NaN)\b", out + text)
+
+
+def test_a_ratio_that_is_not_finite_reads_null(tmp_path, capsys):
+    # koch's second child translated by (1e17, 0): its cells' complements
+    # round to measure 0, so those ratios are inf; the report fails the
+    # ratio check and names them, and writes JSON null where a number cannot be
+    doc = _altered("koch", (1, "translation", 0), 1e17)
+    doc["maps"][1]["translation"][1] = 0.0
+    code, text = _run_altered(doc, ["verify", 3], tmp_path)
+    ratio = json.loads(text)["conditions"][0]
+    assert code == 1 and ratio["status"] == "fail" and ratio["witnesses"]
+    assert ratio["extremal"]["observed_R"] is None and [d["max"] for d in ratio["extremal"]["per_depth"]] == [1.0, None, None]
+    assert not re.search(r"\b(-?inf|nan|Infinity|NaN)\b", text)
 
 
 def test_unexpected_exception_exits_7(monkeypatch, capsys):

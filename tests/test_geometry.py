@@ -360,6 +360,13 @@ def test_box_overlap_pairs_matches_the_replaced_kernel_on_mixed_orders():
     hi = np.column_stack([lo[1:, 0] - pad, np.full(63, 1 / 128)])
     hi[:, 0] -= np.arange(63) % 16 * np.spacing(hi[:, 0])
     _same_pairs(lo[:63], hi, pad)
+    # clumps of overlapping boxes with empty strips between them, three
+    # clumps and then only the first and the last strip: a window in an
+    # empty strip next to a box holds no box
+    for offsets in ([0.0, 2.0, 6.5], [0.0, 6.5]):
+        lo = np.concatenate([rng.uniform(0.0, 1.0, (40, 2)) * [20.0, 0.2] + [0.0, y] for y in offsets])
+        ii, jj = _same_pairs(lo, lo + 0.5, 1e-9)
+        assert ii.shape[0]
     for n in (2, 3, 50):
         lo = np.arange(n)[:, None] * np.array([10.0, 7.0])
         for pad in (0.0, 1e-9):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -462,10 +463,18 @@ def _depth_forall_exists(ev, budget):
 def _sweep_per_depth(monkeypatch, stacks, mode):
     # separation_sweep under a 10**9 pair cap, read at its seams: every
     # depth's (value, i, j) as its group's rounds return them, and the pair
-    # cap it leaves
-    depths, budgets, rounds = [], [], verifier._rounds
+    # cap it leaves, which it has charged for exactly the pairs it passed to
+    # the exact kernel
+    depths, budgets, asked, rounds = [], [], [], verifier._rounds
 
     def recorded(ev, sweeps):
+        distances = ev.distances
+
+        def counted(ii, jj):
+            asked.append(ii.shape[0])
+            return distances(ii, jj)
+
+        ev.distances = counted
         depths.extend(rounds(ev, sweeps))
         return depths[len(depths) - len(sweeps) :]
 
@@ -479,6 +488,7 @@ def _sweep_per_depth(monkeypatch, stacks, mode):
         patch.setattr(verifier, "_PairBudget", Recorded)
         sweep = separation_sweep(stacks, mode, Caps(pairs=10**9))
     assert sweep.by_depth == tuple(v for v, _, _ in depths) and len(budgets) == 1
+    assert 10**9 - budgets[0].left == sum(asked), mode
     return depths, budgets[0].left
 
 
@@ -540,10 +550,13 @@ def _oracle_stacks(carpet_gap, carpet_overlap):
 
 @pytest.mark.parametrize("budget", [7, 2**40], ids=["group-per-depth", "one-group"])
 def test_grouped_sweep_matches_per_depth_oracle(budget, monkeypatch, carpet_gap, carpet_overlap):
-    # every depth's value and pair, and the pair cap left over, equal the
-    # per-depth sweeps that ran one exact call per seed chunk and per row;
-    # a budget of 7 makes every depth a group of its own, 2**40 puts all
-    # depths of a sweep in one group
+    # every depth's value and pair equal the per-depth sweeps that ran one
+    # exact call per seed chunk and per row, and each sweep charges the
+    # pairs it asks for; pairwise asks for the oracle's pairs, so its pair
+    # cap left over is the oracle's too, while forall_exists asks at once
+    # for rows its visiting loop may not reach, which the row-by-row oracle
+    # never evaluates; a budget of 7 makes every depth a group of its own,
+    # 2**40 puts all depths of a sweep in one group
     cases = _oracle_stacks(carpet_gap, carpet_overlap)
     want = {}
     for label, stacks in cases:
@@ -555,7 +568,8 @@ def test_grouped_sweep_matches_per_depth_oracle(budget, monkeypatch, carpet_gap,
     for label, stacks in cases:
         groups.append(len(list(verifier._depth_groups(stacks))))
         for mode in ("pairwise", "forall_exists"):
-            assert _sweep_per_depth(monkeypatch, stacks, mode) == want[label, mode], (label, mode)
+            got, left = _sweep_per_depth(monkeypatch, stacks, mode)
+            assert got == want[label, mode][0] and (mode == "forall_exists" or left == want[label, mode][1]), (label, mode)
     assert groups == ([len(s) for _, s in cases] if budget == 7 else [1] * len(cases))
 
 
@@ -925,8 +939,9 @@ def test_separation_cap_thresholds(name, depth, forall_exists, pairwise, make_tr
 def test_forall_exists_asks_for_at_most_one_row_past_the_cap(cap, monkeypatch):
     # two clumps of 30 equal squares nine apart: every row's bound ties the
     # first row's maximum, so the visiting loop reaches all 60 rows of 30
-    # partners each, 1800 pairs; under a smaller cap it raises at the row
-    # that passes it, and the exact pairs asked for stay within cap + 30
+    # partners each, 1800 pairs; under a smaller cap the row-by-row sweep
+    # raises at the row that passes it, and the grouped sweep after its
+    # first row, before it asks for the 1770 pairs of the other 59
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cells = np.array([square] * 30 + [square + [10.0, 0.0]] * 30)
     budget = verifier._PairBudget(cap)
@@ -946,10 +961,35 @@ def test_forall_exists_asks_for_at_most_one_row_past_the_cap(cap, monkeypatch):
     if cap < 1800:
         with pytest.raises(CapExceededError):
             separation_sweep([cells], "forall_exists", Caps(pairs=cap))
-        assert sum(asked) <= cap + 30 and len(asked) == 2
+        assert asked == [30]
     else:
         sweep = separation_sweep([cells], "forall_exists", Caps(pairs=cap))
         assert (sweep.value, sweep.pair, asked) == (9.0, (0, 30), [30, 1770])
+
+
+def test_sweeps_charge_the_pairs_they_ask_for_on_the_benchmark_conjugates(monkeypatch):
+    # the seeded similarity conjugates of the sweep-shallow benchmark, seeds
+    # 1-20 at its full depths: both readings charge the pair cap exactly the
+    # pairs they pass to the exact kernel, and some koch d9 conjugates ask
+    # for rows their visiting loop does not reach, which the row-by-row
+    # sweep never charged
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    past_the_loop = 0
+    for seed in range(1, 21):
+        for s, name, _ in workloads.random_conjugates(seed):
+            t = build_tree(s, workloads.SWEEP_DEPTHS["full"][name])
+            stacks = [t.vertices[n][t.kept_rows(n)] for n in range(1, t.depth + 1)]
+            _sweep_per_depth(monkeypatch, stacks, "pairwise")
+            left = _sweep_per_depth(monkeypatch, stacks, "forall_exists")[1]
+            visited = verifier._PairBudget(10**9)
+            for v in stacks:
+                _depth_forall_exists(verifier.PairDistanceEvaluator(v), visited)
+            assert left <= visited.left, s.name
+            past_the_loop += left < visited.left
+    assert past_the_loop
 
 
 # ---------------------------------------------------------------------------
