@@ -5,8 +5,8 @@ error, 3 malformed scheme (including a singular child map, cell coordinates
 that reach the overflow bound 1e75, or an empty render view box), 4 unmet
 dynamics prerequisite, 5 any other library error, 6 an output (the --out
 file or stdout) could not be written, 7 internal error (a bug).  Files are
-written atomically (temp file, then rename) and are deterministic.  The
-tolerance flags are the fields of config.Tolerances, with its defaults.
+written atomically (temp file, then rename) and are deterministic.  A
+command has a flag, with its default, for each config.Tolerances field it reads.
 
 Scheme files given to `verify` are loaded with structural checks only, so
 geometric defects surface as named condition failures (exit 1) instead of a
@@ -26,7 +26,7 @@ from typing import Iterable
 
 from . import dynamics, render, verifier
 from .codespace import Address
-from .config import DEFAULT_CAPS, Caps, Tolerances
+from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import (
     CapExceededError,
     CoordinateRangeError,
@@ -60,7 +60,7 @@ class _OutputError(Exception):
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(**{f.name: getattr(args, f.name) for f in fields(Tolerances)})
+    return Tolerances(**{f.name: getattr(args, f.name) for f in fields(Tolerances) if hasattr(args, f.name)})
 
 
 def _caps(args: argparse.Namespace) -> Caps:
@@ -69,12 +69,12 @@ def _caps(args: argparse.Namespace) -> Caps:
     return DEFAULT_CAPS
 
 
-def _resolve_scheme(value: str, tol: Tolerances) -> Scheme:
+def _resolve_scheme(value: str) -> Scheme:
     """Builtin name, or path to a scheme document (structural checks only)."""
     if value in BUILTIN_NAMES:
         return builtin(value)
     try:
-        return load(Path(value).read_text(encoding="utf-8"), check_geometry=False, tol=tol)
+        return load(Path(value).read_text(encoding="utf-8"), check_geometry=False)
     except UnicodeDecodeError as exc:
         raise ParseError(f"scheme file {value!r} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
@@ -115,12 +115,12 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, tolerances: tuple[str, ...]) -> None:
     p.add_argument("--scheme", required=True, help="built-in name or scheme JSON path")
     p.add_argument("--depth", type=int, required=True)
-    for f in fields(Tolerances):
-        flag = "--lambda-max" if f.name == "lambda_max" else f"--tol-{f.name}"
-        p.add_argument(flag, dest=f.name, type=float, default=f.default)
+    for name in tolerances:
+        flag = "--lambda-max" if name == "lambda_max" else f"--tol-{name}"
+        p.add_argument(flag, dest=name, type=float, default=getattr(DEFAULT_TOLERANCES, name))
     p.add_argument("--force-cap", type=int, default=None, help="override all caps with this value")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
@@ -140,21 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("name", choices=BUILTIN_NAMES)
 
     p_verify = sub.add_parser("verify", help="check all subdivision conditions on a scheme")
-    _add_common(p_verify)
+    _add_common(p_verify, ("geom", "area", "sep", "lambda_max", "ratio"))
     p_verify.add_argument("--expect-ratio", type=float, default=None)
     p_verify.add_argument("--mode", choices=("pairwise", "forall-exists"), default="forall-exists")
 
     p_sep = sub.add_parser("separation", help="estimate the separation constant")
-    _add_common(p_sep)
+    _add_common(p_sep, ("sep",))
     p_sep.add_argument("--mode", choices=("pairwise", "forall-exists"), default="forall-exists")
 
     p_dyn = sub.add_parser("dynamics", help="generate finite-horizon chaos witnesses")
-    _add_common(p_dyn)
+    _add_common(p_dyn, ("geom", "sep"))
     p_dyn.add_argument("--horizon", type=int, default=64)
     p_dyn.add_argument("--mode", choices=("pairwise", "forall-exists"), default="forall-exists")
 
     p_render = sub.add_parser("render", help="emit a construction stage as SVG")
-    _add_common(p_render)
+    _add_common(p_render, ())
     p_render.add_argument("--subfractal", default=None, help="kept address prefix to highlight")
     return parser
 
@@ -172,8 +172,8 @@ def _cmd_verify(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps
 
 
 def _cmd_separation(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
-    est = dynamics.estimate_separation(s, args.depth, _mode(args), tol, caps)
-    _emit([f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}"], None)
+    est = dynamics.estimate_separation(s, args.depth, _mode(args), caps)
+    _emit([f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}"], args.out)
     return EXIT_OK if est.epsilon0 >= tol.sep else EXIT_FAIL
 
 
@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scheme":
             return _cmd_scheme(args)
         tol, caps = _tolerances(args), _caps(args)
-        return handlers[args.command](args, _resolve_scheme(args.scheme, tol), tol, caps)
+        return handlers[args.command](args, _resolve_scheme(args.scheme), tol, caps)
     except (_UsageError, UnknownAddressError, DepthOutOfRangeError, CapExceededError, EmptyTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

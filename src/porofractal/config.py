@@ -6,17 +6,18 @@ CLI) can override them; nothing downstream hardcodes these values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances for geometric predicates and condition checks.
+    """Finite positive tolerances for geometric predicates and condition checks.
 
     geom: absolute tolerance for geometric predicates (distances, containment).
     area: relative tolerance for measure identities (partition, overlap).
     sep: minimum separation constant considered positive.
-    lambda_max: largest per-step diameter decay factor that still counts as decay.
+    lambda_max: largest per-step diameter decay factor that still counts as decay (< 1).
     ratio: tolerance for ratio positivity and expected-ratio equality.
     """
 
@@ -28,8 +29,10 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"tolerance {f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"tolerance {f.name} must be finite and positive")
+        if not self.lambda_max < 1:
+            raise ValueError("tolerance lambda_max must be below 1")
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ def estimate_separation(
     s: Scheme,
     search_depth: int,
     mode: SeparationMode = "forall_exists",
-    tol: Tolerances = DEFAULT_TOLERANCES,
     caps: Caps = DEFAULT_CAPS,
 ) -> SeparationEstimate:
     """Best separation value over depths up to search_depth, with its pair."""
@@ -385,7 +384,7 @@ def chaos_report(
     prerequisite fails in the requested mode, since sensitivity and the
     orbit pair are then undefined.
     """
-    sep = estimate_separation(s, min(n, 4), mode, tol, caps)
+    sep = estimate_separation(s, min(n, 4), mode, caps)
     if sep.epsilon0 < tol.sep:
         raise NoSeparationError(
             f"separation {sep.epsilon0!r} in mode {mode!r} is below tolerance {tol.sep!r}"

@@ -153,9 +153,9 @@ def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: 
 # map application: one map, or stacks of maps and words over them
 
 
-def apply(m: AffineMap2, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> ConvexPolygon:
+def apply(m: AffineMap2, p: ConvexPolygon) -> ConvexPolygon:
     """Vertex-wise image of p under m, reordered ccw if m reverses orientation."""
-    _require_nonsingular(m, tol)
+    _require_nonsingular(m)
     # a nonsingular affine image of a convex ccw polygon is convex ccw
     return ConvexPolygon._unchecked(_images(p.vertices, m.linear[None], m.translation[None])[0])
 

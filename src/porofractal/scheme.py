@@ -53,8 +53,8 @@ class Scheme:
     measure_kind: MeasureKind = "area"
 
     def __post_init__(self) -> None:
-        if not 1 < self.m < self.M:
-            raise ValueError("split indices must satisfy 1 < m < M")
+        if not (isinstance(self.m, int) and isinstance(self.M, int) and 1 < self.m < self.M):
+            raise ValueError("split indices must be integers with 1 < m < M")
         if len(self.child_maps) != self.M:
             raise ValueError(f"expected {self.M} child maps, got {len(self.child_maps)}")
         if self.measure_kind not in ("area", "length"):
@@ -281,18 +281,6 @@ def dumps(s: Scheme) -> str:
     return json.dumps(to_document(s), indent=2)
 
 
-def _structural_errors(doc: dict) -> list[str]:
-    errors: list[str] = []
-    m, M = doc.get("m"), doc.get("M")
-    if not isinstance(m, int) or not isinstance(M, int):
-        return ["m and M must be integers"]
-    if m >= M:
-        errors.append("m < M violated")
-    if m <= 1:
-        errors.append("1 < m violated")
-    return errors
-
-
 def load(document: str | dict, check_geometry: bool = True, tol: Tolerances = DEFAULT_TOLERANCES) -> Scheme:
     """Parse and validate a scheme document.
 
@@ -313,9 +301,6 @@ def load(document: str | dict, check_geometry: bool = True, tol: Tolerances = DE
     for key in ("name", "m", "M", "measure", "base", "maps"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
-    structural = _structural_errors(doc)
-    if structural:
-        raise ValidationError(structural)
     try:
         base = ConvexPolygon(np.array(doc["base"], dtype=float))
         maps = tuple(

@@ -77,8 +77,11 @@ def check_ratio(t: CellTree, tol: Tolerances = DEFAULT_TOLERANCES, expected: flo
 
     Sweeps every kept parent at every depth; the observed minimum and maximum
     are the finite-depth evidence for the two uniform bounds the construction
-    requires.  With `expected` given, every single ratio must also match it.
+    requires.  With `expected` given, every single ratio must also match it;
+    a non-finite one raises ValueError, as NaN would fail no ratio.
     """
+    if expected is not None and not np.isfinite(expected):
+        raise ValueError(f"expected ratio {expected!r} is not finite")
     _require_depth(t, 1)
     s = t.scheme
     m, M = s.m, s.M

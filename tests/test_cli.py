@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from conftest import (
     WITNESS_INPUTS,
     overlapping_complement_carpet,
     report_json_oracle,
+    shrunk_complement_carpet,
     similarity_conjugate,
 )
 
@@ -196,6 +199,18 @@ def test_separation_carpet_pairwise_fails(capsys):
 def test_separation_carpet_forall_passes(capsys):
     assert run(["separation", "--scheme", "carpet", "--depth", "1", "--mode", "forall-exists"]) == 0
     assert abs(float(capsys.readouterr().out.split()[0]) - 1 / 3) <= 1e-9
+
+
+@pytest.mark.parametrize("scheme,mode,code", [("cantor", "forall-exists", 0), ("carpet", "pairwise", 1)])
+def test_separation_out_writes_the_printed_line(scheme, mode, code, tmp_path, capsys):
+    # the file holds the line stdout gets, without its newline, as a
+    # report file holds the report; the exit code does not change
+    args = ["separation", "--scheme", scheme, "--depth", "2", "--mode", mode]
+    assert run(args) == code
+    printed = capsys.readouterr().out
+    out = tmp_path / "separation.txt"
+    assert run([*args, "--out", str(out)]) == code
+    assert capsys.readouterr().out == "" and out.read_text() + "\n" == printed
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +533,7 @@ def _run_altered(doc: dict, args: list, tmp_path) -> tuple[int, str]:
     path, out = tmp_path / "scheme.json", tmp_path / "out.txt"
     path.write_text(json.dumps(doc))
     out.unlink(missing_ok=True)
-    code = run([args[0], "--scheme", str(path), "--depth", str(args[1]), "--out", str(out)] if args[0] != "separation" else [args[0], "--scheme", str(path), "--depth", str(args[1])])
+    code = run([args[0], "--scheme", str(path), "--depth", str(args[1]), "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
 
 
@@ -563,18 +578,61 @@ _EXTREMES = st.builds(
 )
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def _near_parallel_rows(name: str, j: int, r: int, eps: float) -> dict:
+    # row r of map j's linear part set to the other row plus eps times
+    # itself, so its determinant is eps times the old one
+    doc = to_document(builtin(name))
+    linear = doc["maps"][j]["linear"]
+    linear[r] = [a + eps * b for a, b in zip(linear[1 - r], linear[r])]
+    return doc
+
+
+def _near_collinear_vertex(name: str, i: int, t: float, eps: float) -> dict:
+    # base vertex i moved to eps times the edge length off the line through
+    # its two neighbours, at parameter t along them, on its own side
+    doc = to_document(builtin(name))
+    v = np.array(doc["base"])
+    a, b = v[i - 1], v[(i + 1) % len(v)]
+    normal = np.array([a[1] - b[1], b[0] - a[0]])
+    doc["base"][i] = (a + t * (b - a) + np.sign(normal @ (v[i] - a)) * eps * normal).tolist()
+    return doc
+
+
+def _perturbed(name: str, seed: int) -> dict:
+    # every coefficient times 1 + u, with u uniform in [-1e-6, 1e-6]
+    rng = np.random.default_rng(seed)
+    doc = to_document(builtin(name))
+
+    def nudge(c: list) -> list:
+        return (np.array(c) * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, np.shape(c)))).tolist()
+
+    doc["base"] = nudge(doc["base"])
+    for mp in doc["maps"]:
+        mp["linear"], mp["translation"] = nudge(mp["linear"]), nudge(mp["translation"])
+    return doc
+
+
+_TINY = st.floats(-14.0, -6.0).map(lambda e: 10.0**e)
+# a built-in with one coefficient at an extreme magnitude, one child map
+# nearly singular, its base nearly degenerate (cantor's segment has no third
+# vertex), or every coefficient perturbed
+_DOCUMENTS = st.one_of(
+    st.builds(_altered, st.sampled_from(BUILTIN_NAMES), _COEFFICIENTS, _EXTREMES),
+    st.builds(_near_parallel_rows, st.sampled_from(BUILTIN_NAMES), st.integers(0, 2), st.integers(0, 1), _TINY),
+    st.builds(_near_collinear_vertex, st.sampled_from(["carpet", "pascal3", "koch"]), st.integers(0, 2), st.floats(0.1, 0.9), _TINY),
+    st.builds(_perturbed, st.sampled_from(BUILTIN_NAMES), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    name=st.sampled_from(BUILTIN_NAMES),
-    where=_COEFFICIENTS,
-    value=_EXTREMES,
+    doc=_DOCUMENTS,
     args=st.tuples(st.sampled_from(["verify", "separation", "render", "dynamics"]), st.integers(2, 3)).map(list),
 )
-def test_extreme_coefficients_never_crash_or_print_nonfinite_values(name, where, value, args, tmp_path, capsys):
-    # one coefficient of a built-in set to an extreme finite value: the run
-    # gives a verdict (0 or 1), or refuses the scheme (3) or its dynamics
-    # prerequisite (4), and prints no non-finite number
-    code, text = _run_altered(_altered(name, where, value), args, tmp_path)
+def test_extreme_coefficients_never_crash_or_print_nonfinite_values(doc, args, tmp_path, capsys):
+    # the run gives a verdict (0 or 1), or refuses the scheme (3) or its
+    # dynamics prerequisite (4), and prints no non-finite number
+    code, text = _run_altered(doc, args, tmp_path)
     out, err = capsys.readouterr()
     assert code in (0, 1, 3, 4) and "Traceback" not in err, err
     assert not re.search(r"\b(-?inf|nan|Infinity|NaN)\b", out + text)
@@ -605,12 +663,54 @@ def test_unexpected_exception_exits_7(monkeypatch, capsys):
     assert err.startswith("internal error: RuntimeError: boom") and "Traceback" not in err
 
 
-def test_tolerance_flags_default_to_config():
+_TOLERANCE_FLAGS = {
+    "verify": {"--tol-geom", "--tol-area", "--tol-sep", "--lambda-max", "--tol-ratio"},
+    "separation": {"--tol-sep"},
+    "dynamics": {"--tol-geom", "--tol-sep"},
+    "render": set(),
+}
+
+
+def test_tolerance_flags_default_to_config(capsys):
+    # each command takes a flag for exactly the tolerances it reads, and
+    # refuses the others as a usage error; with no flag given, every field
+    # keeps the config default
     from porofractal.cli import _tolerances, build_parser
 
-    for command in ("verify", "separation", "dynamics", "render"):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    every = set.union(*_TOLERANCE_FLAGS.values())
+    for command, flags in _TOLERANCE_FLAGS.items():
+        options = {s for a in commands[command]._actions for s in a.option_strings}
+        assert options & every == flags, command
+        for flag in sorted(every - flags):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--scheme", "carpet", "--depth", "2", flag, "1e-3"])
+            assert exc.value.code == 2 and f"unrecognized arguments: {flag}" in capsys.readouterr().err
         args = build_parser().parse_args([command, "--scheme", "carpet", "--depth", "2"])
         assert _tolerances(args) == DEFAULT_TOLERANCES
+
+
+@pytest.mark.parametrize(
+    "scheme,depth,option,message",
+    [
+        ("carpet", 2, ["--expect-ratio", "nan"], "expected ratio nan is not finite"),
+        ("carpet", 2, ["--expect-ratio", "inf"], "expected ratio inf is not finite"),
+        ("gap", 3, ["--tol-geom", "inf"], "tolerance geom must be finite and positive"),
+        ("carpet", 2, ["--lambda-max", "1"], "tolerance lambda_max must be below 1"),
+    ],
+    ids=["nan-ratio", "inf-ratio", "inf-geom", "unit-lambda"],
+)
+def test_values_that_make_a_check_vacuous_exit_2(scheme, depth, option, message, tmp_path, capsys):
+    # a NaN expected ratio fails no ratio, an infinite one or an infinite
+    # geometric tolerance prints Infinity, and the last passes the gap
+    # carpet's failing adjacency; a decay factor of 1 is no decay
+    if scheme == "gap":
+        scheme = tmp_path / "gap.json"
+        scheme.write_text(dumps(shrunk_complement_carpet()))
+        assert run(["verify", "--scheme", str(scheme), "--depth", str(depth)]) == 1
+        capsys.readouterr()
+    assert run(["verify", "--scheme", str(scheme), "--depth", str(depth), *option]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_tol_ratio_reaches_report(tmp_path):

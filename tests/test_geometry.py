@@ -873,3 +873,29 @@ def test_public_names_have_callers_outside_tests():
     # read, whatever the owner: the match is by name only, so methods that
     # share a name, as the witnesses' to_dict do, pass or fail together
     assert [f"{cls}.{name}" for cls, name in methods if name not in read | named] == []
+
+
+def test_public_parameters_are_read():
+    # every parameter of a public function, or of a public method of a
+    # public class, is read in its body: a parameter nothing reads is an
+    # option that changes nothing
+    src = Path(__file__).resolve().parents[1] / "src" / "porofractal"
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        functions = [(node.name, node) for node in body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (f"{node.name}.{item.name}", item)
+            for node in body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        ]
+        for name, fn in functions:
+            if name.rsplit(".", 1)[-1].startswith("_"):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{name}({p})" for p in params if p not in ("self", "cls") and p not in read]
+    assert unread == []

@@ -125,6 +125,15 @@ def test_load_rejects_m_equal_M():
     assert any("m < M" in v for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("m,M", [(1, 9), (9, 8), (2.0, 9), ("8", 9), (8, 9.0)], ids=["m1", "m-above-M", "float-m", "str-m", "float-M"])
+def test_load_rejects_split_indices_that_are_not_integers_above_1(m, M):
+    # one rule, in Scheme itself: integers with 1 < m < M; on a relaxed load too
+    doc = {**to_document(builtin("carpet")), "m": m, "M": M}
+    with pytest.raises(ValidationError) as exc:
+        load(doc, check_geometry=False)
+    assert exc.value.violations == ["split indices must be integers with 1 < m < M"]
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(ParseError):
         load("{not json")
