@@ -139,16 +139,6 @@ class AffineMap2:
         return AffineMap2(inv, -inv @ self.translation)
 
 
-def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: bool = False) -> AffineMap2:
-    """Similarity of the given ratio: rotation by `angle` (radians), optional
-    reflection across the x-axis applied first."""
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    if reflect:
-        rot = rot @ np.diag([1.0, -1.0])
-    return AffineMap2(scale * rot, np.asarray(translation, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # map application: one map, or stacks of maps and words over them
 
@@ -332,11 +322,6 @@ def _inside(points: np.ndarray, cells: np.ndarray, tol: float) -> np.ndarray:
         return (cross / np.hypot(e[..., 0], e[..., 1]) >= -tol).all(axis=1)
 
 
-def point_in_polygon(point, p: ConvexPolygon, tol: float = _CONSTRUCTION_TOL) -> bool:
-    """True if the point lies in the closed polygon, within distance tol."""
-    return bool(_inside(np.asarray(point, dtype=float).reshape(1, 2), p.vertices[None], tol)[0])
-
-
 def point_distances(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Distances from the points (P, 2) to the closed convex polygons of a
     (P, V, 2) stack, row by row (0 inside): the least distance to an edge,
@@ -400,18 +385,6 @@ def _zero_nested(d: np.ndarray, a: tuple, b: tuple) -> None:
         d[k[_inside(pa[:, 0], pb, 0.0) | _inside(pb[:, 0], pa, 0.0)]] = 0.0
 
 
-def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Minimum Euclidean distance between two closed convex polygons, as
-    `PairDistanceEvaluator.distances` reads it.
-
-    Zero when they touch, overlap, or one contains the other.
-    """
-    A, B, row = a.vertices[None], b.vertices[None], np.zeros(1, dtype=np.intp)
-    d = _pair_distances(A, B)
-    _zero_nested(d, (A, A.min(axis=1), A.max(axis=1), row), (B, B.min(axis=1), B.max(axis=1), row))
-    return float(d[0])
-
-
 # the most float64 elements that one work array of a batched kernel may hold:
 # every kernel that runs over a level, a pair list or a candidate list steps
 # through it in chunks of `_chunk_rows(width)` rows, so its working memory is
@@ -435,8 +408,8 @@ def _json_chunks(doc, default=None) -> Iterator[str]:
 
 
 class PairDistanceEvaluator:
-    """Batched min_distance queries over a fixed polygon set, given as a
-    (k, V, 2) vertex stack.
+    """Batched distance queries over a fixed set of closed convex polygons,
+    given as a (k, V, 2) vertex stack.
 
     Bounding boxes and centroids are computed once, so sweeps that evaluate
     many index pairs against the same cells stay cheap.  Each chunk of index
@@ -460,13 +433,13 @@ class PairDistanceEvaluator:
         self.centroids = total / V
 
     def box_gaps(self, ii, jj) -> np.ndarray:
-        """Bounding-box gaps of the index pairs: lower bounds on min_distance."""
+        """Bounding-box gaps of the index pairs: lower bounds on their distances."""
         return _box_gaps(self.lo[ii], self.hi[ii], self.lo[jj], self.hi[jj])
 
     def farthest_box_gaps(self, bounds: Sequence[int]) -> np.ndarray:
         """max_j box_gaps(i, j) over eight polygons j of i's span, span s
         being bounds[s]:bounds[s + 1], for every polygon i: a lower bound on
-        its largest min_distance to any polygon of its span.
+        its largest distance to any polygon of its span.
 
         The eight are the span's directional extremes, each the first box
         where one key is largest: lo_x, lo_y, -hi_x, -hi_y, and the sums of
@@ -496,9 +469,10 @@ class PairDistanceEvaluator:
         return out
 
     def distances(self, ii, jj) -> np.ndarray:
-        """Exact min_distance for the index pairs (ii[k], jj[k]), a chunk of
-        pairs at a time: each pair's distance and containment test are its
-        own, so the chunking does not change a bit."""
+        """Exact distances of the index pairs (ii[k], jj[k]), 0 where the two
+        touch, overlap, or one holds the other, a chunk of pairs at a time:
+        each pair's distance and containment test are its own, so the
+        chunking does not change a bit."""
         ii = np.asarray(ii, dtype=int)
         jj = np.asarray(jj, dtype=int)
         n = ii.shape[0]

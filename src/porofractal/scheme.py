@@ -15,12 +15,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
 from .codespace import Address, Code
-from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
+from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps
 from .errors import CapExceededError, ParseError, UnknownSchemeError, ValidationError
 from .geometry import (
     AffineMap2,
@@ -76,11 +75,10 @@ class Scheme:
 
 @dataclass(frozen=True, eq=False)
 class Cell:
-    """One realized construction piece: its address, polygon and kind."""
+    """One kept construction piece: its address and polygon."""
 
     address: Address
     polygon: ConvexPolygon
-    kind: str  # "kept" | "complement"
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +86,9 @@ class CellTree:
     """Per-depth read-only cell vertices (N, V, 2); level 0 holds the base.
 
     Row p*M + (j-1) of level n holds child j of the p-th kept cell of level
-    n-1, so an address is the digits of its row and is never stored; its
-    map is `accumulated_map` of its symbols.  `levels` and `kept_cells`
-    make a Cell only when one is indexed.
+    n-1, so an address is the digits of its row and is never stored.
+    `levels` is another name for `vertices`, and `kept_cells` reads one
+    level's kept rows as Cells.
     """
 
     scheme: Scheme
@@ -98,10 +96,8 @@ class CellTree:
     vertices: tuple[np.ndarray, ...]
 
     @property
-    def levels(self) -> tuple["_CellView", ...]:
-        # not cached: views refer to the tree, and a cycle would keep every
-        # tree's arrays alive until the cyclic garbage collector runs
-        return tuple(_CellView(self, n, np.arange(v.shape[0])) for n, v in enumerate(self.vertices))
+    def levels(self) -> tuple[np.ndarray, ...]:
+        return self.vertices
 
     def kept_rows(self, depth: int) -> np.ndarray:
         """Rows of the kept cells of a level, in address order."""
@@ -111,47 +107,26 @@ class CellTree:
         """Rows of the complement cells of a level, in address order."""
         return np.flatnonzero(np.arange(self.vertices[depth].shape[0]) % self.scheme.M >= self.scheme.m)
 
-    def symbols(self, depth: int, rows: np.ndarray) -> np.ndarray:
-        """Address symbols of the given rows of a level, one row each."""
-        if not depth:
-            return np.zeros((len(rows), 0), dtype=np.intp)
-        # a row's digits: the kept-parent index in base m, then j - 1
-        radix = (self.scheme.m,) * (depth - 1) + (self.scheme.M,)
-        return np.stack(np.unravel_index(rows, radix), axis=1) + 1
-
     def address(self, depth: int, row: int) -> Address:
+        """Address of one row of a level: the row's digits are the kept-parent
+        index in base m, then j - 1."""
+        if not 0 <= depth <= self.depth:
+            raise IndexError(f"depth {depth} outside 0..{self.depth}")
         if not 0 <= row < self.vertices[depth].shape[0]:
             raise IndexError(f"row {row} outside level {depth}")
-        return Address(tuple(self.symbols(depth, [row])[0].tolist()), self.scheme.m, self.scheme.M)
+        m, M = self.scheme.m, self.scheme.M
+        p, digits = int(row), []
+        for radix in ((M,) + (m,) * (depth - 1))[:depth]:
+            p, d = divmod(p, radix)
+            digits.append(d + 1)
+        return Address(tuple(digits[::-1]), m, M)
 
-    def _cells(self, depth: int, rows: Sequence[int]) -> list[Cell]:
-        # the rows are decoded in one `symbols` call
-        cells, (m, M) = [], (self.scheme.m, self.scheme.M)
-        for r, w in zip(rows, self.symbols(depth, np.array(rows, dtype=np.intp)).tolist()):
-            kind = "kept" if r % M < m else "complement"
-            cells.append(Cell(Address(tuple(w), m, M), ConvexPolygon._unchecked(self.vertices[depth][r]), kind))
-        return cells
-
-    def kept_cells(self, depth: int) -> "_CellView":
-        return _CellView(self, depth, self.kept_rows(depth))
-
-
-class _CellView(Sequence):
-    """Some rows of one tree level, read as Cells made on demand."""
-
-    def __init__(self, tree: CellTree, depth: int, rows: np.ndarray):
-        self._tree, self._depth, self._rows = tree, depth, rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self._tree._cells(self._depth, self._rows[i].tolist()))
-        return self._tree._cells(self._depth, [int(self._rows[i])])[0]
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self._tree._cells(self._depth, self._rows.tolist()))
+    def kept_cells(self, depth: int) -> tuple[Cell, ...]:
+        """The kept cells of a level in address order: the k-th kept row's
+        address is k in base m, the order of `itertools.product`."""
+        m, M = self.scheme.m, self.scheme.M
+        level, words = self.vertices[depth], itertools.product(range(1, m + 1), repeat=depth)
+        return tuple(Cell(Address(w, m, M), ConvexPolygon._unchecked(level[r])) for w, r in zip(words, self.kept_rows(depth).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +190,16 @@ def builtin(name: str) -> Scheme:
 # validation
 
 
-def validate_geometry(s: Scheme, tol: Tolerances = DEFAULT_TOLERANCES) -> list[str]:
+def validate_geometry(s: Scheme) -> list[str]:
     """All geometric construction violations of a scheme (empty when valid).
 
     Checks per-map nonsingularity, contractivity of the kept maps, child
     containment in the base, pairwise interior disjointness, and the
     partition identity.  Complement maps may be non-contractive: their cells
-    are leaves, so only the kept maps drive convergence.
+    are leaves, so only the kept maps drive convergence.  The tolerances
+    are `DEFAULT_TOLERANCES`.
     """
-    violations: list[str] = []
-    nonsingular = []
+    tol, violations, nonsingular = DEFAULT_TOLERANCES, [], []
     for j, cm in enumerate(s.child_maps, 1):
         if abs(cm.det) <= tol.geom:
             violations.append(f"child map {j} is singular")
@@ -281,7 +256,7 @@ def dumps(s: Scheme) -> str:
     return json.dumps(to_document(s), indent=2)
 
 
-def load(document: str | dict, check_geometry: bool = True, tol: Tolerances = DEFAULT_TOLERANCES) -> Scheme:
+def load(document: str | dict, check_geometry: bool = True) -> Scheme:
     """Parse and validate a scheme document.
 
     Raises ParseError for malformed documents and ValidationError listing
@@ -314,7 +289,7 @@ def load(document: str | dict, check_geometry: bool = True, tol: Tolerances = DE
     except ValueError as exc:
         raise ValidationError([str(exc)]) from exc
     if check_geometry:
-        violations = validate_geometry(s, tol)
+        violations = validate_geometry(s)
         if violations:
             raise ValidationError(violations)
     return s
@@ -322,22 +297,6 @@ def load(document: str | dict, check_geometry: bool = True, tol: Tolerances = DE
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def accumulated_map(s: Scheme, symbols: tuple[int, ...]) -> AffineMap2:
-    """Composition child_maps[i1] o ... o child_maps[in] (first symbol outermost).
-
-    The outer-first order makes every child cell a subset of its parent cell.
-    """
-    if not all(1 <= j <= s.M for j in symbols):
-        raise ValueError(f"child indices must lie in 1..{s.M}")
-    L, T = _fold(s._children, np.array([symbols], dtype=np.intp))
-    return AffineMap2(L[0], T[0])
-
-
-def address_polygon(s: Scheme, address: Address) -> ConvexPolygon:
-    """The cell polygon realized by an address, without building a tree."""
-    return ConvexPolygon._unchecked(address_vertices(s, [address])[0])
 
 
 def address_vertices(s: Scheme, words: Sequence[Address]) -> np.ndarray:

@@ -9,9 +9,8 @@ import pytest
 
 from porofractal.codespace import Address, Code
 from porofractal.dynamics import chaos_report
-from porofractal.geometry import AffineMap2, ConvexPolygon, _chunk_rows, apply, compose, diameters, measure, measures
-from porofractal.geometry import min_distance, similarity_map
-from porofractal.scheme import BUILTIN_NAMES, Cell, CellTree, Scheme, build_tree, builtin
+from porofractal.geometry import AffineMap2, ConvexPolygon, _chunk_rows, _pair_distances, _zero_nested, apply, compose, diameters, measure, measures
+from porofractal.scheme import BUILTIN_NAMES, CellTree, Scheme, build_tree, builtin
 
 
 @pytest.fixture(scope="session")
@@ -252,16 +251,27 @@ def symbol_at_oracle(c: Code, i: int) -> int:
     raise IndexError(f"index {i} beyond the declared horizon {len(c.preperiod)}")
 
 
+def address_oracle(t: CellTree, n: int, rows: np.ndarray) -> np.ndarray:
+    """Address symbols (R, n) of some rows of level n, all digits at once by
+    `np.unravel_index` over the radix (m,)*(n-1) + (M,): the oracle for
+    CellTree.address."""
+    if not n:
+        return np.zeros((len(rows), 0), dtype=np.intp)
+    radix = (t.scheme.m,) * (n - 1) + (t.scheme.M,)
+    return np.stack(np.unravel_index(rows, radix), axis=1) + 1
+
+
 @lru_cache(maxsize=4)
 def _tree_rows(t: CellTree, n: int) -> dict[tuple[int, ...], int]:
-    return {tuple(w): row for row, w in enumerate(t.symbols(n, np.arange(t.vertices[n].shape[0])).tolist())}
+    return {tuple(w): row for row, w in enumerate(address_oracle(t, n, np.arange(t.vertices[n].shape[0])).tolist())}
 
 
-def tree_cell(t: CellTree, address: Address) -> Cell:
-    """The tree's own cell with this address, found by decoding every row of
-    its level and matching the symbols; unlike scheme.address_polygon, it
-    does not fold the address through the maps the tree was built with."""
-    return t.levels[len(address)][_tree_rows(t, len(address))[address.symbols]]
+def tree_polygon(t: CellTree, address: Address) -> ConvexPolygon:
+    """The tree's own cell polygon with this address, found by decoding
+    every row of its level and matching the symbols; unlike
+    scheme.address_vertices, it does not fold the address through the maps
+    the tree was built with."""
+    return ConvexPolygon._unchecked(t.vertices[len(address)][_tree_rows(t, len(address))[address.symbols]])
 
 
 def build_levels_oracle(s: Scheme, depth: int) -> list[tuple[list[Address], np.ndarray, np.ndarray]]:
@@ -399,7 +409,7 @@ def point_distance_oracle(q: np.ndarray, v: np.ndarray) -> float:
 
 def min_distance_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Edge-pair route to the distance of two closed convex polygons: the
-    oracle for geometry.min_distance and PairDistanceEvaluator.
+    oracle for PairDistanceEvaluator.distances and `min_distance` below.
 
     Every edge of a meets every edge of b; a pair is apart by the least of
     its four end-to-segment distances, or 0 when the edges properly cross
@@ -434,6 +444,16 @@ def min_distance_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return dist
 
 
+def min_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
+    """Distance of two closed convex polygons of any vertex counts, by the
+    kernels of PairDistanceEvaluator.distances (which takes one (k, V, 2)
+    stack): 0 when they touch, overlap, or one holds the other."""
+    A, B, row = a.vertices[None], b.vertices[None], np.zeros(1, dtype=np.intp)
+    d = _pair_distances(A, B)
+    _zero_nested(d, (A, A.min(axis=1), A.max(axis=1), row), (B, B.min(axis=1), B.max(axis=1), row))
+    return float(d[0])
+
+
 def min_distance_matrix(polys: list[ConvexPolygon]) -> np.ndarray:
     """Symmetric matrix of pairwise scalar min_distance values (diagonal
     zero): the brute-force oracle for the separation sweeps."""
@@ -442,6 +462,16 @@ def min_distance_matrix(polys: list[ConvexPolygon]) -> np.ndarray:
     for i, j in itertools.combinations(range(n), 2):
         mat[i, j] = mat[j, i] = min_distance(polys[i], polys[j])
     return mat
+
+
+def similarity_map(scale: float, angle: float, translation=(0.0, 0.0), reflect: bool = False) -> AffineMap2:
+    """Similarity of the given ratio: rotation by `angle` (radians), optional
+    reflection across the x-axis applied first."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    if reflect:
+        rot = rot @ np.diag([1.0, -1.0])
+    return AffineMap2(scale * rot, np.asarray(translation, dtype=float))
 
 
 def similarity_conjugate(s: Scheme, g: AffineMap2) -> Scheme:

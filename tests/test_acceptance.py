@@ -13,12 +13,12 @@ import numpy as np
 from porofractal.cli import main as cli_main
 from porofractal.codespace import Address, Code, shift
 from porofractal.dynamics import chaos_report, realization_bound
-from porofractal.geometry import Point2, measure
+from porofractal.geometry import Point2, measures
 from porofractal.ifs import compose_word, from_scheme, inverse_shift
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, realize_point
 from porofractal.verifier import check_accumulation, check_adjacency, check_diameter, check_ratio, check_separation
 
-from conftest import overlapping_complement_carpet, shrunk_complement_carpet, tree_cell
+from conftest import overlapping_complement_carpet, shrunk_complement_carpet, tree_polygon
 
 
 @contextmanager
@@ -115,9 +115,9 @@ def test_criterion_6_scheme_ifs_cross_validation(make_tree):
             t = make_tree(name, 4)
             for n in range(1, 5):
                 for w in kept_words(s.m, n):
-                    cell = tree_cell(t, Address(w, s.m, s.M))
+                    cell = tree_polygon(t, Address(w, s.m, s.M))
                     poly = compose_word(sys_, Address(w, s.m, s.m))
-                    assert np.allclose(poly.vertices, cell.polygon.vertices, rtol=0, atol=1e-9), (name, w)
+                    assert np.allclose(poly.vertices, cell.vertices, rtol=0, atol=1e-9), (name, w)
 
 
 def test_criterion_7_conjugacy():
@@ -163,15 +163,13 @@ def test_criterion_9_combinatorics(make_tree):
             t = make_tree(name, 4)
             for n in range(1, 5):
                 assert len(t.kept_cells(n)) == s.m**n
-                comps = [c for c in t.levels[n] if c.kind == "complement"]
-                assert len(comps) == s.m ** (n - 1) * (s.M - s.m)
+                assert len(t.complement_rows(n)) == s.m ** (n - 1) * (s.M - s.m)
             for n in range(0, 4):
-                parents = [c for c in t.levels[n] if c.kind == "kept"]
-                for p_idx, parent in enumerate(parents):
-                    children = t.levels[n + 1][p_idx * s.M : (p_idx + 1) * s.M]
-                    assert all(c.address.symbols[:-1] == parent.address.symbols for c in children)
-                    total = sum(measure(c.polygon, s.measure_kind) for c in children)
-                    parent_mu = measure(parent.polygon, s.measure_kind)
+                for p_idx, row in enumerate(t.kept_rows(n).tolist()):
+                    block = range(p_idx * s.M, (p_idx + 1) * s.M)
+                    assert all(t.address(n + 1, r).symbols[:-1] == t.address(n, row).symbols for r in block)
+                    total = sum(measures(t.vertices[n + 1][block.start : block.stop], s.measure_kind).tolist())
+                    parent_mu = measures(t.vertices[n][row : row + 1], s.measure_kind)[0]
                     assert abs(total - parent_mu) <= 1e-12 * parent_mu, (name, n)
 
 

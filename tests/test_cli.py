@@ -19,7 +19,6 @@ from porofractal.dynamics import ChaosWitnessReport
 from porofractal.codespace import Address
 from porofractal.config import DEFAULT_TOLERANCES
 from porofractal.errors import OutsideAttractorError
-from porofractal.geometry import similarity_map
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin, dumps, load, to_document
 from porofractal.verifier import VerificationReport, full_verify
 
@@ -30,6 +29,7 @@ from conftest import (
     report_json_oracle,
     shrunk_complement_carpet,
     similarity_conjugate,
+    similarity_map,
 )
 
 

@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +16,15 @@ from porofractal.geometry import (
     AffineMap2,
     ConvexPolygon,
     PairDistanceEvaluator,
+    _inside,
     apply,
     box_overlap_pairs,
     compose,
     diameter,
     measure,
-    min_distance,
     overlap_areas,
     overlap_measures,
     point_distances,
-    point_in_polygon,
-    similarity_map,
 )
 from porofractal.scheme import build_tree, builtin
 
@@ -36,6 +33,7 @@ from conftest import (
     clip_by_convex,
     contains_oracle,
     image_oracle,
+    min_distance,
     min_distance_matrix,
     min_distance_oracle,
     oracle_intersection_area,
@@ -44,7 +42,8 @@ from conftest import (
     point_distance_oracle,
     segment_overlap_length_oracle,
     similarity_conjugate,
-    tree_cell,
+    similarity_map,
+    tree_polygon,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -131,7 +130,8 @@ def test_diameter_koch_base_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# min_distance
+# polygon distance: the evaluator's kernels on one pair, as conftest's
+# min_distance runs them
 
 
 def test_min_distance_cantor_gap():
@@ -189,7 +189,7 @@ def _sample_polygon(poly, n_edge=120, n_grid=24):
     x0, y0, x1, y1 = poly.bbox()
     gx, gy = np.meshgrid(np.linspace(x0, x1, n_grid), np.linspace(y0, y1, n_grid))
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = np.array([point_in_polygon(p, poly, tol=0.0) for p in grid])
+    inside = _inside(grid, np.broadcast_to(poly.vertices, (len(grid),) + poly.vertices.shape), 0.0)
     pts.append(grid[inside])
     return np.vstack(pts)
 
@@ -245,8 +245,8 @@ def test_min_distance_rotated_collinear_cantor_cells():
     maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
     rotated = dataclasses.replace(s, base=apply(g, s.base), child_maps=maps)
     t = build_tree(rotated, 4)
-    a = tree_cell(t, Address((1, 1, 2, 2), 2, 3)).polygon
-    b = tree_cell(t, Address((1, 2, 2, 2), 2, 3)).polygon
+    a = tree_polygon(t, Address((1, 1, 2, 2), 2, 3))
+    b = tree_polygon(t, Address((1, 2, 2, 2), 2, 3))
     assert min_distance(a, b) == pytest.approx(17 / 81, abs=1e-12)
     ev = PairDistanceEvaluator(np.stack([a.vertices, b.vertices]))
     assert ev.distances([0, 1], [1, 0]) == pytest.approx([17 / 81] * 2, abs=1e-12)
@@ -471,7 +471,13 @@ def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
     g_inv = g.inverse()
     maps = tuple(compose(g, compose(w, g_inv)) for w in s.child_maps)
     t = build_tree(dataclasses.replace(s, base=apply(g, s.base), child_maps=maps), 4)
-    cases.append(tuple(tree_cell(t, Address(w, 2, 3)).polygon.vertices for w in [(1, 1, 2, 2), (1, 2, 2, 2)]))
+    cases.append(tuple(tree_polygon(t, Address(w, 2, 3)).vertices for w in [(1, 1, 2, 2), (1, 2, 2, 2)]))
+    # a vertex at the midpoint of an edge: rounding leaves the boundaries
+    # about 1e-17 apart, and neither bounding box holds the other, so no
+    # containment test turns that into 0
+    rng = np.random.default_rng(121)
+    a, b = _random_ngon(rng, 4).vertices, _random_ngon(rng, 4).vertices
+    cases.append((a, b - b[0] + (a[0] + a[1]) / 2.0))
     for a, b in cases:
         pa, pb = ConvexPolygon._unchecked(a), ConvexPolygon._unchecked(b)
         assert min_distance(pa, pb) == min_distance_oracle(a, b)
@@ -479,19 +485,6 @@ def test_min_distance_bitwise_matches_edge_pair_oracle_on_special_cases():
         if a.shape == b.shape:
             got = PairDistanceEvaluator(np.stack([a, b])).distances([0, 1], [1, 0])
             assert got.tolist() == [min_distance_oracle(a, b), min_distance_oracle(b, a)]
-
-
-def test_min_distance_reads_touching_pairs_as_the_evaluator():
-    # a vertex of b at the midpoint of an edge of a: rounding leaves the
-    # boundaries about 1e-17 apart, and neither bounding box holds the
-    # other, so neither route turns that into 0 by a containment test
-    rng = np.random.default_rng(121)
-    a, b = _random_ngon(rng, 4).vertices, _random_ngon(rng, 4).vertices
-    b = b - b[0] + (a[0] + a[1]) / 2.0
-    got = PairDistanceEvaluator(np.stack([a, b])).distances([0, 1], [1, 0])
-    assert 0.0 < got[0] < 1e-16
-    pa, pb = ConvexPolygon._unchecked(a), ConvexPolygon._unchecked(b)
-    assert [min_distance(pa, pb), min_distance(pb, pa)] == got.tolist()
 
 
 def test_pair_distance_evaluator_bitwise_matches_oracle_on_levels():
@@ -527,7 +520,7 @@ def test_point_distances_bitwise_match_scalar_oracle():
         assert point_distances(points, cells).tolist() == want, k
         assert [point_distances(q[None], v[None])[0] for q, v in zip(points, cells)] == want, k
         for tol in (0.0, 1e-9):
-            got = [point_in_polygon(q, ConvexPolygon._unchecked(v), tol) for q, v in zip(points, cells)]
+            got = _inside(points, cells, tol).tolist()
             assert got == [contains_oracle(v, q, tol) for q, v in zip(points, cells)], (k, tol)
 
 
@@ -830,9 +823,9 @@ def test_private_names_cross_modules_only_from_geometry():
 
 def test_public_names_have_callers_outside_tests():
     # a public module-level function or class is used or imported elsewhere
-    # in src/, by a demo or the benchmark, or named in backticks in the
-    # README, and so is a public method or property of a public class; a
-    # name only tests reach is dead API
+    # in src/, by a demo or the benchmark, and so is a public method or
+    # property of a public class; a name only tests or the README reach is
+    # dead API
     root = Path(__file__).resolve().parents[1]
     modules = sorted((root / "src" / "porofractal").glob("*.py"))
     scripts = sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
@@ -866,13 +859,11 @@ def test_public_names_have_callers_outside_tests():
                     used.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-    # a README span names one object, as `verifier.separation_sweep` does
-    named = set(re.findall(r"`(?:\w+\.)*(\w+)`", (root / "README.md").read_text()))
-    assert [name for name in defined if name not in used | named] == []
+    assert [name for name in defined if name not in used] == []
     # a method or property counts as used when an attribute of its name is
     # read, whatever the owner: the match is by name only, so methods that
     # share a name, as the witnesses' to_dict do, pass or fail together
-    assert [f"{cls}.{name}" for cls, name in methods if name not in read | named] == []
+    assert [f"{cls}.{name}" for cls, name in methods if name not in read] == []
 
 
 def test_public_parameters_are_read():

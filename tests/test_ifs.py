@@ -30,7 +30,7 @@ from conftest import (
     iterate_attractor_oracle,
     total_measure_oracle,
     symbol_at_oracle,
-    tree_cell,
+    tree_polygon,
 )
 
 
@@ -199,9 +199,9 @@ def test_compose_word_matches_tree_cells(name, make_tree):
     t = make_tree(name, 4)
     for n in range(1, 5):
         for w in kept_words(s.m, n):
-            cell = tree_cell(t, Address(w, s.m, s.M))
+            cell = tree_polygon(t, Address(w, s.m, s.M))
             poly = compose_word(sys_, Address(w, s.m, s.m))
-            assert np.allclose(poly.vertices, cell.polygon.vertices, rtol=0, atol=1e-9)
+            assert np.allclose(poly.vertices, cell.vertices, rtol=0, atol=1e-9)
 
 
 def test_compose_word_single_symbol_is_level_one_cell():

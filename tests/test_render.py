@@ -6,11 +6,10 @@ import pytest
 
 from porofractal.codespace import Address
 from porofractal.errors import DepthOutOfRangeError, UnknownAddressError
-from porofractal.geometry import similarity_map
 from porofractal.render import _order, render_construction, svg_chunks
 from porofractal.scheme import BUILTIN_NAMES, build_tree, builtin
 
-from conftest import similarity_conjugate, traced
+from conftest import address_oracle, similarity_conjugate, similarity_map, traced
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,7 +33,7 @@ def collect_oracle(t, depth):
     by a lexsort of every cell's padded symbols."""
     parts = [(depth, t.kept_rows(depth))] + [(n, t.complement_rows(n)) for n in range(1, depth + 1)]
     verts = np.concatenate([t.vertices[n][rows] for n, rows in parts])
-    symbols = np.concatenate([np.pad(t.symbols(n, rows), ((0, 0), (0, depth - n))) for n, rows in parts])
+    symbols = np.concatenate([np.pad(address_oracle(t, n, rows), ((0, 0), (0, depth - n))) for n, rows in parts])
     kept = np.arange(verts.shape[0]) < parts[0][1].shape[0]
     # no address is a prefix of another, so zero padding keeps their order
     order = np.lexsort(symbols.T[::-1])
@@ -183,7 +182,7 @@ def test_order_matches_symbol_lexsort(name, make_tree):
         verts, kept, symbols = collect_oracle(t, depth)
         assert np.array_equal(np.stack([t.vertices[n][r] for n, r in zip(level, rows)]), verts)
         assert np.array_equal((level == depth) & (rows % M < m), kept)
-        got = [t.symbols(n, [r])[0].tolist() + [0] * (depth - n) for n, r in zip(level.tolist(), rows.tolist())]
+        got = [list(t.address(n, r).symbols) + [0] * (depth - n) for n, r in zip(level.tolist(), rows.tolist())]
         assert got == symbols.tolist()
 
 

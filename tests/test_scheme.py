@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from porofractal import geometry
-from porofractal.codespace import Address, Code, periodic_code
+from porofractal.codespace import Address, Code, enumerate_words, periodic_code
 from porofractal.config import Caps
 from porofractal.errors import (
     CapExceededError,
@@ -17,14 +17,12 @@ from porofractal.errors import (
     UnknownSchemeError,
     ValidationError,
 )
-from porofractal.geometry import AffineMap2, Point2, apply, measure, overlap_measures, similarity_map
+from porofractal.geometry import AffineMap2, Point2, _fold, apply, measure, measures, overlap_measures
 from porofractal.ifs import compose_word, from_scheme
 from porofractal.scheme import (
     BUILTIN_NAMES,
     Cell,
     Scheme,
-    accumulated_map,
-    address_polygon,
     address_vertices,
     build_tree,
     builtin,
@@ -39,12 +37,14 @@ from porofractal.verifier import full_verify
 
 from conftest import (
     accumulated_map_oracle,
+    address_oracle,
     address_vertices_oracle,
     build_levels_oracle,
     fold_cases,
     realize_point_oracle,
     similarity_conjugate,
-    tree_cell,
+    similarity_map,
+    tree_polygon,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -74,7 +74,7 @@ def test_builtins_satisfy_all_geometric_invariants():
 
 def test_carpet_level1_measures_and_ratio():
     t = build_tree(builtin("carpet"), 1)
-    mus = [measure(c.polygon, "area") for c in t.levels[1]]
+    mus = measures(t.vertices[1], "area").tolist()
     assert mus == pytest.approx([1 / 9] * 9, rel=1e-12)
     kept = sum(mus[:8])
     assert kept / mus[8] == pytest.approx(8.0, abs=1e-12)
@@ -82,13 +82,13 @@ def test_carpet_level1_measures_and_ratio():
 
 def test_pascal3_ratio():
     t = build_tree(builtin("pascal3"), 1)
-    mus = [measure(c.polygon, "area") for c in t.levels[1]]
+    mus = measures(t.vertices[1], "area").tolist()
     assert sum(mus[:6]) / sum(mus[6:]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_koch_ratio_and_equal_areas():
     t = build_tree(builtin("koch"), 1)
-    areas = [measure(c.polygon, "area") for c in t.levels[1]]
+    areas = measures(t.vertices[1], "area").tolist()
     assert areas == pytest.approx([SQRT3 / 36] * 3, rel=1e-12)
     assert (areas[0] + areas[1]) / areas[2] == pytest.approx(2.0, abs=1e-12)
 
@@ -214,8 +214,8 @@ def test_load_relaxed_skips_geometry_checks():
 
 def test_carpet_tree_counts_depth2():
     t = build_tree(builtin("carpet"), 2)
-    assert len(t.levels[1]) == 9
-    assert len(t.levels[2]) == 72
+    assert len(t.vertices[1]) == 9
+    assert len(t.vertices[2]) == 72
     assert len(t.kept_cells(2)) == 64
 
 
@@ -225,8 +225,7 @@ def test_cell_counts_all_builtins():
         t = build_tree(s, 4)
         for n in range(1, 5):
             assert len(t.kept_cells(n)) == s.m**n
-            comps = [c for c in t.levels[n] if c.kind == "complement"]
-            assert len(comps) == s.m ** (n - 1) * (s.M - s.m)
+            assert len(t.complement_rows(n)) == s.m ** (n - 1) * (s.M - s.m)
 
 
 def test_build_tree_bitwise_matches_per_cell_oracle():
@@ -248,20 +247,25 @@ def test_build_tree_bitwise_matches_per_cell_oracle():
         assert (flipped > 0) == s.name.startswith("koch"), s.name
 
 
-def test_address_row_round_trip():
-    for name, depth in [("carpet", 3), ("koch", 6)]:
-        s = builtin(name)
-        t = build_tree(s, depth)
+def test_address_row_round_trip(make_tree):
+    # every row decodes as the oracle does, depth 0 included; koch d12 is
+    # sampled
+    for name, depth in [("carpet", 3), ("pascal3", 3), ("koch", 8), ("cantor", 9), ("koch", 12)]:
+        t = make_tree(name, depth)
         for n in range(depth + 1):
-            rows = np.arange(len(t.levels[n]))
-            symbols = t.symbols(n, rows)
-            for i in rows.tolist():
-                assert t.address(n, i).symbols == tuple(symbols[i].tolist())
+            rows = np.arange(len(t.vertices[n]))
+            if depth == 12:
+                rows = np.unique(np.concatenate([rows[::37], rows[-3:]]))
+            want = [tuple(w) for w in address_oracle(t, n, rows).tolist()]
+            assert [t.address(n, r).symbols for r in rows.tolist()] == want, (name, n)
             kept = t.kept_rows(n).tolist()
-            assert [c.address for c in t.kept_cells(n)] == [t.address(n, i) for i in kept]
             assert all(t.address(n, i).is_kept for i in kept)
         with pytest.raises(IndexError):
-            t.address(depth, len(t.levels[depth]))
+            t.address(depth, len(t.vertices[depth]))
+        # a depth outside 0..depth is refused, not read from the end
+        for bad in (-1, -2, depth + 1):
+            with pytest.raises(IndexError, match=f"depth {bad} "):
+                t.address(bad, 0)
 
 
 def test_verify_path_makes_no_cells(monkeypatch):
@@ -276,9 +280,9 @@ def test_verify_path_makes_no_cells(monkeypatch):
     for name, depth in [("carpet", 3), ("koch", 8)]:
         full_verify(build_tree(builtin(name), depth))
     assert made == []
-    # the counter sees cells made on demand
-    build_tree(builtin("koch"), 2).levels[2][4]
-    assert len(made) == 1
+    # the counter sees the cells kept_cells makes
+    build_tree(builtin("koch"), 2).kept_cells(2)
+    assert len(made) == 4
 
 
 def test_tree_is_freed_without_the_cycle_collector():
@@ -288,8 +292,8 @@ def test_tree_is_freed_without_the_cycle_collector():
     try:
         t = build_tree(builtin("koch"), 6)
         full_verify(t)
-        list(t.levels[3])
-        list(t.kept_cells(2))
+        t.kept_cells(2)
+        t.address(3, 5)
         ref = weakref.ref(t)
         del t
         assert ref() is None
@@ -299,8 +303,8 @@ def test_tree_is_freed_without_the_cycle_collector():
 
 def test_cantor_cell_21_interval():
     t = build_tree(builtin("cantor"), 2)
-    cell = tree_cell(t, Address((2, 1), 2, 3))
-    assert cell.polygon.vertices[:, 0] == pytest.approx([2 / 3, 7 / 9], abs=1e-15)
+    cell = tree_polygon(t, Address((2, 1), 2, 3))
+    assert cell.vertices[:, 0] == pytest.approx([2 / 3, 7 / 9], abs=1e-15)
 
 
 def test_partition_identity_all_builtins():
@@ -308,12 +312,12 @@ def test_partition_identity_all_builtins():
         s = builtin(name)
         t = build_tree(s, 4)
         for n in range(1, 4):
-            below = list(t.levels[n + 1])
-            for parent in t.kept_cells(n):
-                children = [c for c in below if c.address.symbols[:-1] == parent.address.symbols]
-                assert len(children) == s.M
-                total = sum(measure(c.polygon, s.measure_kind) for c in children)
-                assert total == pytest.approx(measure(parent.polygon, s.measure_kind), rel=1e-12)
+            assert len(t.vertices[n + 1]) == len(t.kept_rows(n)) * s.M
+            for p, row in enumerate(t.kept_rows(n).tolist()):
+                block = range(p * s.M, (p + 1) * s.M)
+                assert [t.address(n + 1, r).symbols[:-1] for r in block] == [t.address(n, row).symbols] * s.M
+                total = sum(measures(t.vertices[n + 1][block.start : block.stop], s.measure_kind).tolist())
+                assert total == pytest.approx(measures(t.vertices[n][row : row + 1], s.measure_kind)[0], rel=1e-12)
 
 
 def test_nesting_all_builtins():
@@ -321,10 +325,10 @@ def test_nesting_all_builtins():
         s = builtin(name)
         t = build_tree(s, 3)
         for n in (2, 3):
-            for c in t.levels[n]:
-                parent = tree_cell(t, Address(c.address.symbols[:-1], s.m, s.M))
-                child_mu = measure(c.polygon, s.measure_kind)
-                inter = overlap_measures(c.polygon.vertices[None], parent.polygon.vertices[None], s.measure_kind)[0]
+            for row, child in enumerate(t.vertices[n]):
+                parent = tree_polygon(t, Address(t.address(n, row).symbols[:-1], s.m, s.M))
+                child_mu = measures(child[None], s.measure_kind)[0]
+                inter = overlap_measures(child[None], parent.vertices[None], s.measure_kind)[0]
                 assert inter == pytest.approx(child_mu, rel=1e-9)
 
 
@@ -340,17 +344,17 @@ def test_composition_order_gives_nested_cells():
     # cell(w + (j,)) must lie inside cell(w): first symbol outermost
     s = builtin("carpet")
     for w in [(1,), (2, 5), (8, 1, 3)]:
-        parent = address_polygon(s, Address(w[:-1], 8, 9))
-        child = address_polygon(s, Address(w, 8, 9))
-        inter = overlap_measures(child.vertices[None], parent.vertices[None], "area")[0]
-        assert inter == pytest.approx(measure(child, "area"), rel=1e-9)
+        parent = address_vertices(s, [Address(w[:-1], 8, 9)])
+        child = address_vertices(s, [Address(w, 8, 9)])
+        inter = overlap_measures(child, parent, "area")[0]
+        assert inter == pytest.approx(measures(child, "area")[0], rel=1e-9)
 
 
 def test_cantor_builds_and_verifies_past_tiny_determinants():
     # depth-10 cells have |det| = 9**-10, far below the geometric tolerance;
     # only the child maps are checked for singularity
     t = build_tree(builtin("cantor"), 10)
-    assert len(t.levels[10]) == 3 * 2**9
+    assert len(t.vertices[10]) == 3 * 2**9
     assert full_verify(t, expected_ratio=2.0).overall == "pass"
 
 
@@ -360,7 +364,7 @@ def test_singular_child_map_raises():
     with pytest.raises(SingularMapError):
         build_tree(s, 1)
     with pytest.raises(SingularMapError):
-        address_polygon(s, Address((1, 9), 8, 9))
+        address_vertices(s, [Address((1, 9), 8, 9)])
 
 
 def test_tree_cap():
@@ -413,9 +417,9 @@ def test_accumulated_map_matches_tree_cells():
     s = builtin("koch")
     t = build_tree(s, 3)
     for w in kept_words(2, 3):
-        acc = accumulated_map(s, w)
-        cell = tree_cell(t, Address(w, 2, 3))
-        assert apply(acc, s.base).vertices.tobytes() == cell.polygon.vertices.tobytes()
+        L, T = _fold(s._children, np.array([w]))
+        cell = tree_polygon(t, Address(w, 2, 3))
+        assert apply(AffineMap2(L[0], T[0]), s.base).vertices.tobytes() == cell.vertices.tobytes()
 
 
 def test_realize_points_bitwise_matches_per_symbol_oracle():
@@ -439,14 +443,15 @@ def test_address_vertices_bitwise_matches_per_symbol_oracle():
             groups += [kept, [Address(a.symbols[:-1] + (j,), s.m, s.M) for a in kept[:: s.m] for j in range(s.m + 1, s.M + 1)]]
         for words in groups:
             got = address_vertices(s, words)
+            L, T = _fold(s._children, np.array([w.symbols for w in words], dtype=np.intp))
             for k, w in enumerate(words):
                 want = address_vertices_oracle(s, w)
                 assert got[k].tobytes() == want.tobytes(), (s.name, str(w))
-                assert address_polygon(s, w).vertices.tobytes() == want.tobytes()
+                assert address_vertices(s, [w]).tobytes() == want.tobytes()
                 # equal values; test_accumulated_map_bitwise_matches_per_symbol_oracle
                 # checks the bits
-                acc, oracle = accumulated_map(s, w.symbols), accumulated_map_oracle(s, w.symbols)
-                assert np.array_equal(acc.linear, oracle.linear) and np.array_equal(acc.translation, oracle.translation)
+                oracle = accumulated_map_oracle(s, w.symbols)
+                assert np.array_equal(L[k], oracle.linear) and np.array_equal(T[k], oracle.translation)
 
 
 def test_fold_does_not_depend_on_the_chunk_budget(monkeypatch):
@@ -480,16 +485,14 @@ def test_accumulated_map_bitwise_matches_per_symbol_oracle():
     rng = np.random.default_rng(5)
     for s in fold_cases():
         for n in (1, 2, 3, 5, 12, 20):
-            for row in rng.integers(1, s.M + 1, size=(20, n)):
-                w = tuple(row.tolist())
-                acc, oracle = accumulated_map(s, w), accumulated_map_oracle(s, w)
-                assert acc.linear.tobytes() == oracle.linear.tobytes(), (s.name, w)
-                assert acc.translation.tobytes() == oracle.translation.tobytes(), (s.name, w)
-    assert accumulated_map(builtin("koch"), ()).linear.tobytes() == np.eye(2).tobytes()
-    with pytest.raises(ValueError):
-        accumulated_map(builtin("koch"), (1, 4))
-    with pytest.raises(ValueError):
-        accumulated_map(builtin("koch"), (0,))
+            words = rng.integers(1, s.M + 1, size=(20, n))
+            L, T = _fold(s._children, words)
+            for k, w in enumerate(words.tolist()):
+                oracle = accumulated_map_oracle(s, tuple(w))
+                assert L[k].tobytes() == oracle.linear.tobytes(), (s.name, w)
+                assert T[k].tobytes() == oracle.translation.tobytes(), (s.name, w)
+    L, T = _fold(builtin("koch")._children, np.zeros((1, 0), dtype=np.intp))
+    assert L[0].tobytes() == np.eye(2).tobytes() and T[0].tobytes() == np.zeros(2).tobytes()
 
 
 def test_scheme_document_is_valid_json():
@@ -497,30 +500,16 @@ def test_scheme_document_is_valid_json():
     assert doc["m"] == 2 and doc["M"] == 3 and len(doc["maps"]) == 3
 
 
-@pytest.mark.parametrize("name,depth", [("carpet", 3), ("koch", 6)])
-def test_cell_views_match_per_row_route(name, depth):
-    # every way of reading a Cell gives the address, polygon and kind of
-    # its row
-    t = build_tree(builtin(name), depth)
+@pytest.mark.parametrize("name,depth", [("carpet", 3), ("pascal3", 3), ("koch", 6), ("cantor", 9)])
+def test_kept_cells_match_kept_rows(name, depth, make_tree):
+    # kept_cells reads the kept rows in address order, with the kept words
+    # of each length as their addresses; levels is the vertex tuple itself
+    t = make_tree(name, depth)
     m, M = t.scheme.m, t.scheme.M
-
-    def check(cell, n, row):
-        assert cell.address == Address(tuple(t.symbols(n, np.array([row]))[0].tolist()), m, M)
-        assert cell.address == t.address(n, row)
-        assert cell.polygon.vertices.tobytes() == t.vertices[n][row].tobytes()
-        assert cell.kind == ("kept" if row % M < m else "complement")
-
+    assert t.levels is t.vertices
     for n in range(depth + 1):
-        rows = np.arange(t.vertices[n].shape[0])
-        kept = t.kept_rows(n) if n else rows
-        for view, view_rows in ((t.levels[n], rows), (t.kept_cells(n), kept)):
-            assert len(view) == len(view_rows)
-            for i in (0, len(view) // 2, -1):
-                check(view[i], n, int(view_rows[i]))
-            for sl in (slice(None), slice(1, None, 3), slice(None, None, -2), slice(5, 2)):
-                cells = view[sl]
-                assert isinstance(cells, tuple) and len(cells) == len(view_rows[sl])
-                for cell, row in zip(cells, view_rows[sl].tolist()):
-                    check(cell, n, row)
-            for cell, row in zip(view, view_rows.tolist()):
-                check(cell, n, row)
+        cells = t.kept_cells(n)
+        assert [c.address for c in cells] == enumerate_words(m, n, M=M)
+        assert [c.address for c in cells] == [t.address(n, r) for r in t.kept_rows(n).tolist()]
+        got = np.stack([c.polygon.vertices for c in cells])
+        assert got.tobytes() == t.vertices[n][t.kept_rows(n)].tobytes(), (name, n)

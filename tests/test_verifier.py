@@ -24,9 +24,7 @@ from porofractal.geometry import (
     apply,
     box_overlap_pairs,
     compose,
-    min_distance,
     overlap_measures,
-    similarity_map,
 )
 from porofractal.scheme import CellTree, Scheme, build_tree, builtin
 from porofractal.verifier import _MAX_WITNESSES
@@ -43,6 +41,7 @@ from porofractal.verifier import (
 
 from conftest import (
     VERIFY_INPUTS,
+    min_distance,
     min_distance_matrix,
     oracle_intersection_area,
     overlapping_complement_cantor,
@@ -51,8 +50,9 @@ from conftest import (
     segment_overlap_length_oracle,
     shrunk_complement_carpet,
     similarity_conjugate,
+    similarity_map,
     traced,
-    tree_cell,
+    tree_polygon,
 )
 
 EXPECTED_RATIO = {"carpet": 8.0, "pascal3": 2.0, "koch": 2.0, "cantor": 2.0}
@@ -107,9 +107,9 @@ def test_adjacency_fails_for_shrunk_complement(carpet_gap):
     # witness replay: the reported kept cell really is separated from the
     # reported nearest complement sibling
     kept, comp = res.witnesses[0]
-    ka = tree_cell(t, Address.parse(kept, 8, 9))
-    ca = tree_cell(t, Address.parse(comp, 8, 9))
-    assert min_distance(ka.polygon, ca.polygon) > 1e-9
+    ka = tree_polygon(t, Address.parse(kept, 8, 9))
+    ca = tree_polygon(t, Address.parse(comp, 8, 9))
+    assert min_distance(ka, ca) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,8 @@ def test_accumulation_fails_for_overlapping_complements(carpet_overlap):
     assert not res.passed
     assert res.witnesses
     a, b = res.witnesses[0]
-    pa = tree_cell(t, Address.parse(a, 8, 9)).polygon
-    pb = tree_cell(t, Address.parse(b, 8, 9)).polygon
+    pa = tree_polygon(t, Address.parse(a, 8, 9))
+    pb = tree_polygon(t, Address.parse(b, 8, 9))
     assert overlap_measures(pa.vertices[None], pb.vertices[None], "area")[0] > 1e-12 * t.scheme.base_measure()
 
 
@@ -142,24 +142,24 @@ def test_accumulation_fails_for_overlapping_cantor_complements():
     assert not res.passed
     assert res.witnesses
     for a, b in res.witnesses:
-        pa, pb = (tree_cell(t, Address.parse(w, 2, 3)).polygon for w in (a, b))
+        pa, pb = (tree_polygon(t, Address.parse(w, 2, 3)) for w in (a, b))
         assert overlap_measures(pa.vertices[None], pb.vertices[None], "length")[0] > 1e-12 * t.scheme.base_measure()
 
 
 def _accumulation_per_pair(t):
     """check_accumulation's report computed pair by pair with the scalar oracles."""
-    comps = [c for level in t.levels[1:] for c in level if c.kind == "complement"]
-    bb = np.array([c.polygon.bbox() for c in comps])
+    comps = [(t.address(n, r), ConvexPolygon._unchecked(t.vertices[n][r])) for n in range(1, t.depth + 1) for r in t.complement_rows(n).tolist()]
+    bb = np.array([p.bbox() for _, p in comps])
     ii, jj = box_overlap_pairs(bb[:, :2], bb[:, 2:], 1e-9)
     threshold = 1e-12 * t.scheme.base_measure()
     max_overlap, max_pair, violators = 0.0, None, []
     for i, j in zip(ii.tolist(), jj.tolist()):
-        a, b = comps[i].polygon.vertices, comps[j].polygon.vertices
+        a, b = comps[i][1].vertices, comps[j][1].vertices
         ov = oracle_intersection_area(a, b) if t.scheme.measure_kind == "area" else segment_overlap_length_oracle(a, b, 1e-9)
         if ov > max_overlap:
-            max_overlap, max_pair = ov, [str(comps[i].address), str(comps[j].address)]
+            max_overlap, max_pair = ov, [str(comps[i][0]), str(comps[j][0])]
         if ov > threshold and len(violators) < _MAX_WITNESSES:
-            violators.append([str(comps[i].address), str(comps[j].address)])
+            violators.append([str(comps[i][0]), str(comps[j][0])])
     return {
         "condition": "accumulation",
         "status": "fail" if max_overlap > threshold else "pass",
@@ -902,7 +902,7 @@ def test_depths_share_an_evaluator_only_with_equal_vertex_counts():
 
 def test_separation_single_cell_depth():
     t = build_tree(builtin("carpet"), 1)
-    root = [(t.levels[0][0].address, t.levels[0][0].polygon)]
+    root = [(c.address, c.polygon) for c in t.kept_cells(0)]
     kept = [(c.address, c.polygon) for c in t.kept_cells(1)]
     pw, a, b = _sweep([root], "pairwise")
     assert pw.by_depth == (math.inf,) and a == b == root[0][0]
