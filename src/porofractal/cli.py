@@ -22,11 +22,10 @@ import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import dynamics, render, verifier
-from .codespace import Address
-from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
+# no numpy here: each command imports the modules it runs in its handler
+from .config import BUILTIN_NAMES, DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
 from .errors import (
     CapExceededError,
     CoordinateRangeError,
@@ -39,7 +38,9 @@ from .errors import (
     UnknownAddressError,
     ValidationError,
 )
-from .scheme import BUILTIN_NAMES, Scheme, build_tree, builtin, dumps, load
+
+if TYPE_CHECKING:
+    from .scheme import Scheme
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +72,7 @@ def _caps(args: argparse.Namespace) -> Caps:
 
 def _resolve_scheme(value: str) -> Scheme:
     """Builtin name, or path to a scheme document (structural checks only)."""
+    from .scheme import builtin, load
     if value in BUILTIN_NAMES:
         return builtin(value)
     try:
@@ -160,11 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
-    _emit(["\n".join(BUILTIN_NAMES) if args.scheme_command == "list" else dumps(builtin(args.name))], None)
+    if args.scheme_command == "list":
+        _emit(["\n".join(BUILTIN_NAMES)], None)
+        return EXIT_OK
+    from .scheme import builtin, dumps
+    _emit([dumps(builtin(args.name))], None)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
+    from . import verifier
+    from .scheme import build_tree
     tree = build_tree(s, args.depth, caps)
     report = verifier.full_verify(tree, tol, caps, expected_ratio=args.expect_ratio, separation_mode=_mode(args))
     _emit(report.json_chunks(), args.out)
@@ -172,18 +180,23 @@ def _cmd_verify(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps
 
 
 def _cmd_separation(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
+    from . import dynamics
     est = dynamics.estimate_separation(s, args.depth, _mode(args), caps)
     _emit([f"{est.epsilon0!r} mode={args.mode} depth={est.depth} pair={est.word_a!s},{est.word_b!s}"], args.out)
     return EXIT_OK if est.epsilon0 >= tol.sep else EXIT_FAIL
 
 
 def _cmd_dynamics(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
+    from . import dynamics
     report = dynamics.chaos_report(s, args.depth, args.horizon, mode=_mode(args), tol=tol, caps=caps)
     _emit(report.json_chunks(), args.out)
     return EXIT_OK if report.all_verified else EXIT_FAIL
 
 
 def _cmd_render(args: argparse.Namespace, s: Scheme, tol: Tolerances, caps: Caps) -> int:
+    from . import render
+    from .codespace import Address
+    from .scheme import build_tree
     tree = build_tree(s, args.depth, caps)
     prefix = None
     if args.subfractal is not None:

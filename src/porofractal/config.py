@@ -1,4 +1,4 @@
-"""Tolerance and cap configuration.
+"""Tolerance and cap configuration, and the names of the built-in schemes.
 
 Every tolerance the numerical checks consume lives here so callers (and the
 CLI) can override them; nothing downstream hardcodes these values.
@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+BUILTIN_NAMES = ("carpet", "pascal3", "koch", "cantor")
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class Caps:
     """Guards against accidental exponential blowups.
 
     cells: maximum kept-cell count a tree build may reach.
-    words: maximum number of symbols an enumeration or code prefix may produce.
+    words: maximum number of symbols an enumeration or code prefix may produce;
+        a Li-Yorke witness charges its 2 * horizon * 12 realized symbols first.
     pairs: maximum polygon-pair count a check may pass to an exact kernel;
         every sweep charges the pairs it asks for before it asks, so none
         is evaluated past the cap.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codespace import Address, Code, enumerate_words, finite_code, periodic_code, separator, shift, transitive_prefix
 from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps, Tolerances
-from .errors import CoordinateRangeError, NoSeparationError
+from .errors import CapExceededError, CoordinateRangeError, NoSeparationError
 from .geometry import Point2, _json_chunks, diameter, point_distances
 from .scheme import Scheme, address_vertices, build_tree, realize_points
 from .verifier import SeparationMode, kept_separation
@@ -295,13 +295,17 @@ def li_yorke_witness(
         raise ValueError("the horizon must be at least 4")
     if sep.epsilon0 < tol.sep:
         raise NoSeparationError(f"separation {sep.epsilon0!r} below tolerance {tol.sep!r}")
+    symbols = 2 * horizon * DEFAULT_REALIZE_DEPTH
+    if symbols > caps.words:
+        raise CapExceededError(f"horizon {horizon} realizes {symbols} symbols, more than the word cap {caps.words}")
     a, b = sep.word_a.symbols, sep.word_b.symbols
     total = horizon + DEFAULT_REALIZE_DEPTH + len(a)
     u = Code((), a, s.m)
     v = finite_code(_doubling_partner(a, b, total), s.m)
     codes = [u, v]
-    for _ in range(horizon - 1):
-        codes += [shift(codes[-2]), shift(codes[-1])]
+    # shift^k(v) realized at depth N reads only its symbols k..k+N-1
+    for k in range(1, horizon):
+        codes += [shift(codes[-2]), finite_code(v.preperiod[k : k + DEFAULT_REALIZE_DEPTH], s.m)]
     points, _ = realize_points(s, codes, DEFAULT_REALIZE_DEPTH, caps)
     samples = np.hypot(*(points[::2] - points[1::2]).T).tolist()
     # longest agreement run beginning at a sampled shift, capped at the

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .codespace import Address, Code
-from .config import DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps
+from .config import BUILTIN_NAMES, DEFAULT_CAPS, DEFAULT_TOLERANCES, Caps
 from .errors import CapExceededError, ParseError, UnknownSchemeError, ValidationError
 from .geometry import (
     AffineMap2,
@@ -36,8 +36,6 @@ from .geometry import (
     measures,
     overlap_measures,
 )
-
-BUILTIN_NAMES = ("carpet", "pascal3", "koch", "cantor")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,10 @@ from functools import lru_cache, reduce
 import numpy as np
 import pytest
 
-from porofractal.codespace import Address, Code
-from porofractal.dynamics import chaos_report
+from porofractal.codespace import Address, Code, shift
+from porofractal.dynamics import DEFAULT_REALIZE_DEPTH, chaos_report
 from porofractal.geometry import AffineMap2, ConvexPolygon, _chunk_rows, _pair_distances, _zero_nested, apply, compose, diameters, measure, measures
-from porofractal.scheme import BUILTIN_NAMES, CellTree, Scheme, build_tree, builtin
+from porofractal.scheme import BUILTIN_NAMES, CellTree, Scheme, build_tree, builtin, realize_points
 
 
 @pytest.fixture(scope="session")
@@ -249,6 +249,17 @@ def symbol_at_oracle(c: Code, i: int) -> int:
     if c.period:
         return c.period[(i - len(c.preperiod)) % len(c.period)]
     raise IndexError(f"index {i} beyond the declared horizon {len(c.preperiod)}")
+
+
+def li_yorke_samples_oracle(s: Scheme, u: Code, v: Code, horizon: int) -> list[float]:
+    """Distances of shift^k(u) and shift^k(v), k < horizon, each shift a
+    copy of the whole remaining code as `codespace.shift` makes it: the
+    oracle for the samples of dynamics.li_yorke_witness."""
+    codes = [u, v]
+    for _ in range(horizon - 1):
+        codes += [shift(codes[-2]), shift(codes[-1])]
+    points, _ = realize_points(s, codes, DEFAULT_REALIZE_DEPTH)
+    return np.hypot(*(points[::2] - points[1::2]).T).tolist()
 
 
 def address_oracle(t: CellTree, n: int, rows: np.ndarray) -> np.ndarray:

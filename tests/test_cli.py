@@ -142,12 +142,13 @@ def test_verify_singular_child_map_exits_3(tmp_path, capsys):
 
 
 def test_other_library_errors_exit_5(monkeypatch, capsys):
-    import porofractal.cli as cli
+    import porofractal.scheme
 
     def fail(*args, **kwargs):
         raise OutsideAttractorError("no branch")
 
-    monkeypatch.setattr(cli, "build_tree", fail)
+    # the command imports build_tree from its home module when it runs
+    monkeypatch.setattr(porofractal.scheme, "build_tree", fail)
     assert run(["verify", "--scheme", "carpet", "--depth", "2"]) == 5
     assert "Traceback" not in capsys.readouterr().err
 
@@ -238,6 +239,13 @@ def test_dynamics_koch_256_witnesses(tmp_path):
 
 def test_dynamics_carpet_pairwise_exits_4(capsys):
     assert run(["dynamics", "--scheme", "carpet", "--depth", "2", "--mode", "pairwise"]) == 4
+
+
+def test_dynamics_horizon_past_the_word_cap_exits_2(capsys):
+    # 2 * 50000 * 12 realized symbols exceed the default word cap of 10**6;
+    # the charge comes before any code is built, so this returns at once
+    assert run(["dynamics", "--scheme", "cantor", "--depth", "3", "--horizon", "50000"]) == 2
+    assert capsys.readouterr().err.startswith("error: horizon 50000 realizes 1200000 symbols")
 
 
 @pytest.mark.parametrize("name,n", WITNESS_INPUTS)
@@ -374,10 +382,10 @@ def test_render_streams_the_joined_chunks(name, tmp_path, capsys):
 def test_render_rejects_before_writing(args, built, to_file, tmp_path, capsys, monkeypatch):
     # depth 0, a depth above the built tree, a complement prefix and an
     # over-long prefix: exit 2, nothing on stdout and no file left behind
-    import porofractal.cli as cli
+    import porofractal.scheme
 
     if built is not None:
-        monkeypatch.setattr(cli, "build_tree", lambda s, depth, caps: build_tree(s, built, caps))
+        monkeypatch.setattr(porofractal.scheme, "build_tree", lambda s, depth, caps: build_tree(s, built, caps))
     out = tmp_path / "out.svg"
     assert run(["render", *args] + (["--out", str(out)] if to_file else [])) == 2
     captured = capsys.readouterr()
@@ -400,32 +408,76 @@ def test_console_script_runs():
     assert "carpet" in proc.stdout
 
 
+# porofractal modules each run loads, with numpy whenever a command builds anything
+_CLI = {"porofractal", "porofractal.cli", "porofractal.config", "porofractal.errors"}
+_SCHEME = _CLI | {"numpy", "porofractal.codespace", "porofractal.geometry", "porofractal.scheme"}
+_DYNAMICS = _SCHEME | {"porofractal.dynamics", "porofractal.verifier"}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,status,loaded",
     [
-        ["scheme", "list"],
-        ["verify", "--scheme", "koch", "--depth", "4"],
-        ["separation", "--scheme", "koch", "--depth", "4"],
-        ["dynamics", "--scheme", "koch", "--depth", "4", "--out", "{out}"],
-        ["render", "--scheme", "koch", "--depth", "4", "--subfractal", "12", "--out", "{out}"],
+        pytest.param(["scheme", "list"], 0, _CLI, id="scheme"),
+        pytest.param(["verify", "--scheme", "koch", "--depth", "4"], 0, _SCHEME | {"porofractal.verifier"}, id="verify"),
+        pytest.param(["separation", "--scheme", "koch", "--depth", "4"], 0, _DYNAMICS, id="separation"),
+        pytest.param(["dynamics", "--scheme", "koch", "--depth", "4", "--out", "{out}"], 0, _DYNAMICS, id="dynamics"),
+        pytest.param(
+            ["render", "--scheme", "koch", "--depth", "4", "--subfractal", "12", "--out", "{out}"],
+            0,
+            _SCHEME | {"porofractal.render"},
+            id="render",
+        ),
+        pytest.param(["scheme", "show", "koch"], 0, _SCHEME, id="scheme-show"),
+        pytest.param(["--help"], 0, _CLI, id="help"),
+        pytest.param(["verify", "--scheme", "koch"], 2, _CLI, id="usage-error"),
+        pytest.param(None, None, {"porofractal"}, id="import"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_every_command_leaves_numpy_ma_unimported(argv, tmp_path):
-    # numpy.ma costs about 12 ms of import, and np.unique and its like
-    # import it on first use; no CLI command, each run in a fresh
-    # interpreter, may pull it in (an area accumulation check and the
-    # render's per-level gather once did)
-    argv = [a.format(out=tmp_path / "out") for a in argv]
+def test_every_command_leaves_numpy_ma_unimported(argv, status, loaded, tmp_path):
+    # each command, run in a fresh interpreter, imports only the modules it
+    # runs: --help, a usage error and `scheme list` load no numpy, and
+    # `import porofractal` alone loads no submodule.  numpy.ma costs about
+    # 12 ms of import, and np.unique and its like import it on first use; no
+    # command may pull it in (an area accumulation check and the render's
+    # per-level gather once did)
+    if argv is None:
+        run_it = "import porofractal\nstatus = None\n"
+    else:
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        run_it = (
+            "from porofractal.cli import main\n"
+            "try:\n"
+            f"    status = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+        )
     code = (
         "import sys\n"
-        "from porofractal.cli import main\n"
-        f"status = main({argv!r})\n"
-        "print('numpy.ma' in sys.modules, status, file=sys.stderr)\n"
+        f"{run_it}"
+        "mods = [m for m in sys.modules if m in ('numpy', 'numpy.ma') or m.split('.')[0] == 'porofractal']\n"
+        "print(status, *sorted(mods), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["False", "0"]
+    got = proc.stderr.splitlines()[-1].split()
+    assert got == [str(status), *sorted(loaded)]
+
+
+def test_package_exports_resolve_from_their_home_modules():
+    # the package imports nothing eagerly: each export is read from its home
+    # module on access and never cached, so a name a tracer rebinds there
+    # and later restores is never left behind in the package
+    import porofractal
+    from porofractal import config, scheme
+
+    homes = {"BUILTIN_NAMES": config, "Caps": config, "Tolerances": config}
+    for name in porofractal.__all__:
+        assert getattr(porofractal, name) is getattr(homes.get(name, scheme), name), name
+    assert set(porofractal.__all__) <= set(dir(porofractal))
+    assert not set(porofractal.__all__) & set(vars(porofractal))
+    with pytest.raises(AttributeError, match="nosuch"):
+        porofractal.nosuch
+    assert scheme.BUILTIN_NAMES is config.BUILTIN_NAMES
 
 
 def test_verify_depth_too_shallow_exits_2(capsys):
@@ -652,12 +704,12 @@ def test_a_ratio_that_is_not_finite_reads_null(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_7(monkeypatch, capsys):
-    import porofractal.cli as cli
+    import porofractal.scheme
 
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "build_tree", crash)
+    monkeypatch.setattr(porofractal.scheme, "build_tree", crash)
     assert run(["verify", "--scheme", "carpet", "--depth", "2"]) == 7
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: boom") and "Traceback" not in err

@@ -19,12 +19,21 @@ from porofractal.dynamics import (
     sensitivity_witnesses,
     transitivity_witness,
 )
-from porofractal.errors import NoSeparationError
+from porofractal.config import Caps
+from porofractal.errors import CapExceededError, NoSeparationError
 from porofractal.geometry import AffineMap2, ConvexPolygon, Point2
 from porofractal.ifs import SetApproximation, compose_word, from_scheme, iterate_attractor, separation_from_maps
 from porofractal.scheme import BUILTIN_NAMES, Scheme, address_vertices, builtin, realize_point, realize_points
 
-from conftest import WITNESS_INPUTS, contains_oracle, point_distance_oracle, report_json_oracle, symbol_at_oracle, traced
+from conftest import (
+    WITNESS_INPUTS,
+    contains_oracle,
+    li_yorke_samples_oracle,
+    point_distance_oracle,
+    report_json_oracle,
+    symbol_at_oracle,
+    traced,
+)
 
 
 def code_from_dict(d, m):
@@ -237,6 +246,40 @@ def test_li_yorke_agreement_matches_per_symbol_runs():
             assert wit.agreement_depth == max(runs), (name, horizon)
             depths.append(wit.agreement_depth)
     assert min(depths) < DEFAULT_REALIZE_DEPTH == max(depths)
+
+
+def test_li_yorke_samples_match_the_shifted_codes():
+    # each shift of v is built from the symbols its realization reads, not
+    # shifted from the whole code; the distances are bitwise those of the
+    # shifted codes
+    for name in BUILTIN_NAMES:
+        s = builtin(name)
+        sep = estimate_separation(s, 2)
+        for horizon in (4, 5, 17, 64, 300):
+            wit = li_yorke_witness(s, horizon, sep)
+            assert list(wit.samples) == li_yorke_samples_oracle(s, wit.code_u, wit.code_v, horizon), (name, horizon)
+
+
+def test_li_yorke_memory_is_linear_in_the_horizon():
+    # shifting the whole finite code v once per sample held about 64 MiB at
+    # this horizon; the 4000 pairs of 12-symbol codes take about 3 MiB
+    s = builtin("koch")
+    sep = estimate_separation(s, 3)
+    wit, peak, _ = traced(lambda: li_yorke_witness(s, 4000, sep))
+    assert len(wit.samples) == 4000
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
+def test_li_yorke_charges_the_word_cap():
+    # 2 * horizon * DEFAULT_REALIZE_DEPTH symbols are realized, charged
+    # before any code is built
+    s = builtin("cantor")
+    sep = estimate_separation(s, 1)
+    with pytest.raises(CapExceededError):
+        li_yorke_witness(s, 100, sep, caps=Caps(words=1000))
+    with pytest.raises(CapExceededError):
+        li_yorke_witness(s, 100, sep, caps=Caps(words=2 * 100 * DEFAULT_REALIZE_DEPTH - 1))
+    assert len(li_yorke_witness(s, 100, sep, caps=Caps(words=2 * 100 * DEFAULT_REALIZE_DEPTH)).samples) == 100
 
 
 def test_li_yorke_rejects_tiny_horizon():
